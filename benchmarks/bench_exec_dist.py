@@ -1,9 +1,9 @@
-"""Distributed backend: coordinator overhead and scaling vs the pool.
+"""Distributed backend: coordinator overhead and scaling vs serial.
 
 Runs the same wall-clock-bound campaign as ``bench_exec_scaling``
-through :class:`~repro.exec.SerialExecutor`,
-:class:`~repro.exec.ProcessExecutor`, and the socket-sharded
-:class:`~repro.exec.DistExecutor`, plus one *overhead* campaign whose
+through :class:`~repro.exec.SerialExecutor` and the socket-sharded
+:class:`~repro.exec.DistExecutor` (which :class:`~repro.exec.ProcessExecutor`
+is, with forked workers), plus one *overhead* campaign whose
 measurements are instant — so the dist row isolates what the
 coordinator itself costs per task (frame encode, socket round trip,
 scheduler tick) rather than how well waiting overlaps.
@@ -12,7 +12,7 @@ Recorded as :class:`repro.compare.BenchRecord` runs in
 ``BENCH_simsys.json``:
 
 * ``exec_dist_campaign`` — wall time per engine for the waiting
-  campaign (``engine`` is ``serial`` / ``process_pool`` / ``dist``);
+  campaign (``engine`` is ``serial`` / ``dist``);
 * ``exec_dist_overhead`` — per-task dispatch seconds for the instant
   campaign on the dist backend.
 
@@ -30,12 +30,7 @@ import numpy as np
 from _bench_utils import record_bench
 
 from repro.core import Experiment, Factor, FactorialDesign
-from repro.exec import (
-    DistExecutor,
-    ExecHooks,
-    ProcessExecutor,
-    SerialExecutor,
-)
+from repro.exec import DistExecutor, ExecHooks, SerialExecutor
 from repro.report import render_table
 
 TASK_SECONDS = 0.08
@@ -75,7 +70,6 @@ def run_campaign(executor, measure=waiting_measure):
 
 def build_dist(*, out=None):
     serial_res, serial_s, _ = run_campaign(SerialExecutor(retries=0))
-    pool_res, pool_s, _ = run_campaign(ProcessExecutor(max_workers=WORKERS))
     with DistExecutor(workers=WORKERS, spawn="fork") as dist:
         dist_res, dist_s, _ = run_campaign(dist)
 
@@ -87,11 +81,7 @@ def build_dist(*, out=None):
         _, odist_s, _ = run_campaign(dist, instant_measure)
     per_task_overhead = max(odist_s - base_s, 0.0) / N_POINTS
 
-    for engine, wall in (
-        ("serial", serial_s),
-        ("process_pool", pool_s),
-        ("dist", dist_s),
-    ):
+    for engine, wall in (("serial", serial_s), ("dist", dist_s)):
         record_bench(
             "exec_dist_campaign",
             {"engine": engine, "points": N_POINTS, "workers": WORKERS},
@@ -108,7 +98,6 @@ def build_dist(*, out=None):
     )
     return {
         "serial": (serial_res, serial_s),
-        "pool": (pool_res, pool_s),
         "dist": (dist_res, dist_s),
         "overhead": per_task_overhead,
     }
@@ -116,12 +105,9 @@ def build_dist(*, out=None):
 
 def render(out) -> str:
     _, serial_s = out["serial"]
-    _, pool_s = out["pool"]
     _, dist_s = out["dist"]
     rows = [
         ["serial", f"{serial_s:.3f}", "1.00x"],
-        [f"process pool ({WORKERS})", f"{pool_s:.3f}",
-         f"{serial_s / pool_s:.2f}x"],
         [f"dist ({WORKERS} socket workers)", f"{dist_s:.3f}",
          f"{serial_s / dist_s:.2f}x"],
         ["dist dispatch overhead / task",

@@ -1,4 +1,4 @@
-"""Execution-engine scaling: serial vs process-pool campaign throughput.
+"""Execution-engine scaling: serial vs parallel campaign throughput.
 
 Runs one 8-point campaign three ways and proves the engine's three
 contracts at once:
@@ -75,6 +75,8 @@ def build_scaling(tmp_dir, *, out=None):
     )
     # One run (single wall-time sample) per engine per invocation; runs
     # accumulate across invocations into the comparison trajectory.
+    # "process_pool" names the ProcessExecutor row from before it became a
+    # fork-mode DistExecutor; kept so the recorded trajectory continues.
     for engine, wall in (
         ("serial", serial_s),
         ("process_pool", parallel_s),
@@ -104,7 +106,7 @@ def render(out) -> str:
     rows = [
         ["serial", f"{serial_s:.3f}", "1.00x", "8 measured"],
         [
-            f"process pool ({WORKERS} workers)",
+            f"ProcessExecutor ({WORKERS} workers)",
             f"{parallel_s:.3f}",
             f"{serial_s / parallel_s:.2f}x",
             "8 measured",

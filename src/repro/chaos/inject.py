@@ -31,7 +31,8 @@ from typing import Any, Callable, Sequence
 
 from ..errors import FaultInjected, ValidationError
 from ..exec.cache import ResultCache
-from ..exec.engine import Executor, Outcome, ProcessExecutor
+from ..exec.dist import DistExecutor
+from ..exec.engine import Executor, Outcome
 from ..exec.hooks import ExecHooks
 from ..simsys.clock import SimClock
 from ..simsys.machine import MachineSpec
@@ -80,8 +81,8 @@ class _ChaosWorker:
         if fault is not None and _claim(self.state_dir, label):
             if fault == "crash":
                 if self.plan.profile.crash_mode == "exit":
-                    # Die the way a segfaulting worker dies: no exception
-                    # crosses the future; the pool just breaks.
+                    # Die the way a segfaulting worker dies: no result
+                    # frame, just a dropped connection and an exit code.
                     os._exit(13)
                 raise FaultInjected(f"planted worker crash for {label!r}")
             # Hang: burn wall time, then measure normally.  Under an
@@ -96,7 +97,7 @@ class _ChaosWorker:
 class ChaosExecutor(Executor):
     """An :class:`~repro.exec.Executor` that injects planned task faults.
 
-    Wraps *inner* (serial or process-pool): every ``run()`` routes the
+    Wraps *inner* (serial, process, or dist): every ``run()`` routes the
     worker through a :class:`_ChaosWorker`, which consults the plan per
     task label and detonates each planned fault exactly once.  Injection
     counts land in :attr:`injected` and — when the hooks carry a
@@ -113,15 +114,12 @@ class ChaosExecutor(Executor):
             backoff=inner.backoff,
             max_backoff=inner.max_backoff,
         )
-        if plan.profile.crash_mode == "exit":
-            from ..exec.dist import DistExecutor
-
-            if not isinstance(inner, (ProcessExecutor, DistExecutor)):
-                raise ValidationError(
-                    "crash_mode='exit' kills the worker process; it needs a "
-                    "ProcessExecutor or DistExecutor (a SerialExecutor would "
-                    "take the campaign down with it)"
-                )
+        if plan.profile.crash_mode == "exit" and not isinstance(inner, DistExecutor):
+            raise ValidationError(
+                "crash_mode='exit' kills the worker process; it needs a "
+                "ProcessExecutor or DistExecutor (a SerialExecutor would "
+                "take the campaign down with it)"
+            )
         self.inner = inner
         self.plan = plan
         self.state_dir = str(state_dir)

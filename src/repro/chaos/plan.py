@@ -57,11 +57,11 @@ class FaultProfile:
         noisy ranks become outright stragglers.
     hang_s:
         How long an injected hang sleeps; pair with an executor timeout
-        below this to exercise the teardown/requeue path.
+        below this to exercise the sever/requeue path.
     crash_mode:
-        ``"raise"`` (an exception crosses the future) or ``"exit"`` (the
-        worker process dies hard, breaking the pool).  ``"exit"`` needs a
-        :class:`~repro.exec.ProcessExecutor` or
+        ``"raise"`` (an exception crosses back as the task's error) or
+        ``"exit"`` (the worker process dies hard and is replaced).
+        ``"exit"`` needs a :class:`~repro.exec.ProcessExecutor` or
         :class:`~repro.exec.DistExecutor`.
     net_kill_p, net_partition_p, net_slow_p:
         Socket-level faults for the distributed backend

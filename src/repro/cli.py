@@ -168,8 +168,8 @@ def _make_metrics_hooks(emit_metrics: str | None):
 
     registry = MetricsRegistry()
     registry.bind_exec_hooks(hooks)
-    # Simulation collectives running in this process report kernel cost
-    # into the same registry (worker processes record into their own).
+    # Simulation collectives report kernel cost into the same registry,
+    # whether they run here or in executor workers (counters forwarded).
     bind_kernel_metrics(registry)
     return hooks, registry
 
@@ -236,7 +236,7 @@ def _demo_measure(point, rep, rng):
 
 def _cmd_campaign(args: argparse.Namespace) -> int:
     from .core import Campaign, Experiment, Factor, FactorialDesign
-    from .exec import ProcessExecutor, SerialExecutor
+    from .exec import DistExecutor, ProcessExecutor, SerialExecutor
     from .obs import JsonlSpanSink, Tracer
 
     camp_dir = Path(args.dir)
@@ -257,8 +257,6 @@ def _cmd_campaign(args: argparse.Namespace) -> int:
     hooks, registry = _make_metrics_hooks(args.emit_metrics)
     tracer = Tracer(sink=JsonlSpanSink(camp_dir / "trace.jsonl"))
     if args.dist > 0:
-        from .exec import DistExecutor
-
         # Cold cli workers pay interpreter + package import before they
         # can even say HELLO; on a loaded runner that is many seconds.
         executor = DistExecutor(
@@ -278,7 +276,7 @@ def _cmd_campaign(args: argparse.Namespace) -> int:
             spill_rows=args.spill_rows if args.spill_rows > 0 else None,
         )
     finally:
-        if args.dist > 0:
+        if isinstance(executor, DistExecutor):
             executor.close()
     print(result.describe())
     print(hooks.describe())

@@ -29,13 +29,13 @@ from __future__ import annotations
 import hashlib
 import json
 import math
-import os
 from dataclasses import dataclass, field
 from pathlib import Path
 from typing import Any, Iterable, Mapping, Sequence
 
 import numpy as np
 
+from .._atomic import write_atomic
 from .._validation import check_int
 from ..errors import ValidationError
 
@@ -445,10 +445,9 @@ class BenchSuiteResult:
         """Atomically write the suite (tmp file + rename) and return *path*."""
         path = Path(path)
         path.parent.mkdir(parents=True, exist_ok=True)
-        tmp = path.with_suffix(path.suffix + ".tmp")
-        tmp.write_text(json.dumps(self.to_dict(), indent=2, sort_keys=True) + "\n")
-        os.replace(tmp, path)
-        return path
+        return write_atomic(
+            path, json.dumps(self.to_dict(), indent=2, sort_keys=True) + "\n"
+        )
 
 
 def history_labels(paths: Sequence[str | Path]) -> list[str]:

@@ -24,6 +24,7 @@ import re
 from dataclasses import dataclass, field
 from pathlib import Path
 
+from .._atomic import write_atomic
 from ..errors import ValidationError
 from ..exec import ExecHooks, Executor, ResultCache
 from ..stats.compare import TestOutcome
@@ -101,7 +102,7 @@ class Campaign:
             "environment": self.environment_fields,
             "datasets": datasets,
         }
-        (self.path / _INDEX).write_text(json.dumps(payload, indent=2))
+        write_atomic(self.path / _INDEX, json.dumps(payload, indent=2))
 
     def _read_datasets(self) -> list[dict]:
         return json.loads((self.path / _INDEX).read_text()).get("datasets", [])
@@ -137,11 +138,24 @@ class Campaign:
         JSON file keeps only a stub — :meth:`load` resolves stubs
         transparently, returning lazily memory-mapped values.
         """
+        datasets = self._upsert(self._read_datasets(), ms, overwrite=overwrite,
+                                spill_rows=spill_rows)
+        self._write_index(datasets)
+        return self.path / f"{_slug(ms.name)}.json"
+
+    def _upsert(
+        self,
+        datasets: list[dict],
+        ms: MeasurementSet,
+        *,
+        overwrite: bool,
+        spill_rows: int | None,
+    ) -> list[dict]:
+        """Write *ms*'s dataset file; returns the index *datasets* with it
+        entered (the caller writes the index)."""
         from ..report.export import measurements_to_json
 
-        slug = _slug(ms.name)
-        target = self.path / f"{slug}.json"
-        datasets = self._read_datasets()
+        target = self.path / f"{_slug(ms.name)}.json"
         existing = [d for d in datasets if d["name"] == ms.name]
         if existing and not overwrite:
             raise ValidationError(
@@ -161,8 +175,7 @@ class Campaign:
         datasets.append({"name": ms.name, "file": target.name, "n": ms.n,
                          "unit": ms.unit})
         datasets.sort(key=lambda d: d["name"])
-        self._write_index(datasets)
-        return target
+        return datasets
 
     def names(self) -> list[str]:
         """Names of all recorded datasets."""
@@ -280,8 +293,16 @@ class Campaign:
                 executor=executor, cache=cache, hooks=hooks, on_failure=on_failure
             )
         if record:
-            for ms in result.datasets.values():
-                self.record(ms, overwrite=overwrite, spill_rows=spill_rows)
+            # One index write per run, not per dataset; also on error, so
+            # datasets recorded before it stay listed.
+            datasets = before = self._read_datasets()
+            try:
+                for ms in result.datasets.values():
+                    datasets = self._upsert(datasets, ms, overwrite=overwrite,
+                                            spill_rows=spill_rows)
+            finally:
+                if datasets != before:
+                    self._write_index(datasets)
         return result
 
     # -- analysis ---------------------------------------------------------

@@ -4,7 +4,8 @@ Fans experiment design points and replications out across worker
 processes with deterministic per-task seeding
 (:meth:`numpy.random.SeedSequence.spawn`), a content-addressed on-disk
 result cache, bounded-backoff fault tolerance, and progress/metrics
-hooks.  :class:`SerialExecutor` and :class:`ProcessExecutor` are
+hooks.  :class:`SerialExecutor`, :class:`ProcessExecutor` (local forked
+workers) and :class:`DistExecutor` (socket workers on any host) are
 interchangeable behind the library-wide ``executor=`` seam
 (:class:`repro.core.Experiment`, :class:`repro.core.Campaign`,
 :func:`repro.core.run_screening`, and the ``figures`` CLI command).
@@ -15,7 +16,6 @@ from .engine import (
     Executor,
     MeasurementTask,
     Outcome,
-    ProcessExecutor,
     SerialExecutor,
     TaskResult,
     make_tasks,
@@ -24,7 +24,7 @@ from .engine import (
 from .hooks import ExecHooks
 from .protocol import PROTOCOL_VERSION, ProtocolError
 from .seeding import spawn_task_seeds, task_seed_id
-from .dist import DistExecutor, worker_main
+from .dist import DistExecutor, ProcessExecutor, worker_main
 
 __all__ = [
     "Executor",

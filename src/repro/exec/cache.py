@@ -27,12 +27,12 @@ from __future__ import annotations
 
 import hashlib
 import json
-import os
 from pathlib import Path
 from typing import Any, Mapping
 
 import numpy as np
 
+from .._atomic import write_atomic
 from ..errors import ValidationError
 
 __all__ = ["ResultCache", "task_fingerprint"]
@@ -231,10 +231,7 @@ class ResultCache:
                 "values": [float(v) for v in x],
                 "metadata": _canonical(dict(metadata or {})),
             }
-        tmp = entry.with_suffix(f".tmp.{os.getpid()}")
-        tmp.write_text(json.dumps(payload))
-        tmp.replace(entry)
-        return entry
+        return write_atomic(entry, json.dumps(payload))
 
     def __len__(self) -> int:
         return sum(1 for _ in self.path.glob("*/*.json"))

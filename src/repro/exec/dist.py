@@ -4,15 +4,16 @@
 every guarantee the local executors already provide (the conformance
 contract in ``tests/exec/conformance.py`` and docs/EXEC.md):
 
-* an asyncio **coordinator** owns the task queue, retry/backoff/timeout
-  bookkeeping, and outcome assembly — exactly the scheduler contract of
-  :class:`~repro.exec.ProcessExecutor`, reusing its backoff policy and
-  ready-scan (:func:`repro.exec.engine._pop_ready`);
+* an asyncio **coordinator** owns the task queue, per-attempt timeouts,
+  and worker lifecycles, and records every attempt through the engine's
+  attempt ledger (:class:`repro.exec.engine._Ledger`) — the same retry,
+  backoff, and hook accounting as :class:`~repro.exec.SerialExecutor`;
 * N rank-addressed **workers** connect over TCP, speak the versioned
   frame protocol of :mod:`repro.exec.protocol`, and execute one task at
   a time — processes the coordinator spawns itself (``spawn="fork"`` /
   ``spawn="cli"``) or externally launched ``repro worker`` processes on
-  other hosts (``spawn="external"``);
+  other hosts (``spawn="external"``); spawned workers must show a
+  per-run token in their JSON ``HELLO`` before anything is unpickled;
 * determinism is untouched: tasks carry their pre-spawned
   :class:`numpy.random.SeedSequence`, so results are bit-identical to
   :class:`~repro.exec.SerialExecutor` regardless of worker count, loss,
@@ -27,6 +28,9 @@ contract in ``tests/exec/conformance.py`` and docs/EXEC.md):
   workers' in-flight tasks are untouched, and locally spawned workers
   are replaced from a bounded respawn budget.
 
+:class:`ProcessExecutor` is this backend's local preset: forked workers
+on localhost, one per core by default.
+
 Socket-level chaos composes the same way task-level chaos does: give the
 executor a :class:`~repro.chaos.FaultPlan` whose profile sets
 ``net_kill_p`` / ``net_partition_p`` / ``net_slow_p`` and the worker
@@ -39,20 +43,22 @@ from __future__ import annotations
 
 import asyncio
 import hashlib
+import hmac
 import os
+import secrets
 import socket
 import subprocess
 import sys
+import dataclasses
 import time
-from collections import deque
 from pathlib import Path
-from typing import Any, Callable, Sequence
+from typing import Any, Callable, Collection, Sequence
 
-from .._validation import check_int
+from .._validation import check_int, check_positive
 from ..errors import ExecutionError, ValidationError
 from ..obs.metrics import DIST_METRICS
 from ..obs.tracing import capture_file_spans, emit_span_dict
-from .engine import Executor, Outcome, _now, _pop_ready
+from .engine import Executor, Outcome, _Ledger, _now
 from .hooks import ExecHooks
 from .protocol import (
     ERROR,
@@ -70,10 +76,14 @@ from .protocol import (
     send_frame,
 )
 
-__all__ = ["DistExecutor", "worker_main"]
+__all__ = ["DistExecutor", "ProcessExecutor", "worker_main"]
 
+#: Carries a spawned ``repro worker``'s run token (see :func:`worker_main`).
+_TOKEN_ENV = "REPRO_WORKER_TOKEN"
 _HANDSHAKE_TIMEOUT = 10.0
 _DRAIN_TIMEOUT = 3.0
+#: How long a dropped worker's process may take to exit and be named a crash.
+_EXIT_GRACE = 0.5
 
 _NET_FAULT_COUNTERS = {
     "kill": "repro_chaos_net_kills_injected_total",
@@ -172,6 +182,7 @@ def worker_main(
     *,
     rank: int = -1,
     connect_timeout: float = 10.0,
+    token: str | None = None,
 ) -> int:
     """The blocking worker loop behind ``repro worker``.
 
@@ -179,10 +190,13 @@ def worker_main(
     executes ``TASK`` frames one at a time until ``SHUTDOWN``.  All run
     configuration — assigned rank, metric forwarding, the fault plan —
     arrives in the ``WELCOME`` frame, so a worker needs nothing but the
-    coordinator's address.  Returns a process exit code: 0 on a clean
-    shutdown, 1 when the coordinator vanished, 3 when the coordinator
-    refused the handshake (e.g. protocol version skew).
+    coordinator's address (and, if the coordinator spawned it, the run
+    *token*, default ``$REPRO_WORKER_TOKEN``).  Returns a process exit
+    code: 0 on a clean shutdown, 1 when the coordinator vanished, 3 when
+    the coordinator refused the handshake (e.g. version skew, no token).
     """
+    if token is None:
+        token = os.environ.get(_TOKEN_ENV)
     try:
         sock = _connect_with_retry(host, port, connect_timeout)
     except OSError as exc:
@@ -195,6 +209,7 @@ def worker_main(
             "pid": os.getpid(),
             "host": socket.gethostname(),
             "protocol": PROTOCOL_VERSION,
+            "token": token,
         })
         try:
             ftype, cfg = recv_frame(sock)
@@ -279,52 +294,44 @@ def worker_main(
 # --------------------------------------------------------------------------
 
 
+def _exit_code(proc: Any, timeout: float) -> int | None:
+    """Wait up to *timeout* s for a spawned worker to exit; its exit code."""
+    if hasattr(proc, "join"):  # multiprocessing.Process
+        proc.join(timeout)
+        return proc.exitcode
+    try:  # subprocess.Popen
+        return proc.wait(timeout=timeout)
+    except subprocess.TimeoutExpired:
+        return None
+
+
+@dataclasses.dataclass(eq=False)
 class _WorkerConn:
     """One connected worker from the coordinator's point of view."""
 
-    def __init__(self, rank: int, reader: asyncio.StreamReader,
-                 writer: asyncio.StreamWriter, pid: int, hostname: str) -> None:
-        self.rank = rank
-        self.reader = reader
-        self.writer = writer
-        self.pid = pid
-        self.hostname = hostname
-        self.busy: tuple[int, int] | None = None  # (index, attempt)
-        self.started_at = 0.0
-        self.said_goodbye = False
-        self.closed = False
+    rank: int
+    reader: asyncio.StreamReader
+    writer: asyncio.StreamWriter
+    pid: int
+    busy: tuple[int, int] | None = None  # (index, attempt)
+    started_at: float = 0.0
+    said_goodbye: bool = False
 
     def close(self) -> None:
-        if not self.closed:
-            self.closed = True
-            try:
-                self.writer.close()
-            except Exception:  # pragma: no cover - transport teardown race
-                pass
+        self.writer.close()  # idempotent
 
 
 class _Run:
     """Per-``run()`` coordinator state: queue, connections, outcomes."""
 
-    def __init__(
-        self,
-        executor: "DistExecutor",
-        worker_fn: Callable[[Any], Any],
-        items: Sequence[Any],
-        names: list[str],
-        hooks: ExecHooks,
-    ) -> None:
+    def __init__(self, executor: "DistExecutor", worker_fn: Callable[[Any], Any],
+                 items: Sequence[Any], names: list[str], hooks: ExecHooks) -> None:
         self.ex = executor
         self.worker_fn = worker_fn
         self.items = items
-        self.names = names
         self.hooks = hooks
-        self.outcomes = [Outcome(index=i) for i in range(len(items))]
-        self.pending: deque[tuple[int, int, float]] = deque(
-            (i, 1, 0.0) for i in range(len(items))
-        )
+        self.ledger = _Ledger(executor, names, hooks)
         self.inflight: dict[int, _WorkerConn] = {}
-        self.submitted: set[int] = set()
         self.idle: list[_WorkerConn] = []
         self.workers: list[_WorkerConn] = []
         self.events: asyncio.Queue[tuple[str, Any, Any]] = asyncio.Queue()
@@ -350,14 +357,23 @@ class _Run:
     async def handle_connection(self, conn: socket.socket) -> None:
         reader, writer = await asyncio.open_connection(sock=conn)
         try:
+            # HELLO is JSON: nothing a peer sends is unpickled before it
+            # has shown the run token.
             ftype, hello = await asyncio.wait_for(
-                read_frame_async(reader), _HANDSHAKE_TIMEOUT
+                read_frame_async(reader, expect=HELLO), _HANDSHAKE_TIMEOUT
             )
-            if ftype != HELLO:
-                raise ProtocolError(f"expected HELLO, got frame type {ftype}")
+            if not isinstance(hello, dict):
+                raise ProtocolError("HELLO payload is not a JSON object")
+            token = self.ex._token
+            if token is not None and not hmac.compare_digest(
+                str(hello.get("token")).encode(), token.encode()
+            ):
+                # Not spawned for this run: a foreign local process, or a
+                # straggler from an earlier run left in the listen backlog.
+                raise ProtocolError("handshake refused: wrong or missing run token")
         except ProtocolError as exc:
-            # Version skew or garbage: refuse in JSON (readable by any
-            # protocol version) and close.
+            # Version skew, garbage, or no token: refuse in JSON (readable
+            # by any protocol version) and close.
             try:
                 writer.write(encode_frame(ERROR, {"error": str(exc)}))
                 await writer.drain()
@@ -368,12 +384,12 @@ class _Run:
         except (ConnectionError, asyncio.TimeoutError):
             writer.close()
             return
+        pid = int(hello.get("pid", 0))
         rank = int(hello.get("rank", -1))
         if rank < 0:
             rank = self.next_rank
         self.next_rank = max(self.next_rank, rank + 1)
-        w = _WorkerConn(rank, reader, writer,
-                        int(hello.get("pid", 0)), str(hello.get("host", "?")))
+        w = _WorkerConn(rank, reader, writer, pid)
         cfg: dict[str, Any] = {
             "rank": rank,
             "protocol": PROTOCOL_VERSION,
@@ -390,7 +406,10 @@ class _Run:
         self.workers.append(w)
         self.ever_connected = True
         self._count("repro_dist_workers_connected_total")
-        await self.events.put(("connected", w, None))
+        if self.draining:
+            await self._shutdown(w)  # the run ended during the handshake
+        else:
+            await self.events.put(("connected", w, None))
         try:
             while True:
                 ftype, payload = await read_frame_async(w.reader)
@@ -403,9 +422,28 @@ class _Run:
                     raise ProtocolError(f"unexpected frame type {ftype} from worker")
         except (ConnectionError, ProtocolError, OSError) as exc:
             if not self.draining:
-                await self.events.put(("lost", w, str(exc)))
+                await self.events.put(("lost", w, await self._loss_status(w, exc)))
         finally:
             w.close()
+
+    async def _loss_status(self, w: _WorkerConn, exc: BaseException) -> str:
+        """Why *w*'s connection dropped: a crash if its process has exited
+        with a nonzero code (or a signal), else a loss.
+
+        The socket can close a moment before the process is reapable, so
+        a spawned worker gets a short grace to report its exit code.
+        """
+        proc = self.ex._spawned(w.pid)
+        deadline = time.monotonic() + _EXIT_GRACE
+        code = None
+        while proc is not None:
+            code = _exit_code(proc, 0.0)
+            if code is not None or time.monotonic() >= deadline:
+                break
+            await asyncio.sleep(0.01)
+        if code:
+            return f"crashed (exit code {code}): {exc}"
+        return f"lost: {exc}"
 
     async def accept_loop(self) -> None:
         loop = asyncio.get_running_loop()
@@ -417,21 +455,11 @@ class _Run:
 
     # -- scheduling ------------------------------------------------------
 
-    def _fail(self, i: int, attempt: int, message: str,
-              exc: BaseException | None = None) -> None:
-        out = self.outcomes[i]
-        out.attempts = attempt
-        out.error = message
-        out.exception = exc
-        if attempt <= self.ex.retries:
-            self.hooks.record("retried", self.names[i])
-            self.pending.append((i, attempt + 1, _now() + self.ex._delay(attempt)))
-        else:
-            out.ok = False
-            self.hooks.record("failed", self.names[i])
+    def _drop_worker(self, w: _WorkerConn, status: str) -> None:
+        """A worker is gone: fail its attempt, requeue, maybe respawn.
 
-    def _drop_worker(self, w: _WorkerConn, reason: str) -> None:
-        """A worker is gone: fail its attempt, requeue, maybe respawn."""
+        *status* completes ``worker rank N ...`` in the attempt's error.
+        """
         if w not in self.workers:
             return  # already dropped (timeout path races the reader's EOF)
         self._count("repro_dist_workers_lost_total")
@@ -443,11 +471,11 @@ class _Run:
             i, attempt = w.busy
             w.busy = None
             self.inflight.pop(i, None)
-            self.outcomes[i].wall_time += max(_now() - w.started_at, 0.0)
             self._count("repro_dist_tasks_reassigned_total")
-            self._fail(i, attempt, f"worker rank {w.rank} lost: {reason}")
+            self.ledger.failed(i, attempt, f"worker rank {w.rank} {status}",
+                               elapsed=max(_now() - w.started_at, 0.0))
         if (
-            self.pending or self.inflight
+            self.ledger.pending or self.inflight
         ) and self.ex.spawn != "external" and self.respawn_budget > 0:
             if len(self.workers) < self.ex.workers:
                 self.respawn_budget -= 1
@@ -458,35 +486,29 @@ class _Run:
         payload = {
             "id": i,
             "attempt": attempt,
-            "label": self.names[i],
+            "label": self.ledger.names[i],
             "work": (self.worker_fn, self.items[i]),
         }
-        w.busy = (i, attempt)
-        w.started_at = _now()
-        self.inflight[i] = w
-        if i not in self.submitted:
-            self.submitted.add(i)
-            self.hooks.record("submitted", self.names[i])
+        self.ledger.submitted(i)
         try:
             frame = encode_frame(TASK, payload)
         except Exception as exc:  # noqa: BLE001 - pickling/oversize boundary
             # An untransportable task would fail identically on every
             # attempt; fail it now instead of burning the retry budget.
-            w.busy = None
-            self.inflight.pop(i, None)
             self.idle.append(w)
-            out = self.outcomes[i]
-            out.attempts = attempt
-            out.ok = False
-            out.error = f"task not transportable: {type(exc).__name__}: {exc}"
-            out.exception = exc
-            self.hooks.record("failed", self.names[i])
+            self.ledger.failed(
+                i, attempt, f"task not transportable: {type(exc).__name__}: {exc}",
+                exc, final=True,
+            )
             return
+        w.busy = (i, attempt)
+        w.started_at = _now()
+        self.inflight[i] = w
         try:
             w.writer.write(frame)
             await w.writer.drain()
         except (ConnectionError, OSError) as exc:
-            self._drop_worker(w, f"send failed: {exc}")
+            self._drop_worker(w, f"lost: send failed: {exc}")
 
     def _apply_result(self, w: _WorkerConn, payload: dict[str, Any]) -> None:
         i = int(payload["id"])
@@ -503,18 +525,12 @@ class _Run:
             from ..obs.metrics import SIMSYS_METRICS
 
             self.hooks.metrics.merge_counter_deltas(counters, SIMSYS_METRICS)
-        out = self.outcomes[i]
         elapsed = float(payload.get("wall", 0.0))
-        out.wall_time += elapsed
         if payload["ok"]:
-            out.value = payload["value"]
-            out.ok = True
-            out.error = None
-            out.exception = None
-            out.attempts = attempt
-            self.hooks.record("completed", self.names[i], seconds=elapsed)
+            self.ledger.succeeded(i, attempt, payload["value"], elapsed)
         else:
-            self._fail(i, attempt, str(payload.get("error")), payload.get("exc"))
+            self.ledger.failed(i, attempt, str(payload.get("error")),
+                               payload.get("exc"), elapsed)
 
     def _check_timeouts(self) -> None:
         if self.ex.timeout is None:
@@ -528,40 +544,37 @@ class _Run:
             i, attempt = w.busy
             w.busy = None
             self.inflight.pop(i, None)
-            self.outcomes[i].wall_time += now - w.started_at
-            self._fail(i, attempt,
-                       f"task exceeded timeout of {self.ex.timeout:g} s")
+            self.ledger.failed(i, attempt,
+                               f"task exceeded timeout of {self.ex.timeout:g} s",
+                               elapsed=now - w.started_at)
             # The worker may be wedged in user code: sever and replace it.
             self._drop_worker(w, "per-attempt timeout")
-            self.ex._kill_spawned(w.pid)
-
-    def _fail_remaining(self, reason: str) -> None:
-        while self.pending:
-            i, attempt, _ = self.pending.popleft()
-            out = self.outcomes[i]
-            out.attempts = max(attempt - 1, out.attempts)
-            out.ok = False
-            out.error = reason
-            if i not in self.submitted:
-                self.submitted.add(i)
-                self.hooks.record("submitted", self.names[i])
-            self.hooks.record("failed", self.names[i])
+            proc = self.ex._spawned(w.pid)
+            if proc is not None:
+                proc.kill()
 
     async def scheduler(self) -> None:
         started = _now()
-        while self.pending or self.inflight:
-            now = _now()
-            while self.pending and self.idle:
-                entry = _pop_ready(self.pending, now)
+        ledger = self.ledger
+        while ledger.pending or self.inflight:
+            while ledger.pending and self.idle:
+                entry = ledger.pop_ready()
                 if entry is None:
                     break
-                i, attempt = entry
-                await self._assign(self.idle.pop(), i, attempt)
+                await self._assign(self.idle.pop(), *entry)
             try:
-                kind, w, payload = await asyncio.wait_for(
-                    self.events.get(), timeout=self.ex._TICK
-                )
-            except asyncio.TimeoutError:
+                if ledger.pending and self.idle and not self.inflight:
+                    # Nothing in flight can report back, so sleep through
+                    # the backoff on the ledger's (fakeable) clock, let the
+                    # readers queue what arrived meanwhile, then poll.
+                    ledger.wait_backoff(self.ex._TICK)
+                    await asyncio.sleep(0)
+                    kind, w, payload = self.events.get_nowait()
+                else:
+                    kind, w, payload = await asyncio.wait_for(
+                        self.events.get(), timeout=self.ex._TICK
+                    )
+            except (asyncio.TimeoutError, asyncio.QueueEmpty):
                 kind = None
             if kind == "connected":
                 self.idle.append(w)
@@ -570,7 +583,7 @@ class _Run:
             elif kind == "lost":
                 self._drop_worker(w, payload)
             self._check_timeouts()
-            if not self.workers and (self.pending or self.inflight):
+            if not self.workers and (ledger.pending or self.inflight):
                 if not self.ever_connected:
                     if _now() - started > self.ex.connect_timeout:
                         raise ExecutionError(
@@ -579,31 +592,26 @@ class _Run:
                             f"{self.ex.connect_timeout:g} s"
                         )
                 elif self.respawn_budget <= 0:
-                    self._fail_remaining(
+                    ledger.fail_pending(
                         "worker pool exhausted (all workers lost, "
                         "respawn budget spent)"
                     )
+
+    async def _shutdown(self, w: _WorkerConn) -> None:
+        try:
+            w.writer.write(encode_frame(SHUTDOWN, {"reason": "run complete"}))
+            await w.writer.drain()
+        except (ConnectionError, OSError):
+            w.close()
 
     async def drain(self) -> None:
         """Clean shutdown: SHUTDOWN every worker, await GOODBYEs briefly."""
         self.draining = True
         for w in list(self.workers):
-            try:
-                w.writer.write(encode_frame(SHUTDOWN, {"reason": "run complete"}))
-                await w.writer.drain()
-            except (ConnectionError, OSError):
-                w.close()
-        deadline = time.monotonic() + _DRAIN_TIMEOUT
-        for task in self.reader_tasks:
-            remaining = deadline - time.monotonic()
-            if remaining <= 0 or task.done():
-                continue
-            try:
-                await asyncio.wait_for(asyncio.shield(task), remaining)
-            except (asyncio.TimeoutError, Exception):  # noqa: BLE001
-                pass
-        for task in self.reader_tasks:
-            if not task.done():
+            await self._shutdown(w)
+        if self.reader_tasks:
+            _, late = await asyncio.wait(self.reader_tasks, timeout=_DRAIN_TIMEOUT)
+            for task in late:
                 task.cancel()
         for w in self.workers:
             w.close()
@@ -619,7 +627,7 @@ class _Run:
             except (asyncio.CancelledError, Exception):  # noqa: BLE001
                 pass
             await self.drain()
-        return self.outcomes
+        return self.ledger.outcomes
 
 
 class DistExecutor(Executor):
@@ -646,9 +654,8 @@ class DistExecutor(Executor):
     timeout:
         Per-attempt wall-clock limit.  A timed-out attempt fails (and
         retries with backoff); the worker running it is presumed wedged,
-        severed, and — for spawned workers — replaced.  Unlike
-        :class:`~repro.exec.ProcessExecutor`, other in-flight tasks are
-        unaffected: there is no shared pool to rebuild.
+        severed, and — for spawned workers — replaced.  Other in-flight
+        tasks are unaffected.
     retries, backoff, max_backoff:
         As for :class:`~repro.exec.Executor`.
     connect_timeout:
@@ -667,7 +674,10 @@ class DistExecutor(Executor):
 
     A lost worker costs one attempt of the one task it was running —
     crash-looping tasks are bounded by ``retries`` and crash-looping
-    *workers* by a respawn budget of ``workers * (1 + retries)``.
+    *workers* by a respawn budget of ``workers * (1 + retries)``.  The
+    attempt's error names the cause: ``worker rank N crashed (exit code
+    C): ...`` when a spawned worker's process exited, ``worker rank N
+    lost: ...`` when only the connection went away.
     """
 
     _TICK = 0.02  # seconds between scheduler wake-ups
@@ -694,11 +704,7 @@ class DistExecutor(Executor):
                 f"spawn must be 'fork', 'cli', or 'external', got {spawn!r}"
             )
         self.spawn = spawn
-        if timeout is not None:
-            timeout = float(timeout)
-            if timeout <= 0:
-                raise ValidationError(f"timeout must be positive, got {timeout}")
-        self.timeout = timeout
+        self.timeout = None if timeout is None else check_positive(timeout, "timeout")
         self.connect_timeout = float(connect_timeout)
         if fault_plan is not None and fault_state_dir is None:
             raise ValidationError(
@@ -711,6 +717,8 @@ class DistExecutor(Executor):
         #: Network faults planted by this executor so far, by kind.
         self.injected_net: dict[str, int] = {"kill": 0, "partition": 0, "slow": 0}
         self._procs: list[Any] = []
+        #: The current run's secret; spawned workers present it in HELLO.
+        self._token: str | None = None
         self._listen_sock = socket.socket(socket.AF_INET, socket.SOCK_STREAM)
         self._listen_sock.setsockopt(socket.SOL_SOCKET, socket.SO_REUSEADDR, 1)
         self._listen_sock.bind((host, int(port)))
@@ -723,10 +731,7 @@ class DistExecutor(Executor):
 
     def close(self) -> None:
         """Close the listen socket and reap any leftover worker processes."""
-        try:
-            self._listen_sock.close()
-        except OSError:
-            pass
+        self._listen_sock.close()
         self._reap_workers()
 
     def __enter__(self) -> "DistExecutor":
@@ -755,13 +760,14 @@ class DistExecutor(Executor):
             proc = ctx.Process(
                 target=worker_main,
                 args=(host, port),
-                kwargs={"rank": rank, "connect_timeout": self.connect_timeout},
+                kwargs={"rank": rank, "connect_timeout": self.connect_timeout,
+                        "token": self._token},
                 daemon=True,
             )
             proc.start()
             self._procs.append(proc)
         elif self.spawn == "cli":
-            env = dict(os.environ)
+            env = dict(os.environ, **{_TOKEN_ENV: self._token})
             src_root = str(Path(__file__).resolve().parents[2])
             env["PYTHONPATH"] = src_root + os.pathsep + env.get("PYTHONPATH", "")
             self._procs.append(subprocess.Popen(
@@ -771,40 +777,22 @@ class DistExecutor(Executor):
                 env=env,
             ))
 
-    def _kill_spawned(self, pid: int) -> None:
-        """Hard-kill the spawned worker with *pid* (timeout path)."""
-        for proc in self._procs:
-            if getattr(proc, "pid", None) == pid:
-                try:
-                    proc.kill()
-                except (OSError, AttributeError):  # pragma: no cover
-                    pass
+    def _spawned(self, pid: int) -> Any | None:
+        """The process this executor spawned with *pid*, if any."""
+        return next((p for p in self._procs if getattr(p, "pid", None) == pid), None)
 
-    def _reap_workers(self) -> None:
-        # Cleanly shut-down workers exit before this is called (the run's
-        # drain already waited for GOODBYEs), so anything still alive is a
-        # straggler that never finished its handshake or is wedged in user
-        # code: short grace, then escalate.
+    def _reap_workers(self, clean: Collection[int] = ()) -> None:
+        """Reap every spawned worker.  Those in *clean* (pids that said
+        GOODBYE) are exiting already; any other is a straggler that never
+        finished its handshake or is wedged in user code: terminate it
+        now, and kill whatever outlives a short grace."""
         for proc in self._procs:
             try:
-                if hasattr(proc, "join"):  # multiprocessing.Process
-                    proc.join(timeout=0.5)
-                    if proc.is_alive():
-                        proc.terminate()
-                        proc.join(timeout=1.0)
-                    if proc.is_alive():
-                        proc.kill()
-                        proc.join(timeout=1.0)
-                else:  # subprocess.Popen
-                    try:
-                        proc.wait(timeout=0.5)
-                    except subprocess.TimeoutExpired:
-                        proc.terminate()
-                        try:
-                            proc.wait(timeout=1.0)
-                        except subprocess.TimeoutExpired:
-                            proc.kill()
-                            proc.wait(timeout=_DRAIN_TIMEOUT)
+                if proc.pid not in clean:
+                    proc.terminate()
+                if _exit_code(proc, 1.0) is None:
+                    proc.kill()
+                    _exit_code(proc, _DRAIN_TIMEOUT)
             except (OSError, ValueError):  # pragma: no cover - reap race
                 pass
         self._procs = []
@@ -814,12 +802,8 @@ class DistExecutor(Executor):
     def _plan_wire_spec(self) -> dict[str, Any] | None:
         if self.fault_plan is None:
             return None
-        import dataclasses
-
-        return {
-            "seed": self.fault_plan.seed,
-            "profile": dataclasses.asdict(self.fault_plan.profile),
-        }
+        plan = self.fault_plan
+        return {"seed": plan.seed, "profile": dataclasses.asdict(plan.profile)}
 
     def _count_planned_net_faults(self, names: list[str], hooks: ExecHooks) -> None:
         if self.fault_plan is None or self.fault_state_dir is None:
@@ -852,12 +836,47 @@ class DistExecutor(Executor):
         if hooks.metrics is not None:
             hooks.metrics.bind_dist_metrics()
         self._count_planned_net_faults(names, hooks)
-        if self.spawn != "external":
-            for rank in range(self.workers):
-                self._spawn_worker(rank)
+        # External workers cannot learn a secret minted here; they are
+        # trusted the way the network they connect over is.
+        self._token = None if self.spawn == "external" else secrets.token_hex(16)
         run = _Run(self, worker, items, names, hooks)
         try:
+            if self.spawn != "external":
+                for rank in range(self.workers):
+                    self._spawn_worker(rank)
             outcomes = asyncio.run(run.execute())
         finally:
-            self._reap_workers()
+            self._reap_workers(clean={w.pid for w in run.workers if w.said_goodbye})
         return outcomes
+
+
+class ProcessExecutor(DistExecutor):
+    """Local parallel execution: a :class:`DistExecutor` with forked workers.
+
+    The same scheduler, failure model, and worker metric forwarding as
+    the dist backend, on localhost.  Work crosses to the workers by
+    pickling: the worker callable and every item must be picklable
+    (module-level functions, not lambdas or closures).
+
+    Parameters
+    ----------
+    max_workers:
+        Worker count (default: ``os.cpu_count()``).
+    timeout, retries, backoff, max_backoff:
+        As for :class:`DistExecutor`.
+    """
+
+    def __init__(
+        self,
+        max_workers: int | None = None,
+        *,
+        timeout: float | None = None,
+        retries: int = 2,
+        backoff: float = 0.05,
+        max_backoff: float = 2.0,
+    ) -> None:
+        if max_workers is not None:
+            check_int(max_workers, "max_workers", minimum=1)
+        super().__init__(max_workers or os.cpu_count() or 1, spawn="fork",
+                         timeout=timeout, retries=retries, backoff=backoff,
+                         max_backoff=max_backoff)

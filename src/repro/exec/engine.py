@@ -2,14 +2,17 @@
 
 The paper's methodology multiplies measurement counts fast — randomized
 run order x replications x CI-driven stopping — so the execution core is
-an engine, not a for-loop.  Two executors share one contract:
+an engine, not a for-loop.  Every executor shares one contract:
 
 * :class:`SerialExecutor` runs tasks in-process, in order — the debugging
   and single-core baseline;
-* :class:`ProcessExecutor` fans tasks out over a
-  :class:`concurrent.futures.ProcessPoolExecutor`, with bounded-backoff
-  retries, per-attempt timeouts, and pool recreation after a worker
-  crash, so one bad task is recorded rather than fatal.
+* :class:`~repro.exec.DistExecutor` shards tasks over socket workers,
+  with bounded-backoff retries and per-attempt timeouts, so one bad task
+  (or one dead worker) is recorded rather than fatal;
+  :class:`~repro.exec.ProcessExecutor` is its local, forked-worker form.
+
+Both record every attempt through one attempt ledger (:class:`_Ledger`),
+so retry accounting, backoff, and hook events cannot drift between them.
 
 Determinism is *not* the executor's job: every task carries a
 pre-spawned :class:`numpy.random.SeedSequence`
@@ -17,7 +20,7 @@ pre-spawned :class:`numpy.random.SeedSequence`
 executors and worker counts.  The measurement layer
 (:func:`run_measurement_tasks`) adds the content-addressed result cache
 (:mod:`repro.exec.cache`) and the metrics hooks
-(:mod:`repro.exec.hooks`) on top of either executor.
+(:mod:`repro.exec.hooks`) on top of any executor.
 """
 
 from __future__ import annotations
@@ -25,8 +28,6 @@ from __future__ import annotations
 import inspect
 import time
 from collections import deque
-from concurrent.futures import FIRST_COMPLETED, ProcessPoolExecutor, wait
-from concurrent.futures.process import BrokenProcessPool
 from dataclasses import dataclass, field, replace as _dc_replace
 from typing import Any, Callable, Mapping, Sequence
 
@@ -42,7 +43,6 @@ from .seeding import spawn_task_seeds, task_seed_id
 __all__ = [
     "Executor",
     "SerialExecutor",
-    "ProcessExecutor",
     "MeasurementTask",
     "TaskResult",
     "Outcome",
@@ -73,11 +73,10 @@ def _pop_ready(
 ) -> tuple[int, int] | None:
     """Pop the first *ready* pending entry, scanning past backoffs.
 
-    Retry deadlines are appended in failure order, not deadline order, so
-    the head of the queue can sit in a long backoff while entries behind
-    it are ready now.  Scanning (rather than only inspecting
+    The ledger pushes each retry back at the head of the queue with a
+    backoff deadline, so the head can sit in a long backoff while entries
+    behind it are ready now.  Scanning (rather than only inspecting
     ``pending[0]``) keeps one long-backoff task from stalling ready work.
-    Shared by :class:`ProcessExecutor` and the dist coordinator.
     """
     for pos, (i, attempt, ready_at) in enumerate(pending):
         if ready_at <= now:
@@ -92,7 +91,7 @@ class Outcome:
 
     ``exception`` holds the final attempt's exception object when one is
     available in the parent process (worker exceptions cross the process
-    boundary via the future); ``error`` is always a string.
+    boundary inside the result frame); ``error`` is always a string.
     """
 
     index: int
@@ -151,6 +150,69 @@ class Executor:
         return [str(l) for l in labels]
 
 
+class _Ledger:
+    """The attempt ledger: the one place every scheduler records attempts.
+
+    It owns the queue of ``(index, attempt, ready_at)`` entries, fires
+    ``submitted`` once per task, writes each attempt's result onto its
+    :class:`Outcome`, and decides retry-or-final with the executor's
+    backoff.  A retry goes back to the queue's *head*: the serial loop
+    retries in place, the dist coordinator reruns it ahead of fresh work.
+    """
+
+    def __init__(self, executor: Executor, names: list[str], hooks: ExecHooks) -> None:
+        self.executor = executor
+        self.names = names
+        self.hooks = hooks
+        self.outcomes = [Outcome(index=i) for i in range(len(names))]
+        self.pending = deque((i, 1, 0.0) for i in range(len(names)))
+        self._submitted: set[int] = set()
+
+    def pop_ready(self) -> tuple[int, int] | None:
+        return _pop_ready(self.pending, _now())
+
+    def wait_backoff(self, cap: float) -> None:
+        """Sleep toward the earliest queued deadline, for at most *cap* s."""
+        due = min(entry[2] for entry in self.pending)
+        _sleep(min(max(due - _now(), 0.0), cap))
+
+    def submitted(self, i: int) -> None:
+        """Record that task *i* went out: once, however often it reruns."""
+        if i not in self._submitted:
+            self._submitted.add(i)
+            self.hooks.record("submitted", self.names[i])
+
+    def succeeded(self, i: int, attempt: int, value: Any, elapsed: float) -> None:
+        out = self.outcomes[i]
+        out.attempts = attempt
+        out.wall_time += elapsed
+        out.value, out.ok, out.error, out.exception = value, True, None, None
+        self.hooks.record("completed", self.names[i], seconds=out.wall_time)
+
+    def failed(self, i: int, attempt: int, error: str,
+               exc: BaseException | None = None, elapsed: float = 0.0,
+               *, final: bool = False) -> None:
+        """Charge a failed attempt; requeue it while the retry budget lasts
+        (``final`` skips the retry for faults no rerun can fix)."""
+        out = self.outcomes[i]
+        out.attempts = attempt
+        out.wall_time += elapsed
+        out.ok, out.error, out.exception = False, error, exc
+        if not final and attempt <= self.executor.retries:
+            self.hooks.record("retried", self.names[i])
+            ready_at = _now() + self.executor._delay(attempt)
+            self.pending.appendleft((i, attempt + 1, ready_at))
+        else:
+            self.hooks.record("failed", self.names[i])
+
+    def fail_pending(self, error: str) -> None:
+        """Fail every queued task for good: the scheduler cannot go on."""
+        while self.pending:
+            i, attempt, _ = self.pending.popleft()
+            self.submitted(i)
+            self.failed(i, attempt - 1, error, final=True)
+
+
 class SerialExecutor(Executor):
     """In-process, in-order execution — the reference and debugging engine."""
 
@@ -162,208 +224,25 @@ class SerialExecutor(Executor):
         labels: Sequence[str] | None = None,
         hooks: ExecHooks | None = None,
     ) -> list[Outcome]:
-        hooks = hooks or ExecHooks()
-        names = self._labels(items, labels)
-        outcomes: list[Outcome] = []
-        for i, item in enumerate(items):
-            hooks.record("submitted", names[i])
-            out = Outcome(index=i)
-            while True:
-                out.attempts += 1
-                start = _now()
-                try:
-                    out.value = worker(item)
-                except Exception as exc:  # noqa: BLE001 - fault boundary
-                    out.wall_time += _now() - start
-                    out.error = f"{type(exc).__name__}: {exc}"
-                    out.exception = exc
-                    if out.attempts <= self.retries:
-                        hooks.record("retried", names[i])
-                        _sleep(self._delay(out.attempts))
-                        continue
-                    hooks.record("failed", names[i])
-                else:
-                    out.wall_time += _now() - start
-                    out.ok = True
-                    out.error = None
-                    out.exception = None
-                    hooks.record("completed", names[i], seconds=out.wall_time)
-                break
-            outcomes.append(out)
-        return outcomes
-
-
-class ProcessExecutor(Executor):
-    """Process-pool fan-out with crash/timeout fault tolerance.
-
-    Parameters
-    ----------
-    max_workers:
-        Pool size (default: ``os.cpu_count()``).
-    timeout:
-        Per-attempt wall-clock limit in seconds.  A timed-out attempt
-        counts as a failure (retried with backoff); the pool is torn down
-        and recreated because a stuck worker cannot be reclaimed, and
-        innocent in-flight tasks are resubmitted without burning one of
-        their attempts.
-    retries, backoff, max_backoff:
-        As for :class:`Executor`.
-
-    Workers receive tasks by pickling: the worker callable and every item
-    must be picklable (module-level functions, not lambdas or closures).
-    """
-
-    _TICK = 0.05  # seconds between scheduler wake-ups
-
-    def __init__(
-        self,
-        max_workers: int | None = None,
-        *,
-        timeout: float | None = None,
-        retries: int = 2,
-        backoff: float = 0.05,
-        max_backoff: float = 2.0,
-    ) -> None:
-        super().__init__(retries=retries, backoff=backoff, max_backoff=max_backoff)
-        if max_workers is not None:
-            check_int(max_workers, "max_workers", minimum=1)
-        self.max_workers = max_workers
-        if timeout is not None:
-            timeout = float(timeout)
-            if timeout <= 0:
-                raise ValidationError(f"timeout must be positive, got {timeout}")
-        self.timeout = timeout
-
-    def _new_pool(self) -> ProcessPoolExecutor:
-        return ProcessPoolExecutor(max_workers=self.max_workers)
-
-    @staticmethod
-    def _kill_pool(pool: ProcessPoolExecutor) -> None:
-        """Tear a pool down hard (used after a timeout or crash)."""
-        try:
-            for proc in list(getattr(pool, "_processes", {}).values()):
-                proc.terminate()
-        except Exception:  # pragma: no cover - interpreter-version defensive
-            pass
-        pool.shutdown(wait=False, cancel_futures=True)
-
-    def run(
-        self,
-        worker: Callable[[Any], Any],
-        items: Sequence[Any],
-        *,
-        labels: Sequence[str] | None = None,
-        hooks: ExecHooks | None = None,
-    ) -> list[Outcome]:
-        hooks = hooks or ExecHooks()
-        names = self._labels(items, labels)
-        outcomes = [Outcome(index=i) for i in range(len(items))]
-        # Scheduler state: (index, attempt_number, not_before_monotonic).
-        pending: deque[tuple[int, int, float]] = deque(
-            (i, 1, 0.0) for i in range(len(items))
-        )
-        inflight: dict[Any, tuple[int, int, float]] = {}
-        submitted: set[int] = set()
-        pool = self._new_pool()
-        width = self.max_workers or (pool._max_workers)
-
-        def fail(
-            i: int, attempt: int, message: str, exc: BaseException | None = None
-        ) -> None:
-            out = outcomes[i]
-            out.attempts = attempt
-            out.error = message
-            out.exception = exc
-            if attempt <= self.retries:
-                hooks.record("retried", names[i])
-                pending.append((i, attempt + 1, _now() + self._delay(attempt)))
+        ledger = _Ledger(self, self._labels(items, labels), hooks or ExecHooks())
+        while ledger.pending:
+            # A failed task's retry is back at the head: it reruns in
+            # place once its backoff has passed.
+            i, attempt, ready_at = ledger.pending.popleft()
+            wait = ready_at - _now()
+            if wait > 0:
+                _sleep(wait)
+            ledger.submitted(i)
+            start = _now()
+            try:
+                value = worker(items[i])
+            except Exception as exc:  # noqa: BLE001 - fault boundary
+                ledger.failed(
+                    i, attempt, f"{type(exc).__name__}: {exc}", exc, _now() - start
+                )
             else:
-                out.ok = False
-                hooks.record("failed", names[i])
-
-        def rebuild_pool(except_future: Any) -> None:
-            """Tear the pool down and requeue innocent in-flight tasks.
-
-            Shared by the crash and timeout paths so both give siblings
-            identical "not the task's fault" semantics: same attempt
-            number, no backoff, and no repeated ``submitted`` event.
-            """
-            nonlocal pool
-            for fut, (oi, oattempt, _) in inflight.items():
-                if fut is not except_future:
-                    pending.appendleft((oi, oattempt, 0.0))
-            inflight.clear()
-            self._kill_pool(pool)
-            pool = self._new_pool()
-
-        try:
-            while pending or inflight:
-                now = _now()
-                while pending and len(inflight) < width:
-                    entry = _pop_ready(pending, now)
-                    if entry is None:
-                        break
-                    i, attempt = entry
-                    future = pool.submit(worker, items[i])
-                    inflight[future] = (i, attempt, _now())
-                    # Record "submitted" once per task: an innocent sibling
-                    # resubmitted after a pool teardown comes back through
-                    # here with attempt == 1 and must not double-count.
-                    if i not in submitted:
-                        submitted.add(i)
-                        hooks.record("submitted", names[i])
-                if not inflight:
-                    # Nothing running: sleep until the earliest retry is due.
-                    next_ready = min(entry[2] for entry in pending)
-                    _sleep(max(min(next_ready - _now(), self._TICK), 0.0))
-                    continue
-                done, _ = wait(set(inflight), timeout=self._TICK,
-                               return_when=FIRST_COMPLETED)
-                broken = False
-                for future in done:
-                    i, attempt, started = inflight.pop(future)
-                    elapsed = _now() - started
-                    try:
-                        value = future.result()
-                    except BrokenProcessPool:
-                        # The pool died under this task; rebuild and retry.
-                        outcomes[i].wall_time += elapsed
-                        fail(i, attempt, "worker process crashed (pool broken)")
-                        rebuild_pool(future)
-                        broken = True
-                        break
-                    except Exception as exc:  # noqa: BLE001 - fault boundary
-                        outcomes[i].wall_time += elapsed
-                        fail(i, attempt, f"{type(exc).__name__}: {exc}", exc)
-                    else:
-                        out = outcomes[i]
-                        out.value = value
-                        out.ok = True
-                        out.error = None
-                        out.attempts = attempt
-                        out.wall_time += elapsed
-                        hooks.record("completed", names[i], seconds=elapsed)
-                if broken:
-                    continue
-                if self.timeout is not None:
-                    now = _now()
-                    stuck = next(
-                        (
-                            (fut, i, attempt, started)
-                            for fut, (i, attempt, started) in inflight.items()
-                            if now - started > self.timeout
-                        ),
-                        None,
-                    )
-                    if stuck is not None:
-                        future, i, attempt, started = stuck
-                        del inflight[future]
-                        outcomes[i].wall_time += now - started
-                        fail(i, attempt, f"task exceeded timeout of {self.timeout:g} s")
-                        rebuild_pool(None)
-        finally:
-            pool.shutdown(wait=False, cancel_futures=True)
-        return outcomes
+                ledger.succeeded(i, attempt, value, _now() - start)
+        return ledger.outcomes
 
 
 # --------------------------------------------------------------------------
@@ -484,7 +363,7 @@ def make_tasks(
 
 
 def _measure_worker(task: MeasurementTask) -> np.ndarray:
-    """Execute one task (runs inside a worker process for ProcessExecutor)."""
+    """Execute one task (runs inside a worker process for parallel executors)."""
     if task.trace_ctx is not None:
         sink_path, trace_id, parent_id = task.trace_ctx
         with file_span(

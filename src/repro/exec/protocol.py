@@ -19,9 +19,12 @@ carry UTF-8 JSON objects, so a worker speaking a *newer* protocol can
 still parse the coordinator's version refusal.  Data frames (``TASK``/
 ``RESULT``) carry pickles: tasks hold arbitrary user callables and items,
 results hold numpy arrays — exactly pickle's job.  Pickled frames are an
-explicit trust statement: workers execute code the coordinator sends, so
-the listener must only ever face machines you already trust to run your
-campaign (the same trust boundary as ``ProcessPoolExecutor``).
+explicit trust statement: workers execute code the coordinator sends and
+the coordinator unpickles what workers return, so it reads nothing but
+a JSON ``HELLO`` from a new peer; workers it spawned itself must show
+a per-run token there (see :mod:`repro.exec.dist`).  Externally started
+workers carry none: their listener must only ever face machines you
+already trust to run your campaign.
 
 Version negotiation is deliberately blunt: the worker announces its
 version in ``HELLO``; on mismatch the coordinator answers with an
@@ -197,11 +200,21 @@ def recv_frame(sock: socket.socket) -> tuple[int, Any]:
 # --------------------------------------------------------------------------
 
 
-async def read_frame_async(reader: asyncio.StreamReader) -> tuple[int, Any]:
-    """Read one frame from an asyncio stream; ``(frame_type, payload)``."""
+async def read_frame_async(
+    reader: asyncio.StreamReader, *, expect: int | None = None
+) -> tuple[int, Any]:
+    """Read one frame from an asyncio stream; ``(frame_type, payload)``.
+
+    With *expect* set, any other frame type raises :class:`ProtocolError`
+    from the header alone, before its payload is read or unpickled.
+    """
     try:
         header = await reader.readexactly(_HEADER.size)
         ftype, length = _parse_header(header)
+        if expect is not None and ftype != expect:
+            raise ProtocolError(
+                f"expected {FRAME_NAMES[expect]}, got {FRAME_NAMES[ftype]}"
+            )
         raw = await reader.readexactly(length) if length else b""
     except asyncio.IncompleteReadError as exc:
         raise ConnectionError("connection closed mid-frame") from exc

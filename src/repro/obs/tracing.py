@@ -10,9 +10,8 @@ measurement-batch.
 Spans are deliberately minimal (no sampling, no clock sync, no wire
 protocol): one JSON object per finished span, appended to a JSONL file.
 Appends use a single ``os.write`` on an ``O_APPEND`` descriptor, which is
-atomic for line-sized payloads on POSIX, so :class:`repro.exec.ProcessExecutor`
-workers can contribute spans to the same sink file as the parent without
-locks.  A torn line (crash mid-write) is skipped by the reader, never an
+atomic for line-sized payloads on POSIX, so several processes can
+contribute spans to the same sink file without locks.  A torn line (crash mid-write) is skipped by the reader, never an
 error — the same robustness contract as the result cache.
 
 Typical use::

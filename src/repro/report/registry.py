@@ -25,13 +25,13 @@ from __future__ import annotations
 import dataclasses
 import hashlib
 import json
-import os
 from dataclasses import dataclass, field
 from pathlib import Path
 from typing import Any, Callable, Mapping
 
 import numpy as np
 
+from .._atomic import write_atomic
 from ..errors import ValidationError
 from .export import figure_to_json
 from . import figures as _figs
@@ -766,10 +766,10 @@ class FigureService:
         spec = entry.to_vega(figure)
 
         json_path.parent.mkdir(parents=True, exist_ok=True)
-        _write_atomic(json_path, figure_to_json(figure, indent=2))
-        _write_atomic(vl_path, vl_to_json(spec, indent=2))
-        _write_atomic(html_path, vl_html(spec, title=entry.title))
-        (json_path.parent / "current").write_text(key + "\n")
+        write_atomic(json_path, figure_to_json(figure, indent=2))
+        write_atomic(vl_path, vl_to_json(spec, indent=2))
+        write_atomic(html_path, vl_html(spec, title=entry.title))
+        write_atomic(json_path.parent / "current", key + "\n")
         self._count("repro_serve_renders_total")
         return RenderedFigure(
             name=name, key=key, cached=False,
@@ -784,9 +784,3 @@ class FigureService:
     def _count(self, metric: str) -> None:
         if self.metrics is not None:
             self.metrics.counter(metric).inc()
-
-
-def _write_atomic(path: Path, text: str) -> None:
-    tmp = path.with_name(path.name + f".tmp.{os.getpid()}")
-    tmp.write_text(text, encoding="utf-8")
-    os.replace(tmp, path)

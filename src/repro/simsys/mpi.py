@@ -168,9 +168,10 @@ def bind_kernel_metrics(registry) -> None:
     :data:`repro.obs.metrics.SIMSYS_METRICS`) so an export taken before
     any collective runs still shows them, then installs *registry* as the
     process-global sink; pass ``None`` to unbind.  Binding is per process:
-    collectives evaluated inside :class:`~repro.exec.ProcessExecutor`
-    workers record into those workers' (unbound) registries, not the
-    parent's.
+    executor workers (:class:`~repro.exec.ProcessExecutor`,
+    :class:`~repro.exec.DistExecutor`) bind a private registry when the
+    run has one and forward its counter deltas home with each result, so
+    the parent's counters match a serial run.
     """
     global _kernel_metrics
     if registry is not None:

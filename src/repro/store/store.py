@@ -22,13 +22,13 @@ Manifest writes are atomic (tmp + rename) and the store is append-only:
 from __future__ import annotations
 
 import json
-import os
 from dataclasses import dataclass, field
 from pathlib import Path
 from typing import Any, Iterable, Iterator, Mapping
 
 import numpy as np
 
+from .._atomic import write_atomic
 from ..errors import ValidationError
 from .shard import (
     HEADER_SIZE,
@@ -218,10 +218,7 @@ class ShardStore:
             },
             "provenance": self._provenance,
         }
-        manifest = self.path / _MANIFEST
-        tmp = manifest.with_suffix(f".tmp.{os.getpid()}")
-        tmp.write_text(json.dumps(payload))
-        tmp.replace(manifest)
+        write_atomic(self.path / _MANIFEST, json.dumps(payload))
 
     @staticmethod
     def _warn(message: str) -> None:

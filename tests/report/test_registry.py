@@ -11,6 +11,8 @@ content key.
 from __future__ import annotations
 
 import json
+import threading
+from datetime import datetime
 
 import numpy as np
 import pytest
@@ -177,6 +179,53 @@ class TestContentAddressing:
         assert current.read_text(encoding="utf-8").strip() == rendered[
             name
         ].key
+
+
+class TestConcurrentColdRender:
+    def test_threads_cold_rendering_one_figure_agree(self, tmp_path, monkeypatch):
+        """Regression: threads cold-rendering one figure in one process
+        shared a ``<artifact>.tmp.<pid>`` file, so one thread's rename
+        found it already gone and its request failed.  Every thread must
+        succeed and leave the bytes a serial render writes."""
+        from repro.obs import provenance
+
+        class FrozenDatetime(datetime):
+            """Pins the provenance timestamp so renders compare bytewise."""
+
+            @classmethod
+            def now(cls, tz=None):
+                return datetime(2026, 1, 1, tzinfo=tz)
+
+        monkeypatch.setattr(provenance, "datetime", FrozenDatetime)
+        name, n_threads = "fig1_hpl", 4
+        serial = FigureService(tmp_path / "serial", quick=True, seed=0).render(name)
+        expected = {fmt: serial.path(fmt).read_bytes() for fmt in FORMATS}
+        for trial in range(3):
+            svc = FigureService(tmp_path / f"trial{trial}", quick=True, seed=0)
+            barrier = threading.Barrier(n_threads)
+            rendered, errors = [], []
+
+            def render():
+                barrier.wait()
+                try:
+                    rendered.append(svc.render(name))
+                except Exception as exc:  # noqa: BLE001 - collected below
+                    errors.append(exc)
+
+            threads = [threading.Thread(target=render) for _ in range(n_threads)]
+            for t in threads:
+                t.start()
+            for t in threads:
+                t.join(timeout=120)
+            assert not any(t.is_alive() for t in threads)
+            assert errors == []
+            assert len(rendered) == n_threads
+            for fig in rendered:
+                assert fig.key == serial.key
+                for fmt in FORMATS:
+                    assert fig.path(fmt).read_bytes() == expected[fmt]
+            current = svc.cache_dir / name / "current"
+            assert current.read_text(encoding="utf-8") == serial.key + "\n"
 
 
 class TestCampaignFigures:
