@@ -2,9 +2,6 @@
 
 Commands
 --------
-``figures``
-    Regenerate the data behind any of the paper's figures and print the
-    rows/series as text tables.
 ``table1``
     Regenerate the literature-survey table.
 ``calibrate``
@@ -45,7 +42,9 @@ Commands
 ``render``
     Render named registry figures (see docs/REPORT.md) into a
     content-addressed cache directory as figure JSON, Vega-Lite spec,
-    and standalone HTML; unchanged inputs are served from cache.
+    standalone HTML, and a text summary, which it also prints; unchanged
+    inputs are served from cache.  This is the one way to regenerate the
+    paper's figures.
 ``serve``
     Serve the figure registry over HTTP (``/figures``, ``/health``,
     ``/metrics``) from the same content-addressed cache; ETags are
@@ -65,88 +64,6 @@ from pathlib import Path
 from typing import Sequence
 
 __all__ = ["main", "build_parser"]
-
-
-_FIGURE_IDS = ("1", "2", "3", "4", "5", "6", "7")
-
-
-def _figure_sections(spec: dict) -> list[tuple[str, str]]:
-    """Build the text sections for one figure id.
-
-    Module-level (and fed plain dicts) so it can cross the pickle boundary
-    into :class:`~repro.exec.ProcessExecutor` workers when the ``figures``
-    command runs with ``--workers > 1``.
-    """
-    from . import report as rpt
-
-    fig_id, n, seed = spec["fig"], spec["samples"], spec["seed"]
-    if fig_id == "1":
-        fig = rpt.fig1_hpl(50, seed=seed)
-        rows = "\n".join(f"{k:<16} {v:8.2f} Tflop/s" for k, v in fig.annotation_rows())
-        return [("Figure 1: HPL annotations", rows)]
-    if fig_id == "2":
-        fig = rpt.fig2_normalization(max(n, 10_000), seed=seed)
-        rows = "\n".join(
-            f"{v.name:<12} k={v.k:<5} QQ={v.report.qq_corr:.4f} "
-            f"normal={v.report.plausibly_normal}"
-            for v in fig.variants
-        )
-        return [("Figure 2: normalization ladder", rows)]
-    if fig_id == "3":
-        fig = rpt.fig3_significance(max(n, 1000), seed=seed)
-        rows = []
-        for s in (fig.dora, fig.pilatus):
-            rows.append(
-                f"{s.name:<10} median {s.summary.median:.3f} us "
-                f"(99% CI [{s.median_ci99.low:.3f}, {s.median_ci99.high:.3f}]), "
-                f"range [{s.summary.minimum:.2f}, {s.summary.maximum:.2f}]"
-            )
-        rows.append(f"medians differ: {fig.medians_differ_significantly}")
-        return [("Figure 3: two-system significance", "\n".join(rows))]
-    if fig_id == "4":
-        cmp = rpt.fig4_quantile_regression(max(n, 1000), seed=seed)
-        rows = [
-            f"tau={t:.1f}  Dora {i.coef[0]:.3f} us  diff {d.coef[0]:+.3f} us"
-            for t, i, d in zip(cmp.taus, cmp.intercept, cmp.difference)
-        ]
-        rows.append(f"mean difference {cmp.mean_difference:+.3f} us; "
-                    f"crossover at {cmp.crossover_taus()}")
-        return [("Figure 4: quantile regression", "\n".join(rows))]
-    if fig_id == "5":
-        fig = rpt.fig5_reduce_scaling(tuple(range(2, 33)), max(n // 1000, 100),
-                                      seed=seed)
-        rows = [
-            f"P={pt.p:<3} {'2^k' if pt.power_of_two else '   '} "
-            f"median {pt.median_us:6.2f} us"
-            for pt in fig.points
-        ]
-        rows.append(f"power-of-two advantage: {fig.pof2_advantage():.3f}x")
-        return [("Figure 5: reduce scaling", "\n".join(rows))]
-    if fig_id == "6":
-        fig = rpt.fig6_rank_variation(32, max(n // 1000, 100), seed=seed)
-        return [(
-            "Figure 6: rank variation",
-            f"heterogeneous ranks: {not fig.rank_summary.homogeneous}; "
-            f"slow ranks {fig.slow_ranks()}",
-        )]
-    if fig_id == "7":
-        fig = rpt.fig7ab_bounds(seed=seed)
-        err = fig.model_error()
-        c = rpt.fig7c_distribution(max(n, 1000), seed=seed)
-        return [
-            (
-                "Figure 7(a)/(b): bounds models",
-                "median relative error: "
-                + ", ".join(f"{k}={v:.3f}" for k, v in err.items()),
-            ),
-            (
-                "Figure 7(c): latency distribution",
-                f"median {c.summary.median:.3f} us, mean {c.summary.mean:.3f}, "
-                f"geometric {c.geometric_mean:.3f}, whiskers "
-                f"[{c.whisker_low:.3f}, {c.whisker_high:.3f}]",
-            ),
-        ]
-    raise ValueError(f"unknown figure id {fig_id!r}")
 
 
 def _chaos_profiles() -> dict:
@@ -177,42 +94,6 @@ def _make_metrics_hooks(emit_metrics: str | None):
 def _write_metrics(registry, path: str) -> None:
     registry.write(path)
     print(f"metrics written to {path}", file=sys.stderr)
-
-
-def _cmd_figures(args: argparse.Namespace) -> int:
-    from .exec import ProcessExecutor, SerialExecutor
-
-    wanted = _FIGURE_IDS if args.fig == "all" else (args.fig,)
-    specs = [
-        {"fig": fig_id, "samples": args.samples, "seed": args.seed}
-        for fig_id in wanted
-    ]
-    # One executor seam for serial and parallel regeneration: each figure
-    # is an independent task, so --workers N overlaps their simulations.
-    if args.workers > 1:
-        executor = ProcessExecutor(max_workers=args.workers)
-    else:
-        executor = SerialExecutor(retries=0)
-    hooks, registry = _make_metrics_hooks(args.emit_metrics)
-    outcomes = executor.run(
-        _figure_sections, specs,
-        labels=[f"figure {s['fig']}" for s in specs], hooks=hooks,
-    )
-    status = 0
-    for spec, outcome in zip(specs, outcomes):
-        if outcome.ok:
-            for title, body in outcome.value:
-                sys.stdout.write(f"\n=== {title} ===\n{body}\n")
-        else:
-            print(
-                f"error: figure {spec['fig']} failed after "
-                f"{outcome.attempts} attempt(s): {outcome.error}",
-                file=sys.stderr,
-            )
-            status = 1
-    if registry is not None:
-        _write_metrics(registry, args.emit_metrics)
-    return status
 
 
 def _demo_measure(point, rep, rng):
@@ -649,6 +530,7 @@ def _figure_service(args: argparse.Namespace, registry):
 def _cmd_render(args: argparse.Namespace) -> int:
     """``repro render``: materialize registry figures (see docs/REPORT.md)."""
     from .errors import ValidationError
+    from .report.registry import FORMATS
 
     registry = None
     if args.emit_metrics:
@@ -674,8 +556,9 @@ def _cmd_render(args: argparse.Namespace) -> int:
         rendered = service.render(name)
         origin = "cache" if rendered.cached else "built"
         print(f"{name}: {origin} key={rendered.key}")
-        for fmt in ("json", "vl.json", "html"):
+        for fmt in FORMATS:
             print(f"  {rendered.path(fmt)}")
+        print(rendered.text(), end="")
     if registry is not None:
         _write_metrics(registry, args.emit_metrics)
     return 0
@@ -726,20 +609,6 @@ def build_parser() -> argparse.ArgumentParser:
         "(Hoefler & Belli, SC'15) — reproduction toolkit.",
     )
     sub = parser.add_subparsers(dest="command", required=True)
-
-    p = sub.add_parser("figures", help="regenerate figure data")
-    p.add_argument("--fig", choices=["1", "2", "3", "4", "5", "6", "7", "all"],
-                   default="all")
-    p.add_argument("--samples", type=int, default=100_000,
-                   help="ping-pong sample count (paper: 1000000)")
-    p.add_argument("--seed", type=int, default=0)
-    p.add_argument("--workers", type=int, default=1,
-                   help="regenerate figures in parallel over N worker "
-                        "processes (default: serial)")
-    p.add_argument("--emit-metrics", metavar="PATH",
-                   help="write execution metrics to PATH (.json for JSON, "
-                        "anything else for Prometheus text format)")
-    p.set_defaults(func=_cmd_figures)
 
     p = sub.add_parser(
         "campaign",

@@ -8,7 +8,7 @@ hooks.  :class:`SerialExecutor`, :class:`ProcessExecutor` (local forked
 workers) and :class:`DistExecutor` (socket workers on any host) are
 interchangeable behind the library-wide ``executor=`` seam
 (:class:`repro.core.Experiment`, :class:`repro.core.Campaign`,
-:func:`repro.core.run_screening`, and the ``figures`` CLI command).
+:func:`repro.core.run_screening`, and the ``campaign`` CLI command).
 """
 
 from .cache import ResultCache, task_fingerprint

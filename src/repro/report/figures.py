@@ -2,8 +2,9 @@
 
 Each ``figN_*`` function runs the relevant simulated experiment through the
 library's analysis pipeline and returns a small dataclass holding exactly
-the series/annotations the original figure shows.  The benchmark harness
-prints them; plotting tools can consume them directly.
+the series/annotations the original figure shows.  The figure registry
+(:mod:`repro.report.registry`) renders them as data, Vega-Lite, HTML and
+text; plotting tools can consume them directly.
 
 Sample sizes are parameters (the paper uses 10⁶ for the ping-pong figures);
 defaults are full fidelity, tests use smaller n.
@@ -11,7 +12,6 @@ defaults are full fidelity, tests use smaller n.
 
 from __future__ import annotations
 
-import warnings
 from dataclasses import dataclass
 from typing import Sequence
 
@@ -57,23 +57,6 @@ def _pingpong(machine: MachineSpec, n: int, seed: int) -> np.ndarray:
     """64 B ping-pong latencies (µs) between two nodes, the paper's setup."""
     comm = SimComm(machine, 2, placement="one_per_node", seed=seed)
     return comm.ping_pong(64, n) * 1e6
-
-
-def _resolve_samples(samples: int, n_samples: int | None) -> int:
-    """Support the deprecated ``n_samples`` spelling of ``samples``.
-
-    The library settled on ``samples`` (matching the CLI's ``--samples``);
-    ``n_samples=`` keeps working with a :class:`DeprecationWarning` so call
-    sites migrate incrementally.
-    """
-    if n_samples is not None:
-        warnings.warn(
-            "the n_samples= keyword is deprecated; use samples=",
-            DeprecationWarning,
-            stacklevel=3,
-        )
-        return n_samples
-    return samples
 
 
 # ---------------------------------------------------------------- Figure 1
@@ -170,10 +153,9 @@ class Fig2Normalization:
 
 def fig2_normalization(
     samples: int = 1_000_000, *, machine: MachineSpec | None = None, seed: int = 0,
-    qq_points_n: int = 512, n_samples: int | None = None,
+    qq_points_n: int = 512,
 ) -> Fig2Normalization:
     """Reproduce Figure 2: normalizing 1M ping-pong samples on Piz Dora."""
-    samples = _resolve_samples(samples, n_samples)
     check_int(samples, "samples", minimum=10_000)
     machine = machine or piz_dora()
     lat = _pingpong(machine, samples, seed)
@@ -229,11 +211,8 @@ class Fig3Significance:
         return self.kruskal.significant(0.05)
 
 
-def fig3_significance(
-    samples: int = 1_000_000, *, seed: int = 0, n_samples: int | None = None
-) -> Fig3Significance:
+def fig3_significance(samples: int = 1_000_000, *, seed: int = 0) -> Fig3Significance:
     """Reproduce Figure 3: significance of latency results on two systems."""
-    samples = _resolve_samples(samples, n_samples)
     check_int(samples, "samples", minimum=1_000)
 
     def system(name: str, machine: MachineSpec, s: int) -> Fig3System:
@@ -274,7 +253,6 @@ def fig4_quantile_regression(
     taus: Sequence[float] = tuple(np.round(np.arange(0.1, 0.91, 0.1), 2)),
     *,
     seed: int = 0,
-    n_samples: int | None = None,
 ) -> QuantileComparison:
     """Reproduce Figure 4: quantile regression of Pilatus vs Piz Dora.
 
@@ -284,7 +262,6 @@ def fig4_quantile_regression(
     quantiles (Pilatus' heavier tail), while the mean difference is a
     single ≈ +0.1 µs number that hides it.
     """
-    samples = _resolve_samples(samples, n_samples)
     check_int(samples, "samples", minimum=1_000)
     dora = _pingpong(piz_dora(), samples, seed)
     pil = _pingpong(pilatus(), samples, seed + 1)
@@ -495,10 +472,8 @@ class Fig7cPlots:
 
 def fig7c_distribution(
     samples: int = 1_000_000, *, machine: MachineSpec | None = None, seed: int = 0,
-    n_samples: int | None = None,
 ) -> Fig7cPlots:
     """Reproduce Figure 7(c): the latency distribution's box/violin data."""
-    samples = _resolve_samples(samples, n_samples)
     check_int(samples, "samples", minimum=1_000)
     machine = machine or piz_dora()
     lat = _pingpong(machine, samples, seed)

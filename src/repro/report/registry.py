@@ -4,12 +4,14 @@ Every figure the library can produce is one :class:`FigureEntry` in
 :data:`FIGURES` — the paper's seven reproduction figures plus the
 scenario figures (million-rank collective scaling, chaos degradation,
 campaign trajectory).  An entry declares how to *build* the figure
-dataclass and how to convert it to a Vega-Lite spec; the surrounding
-:class:`FigureService` renders each entry to three artifacts —
+dataclass, how to convert it to a Vega-Lite spec, and how to summarize
+it as text; the surrounding :class:`FigureService` renders each entry to
+the four artifacts of :data:`FORMATS` —
 
-* ``<key>.json``     — figure data + provenance (:func:`figure_to_json`),
 * ``<key>.vl.json``  — the Vega-Lite spec (strict JSON),
-* ``<key>.html``     — a standalone page embedding the spec —
+* ``<key>.json``     — figure data + provenance (:func:`figure_to_json`),
+* ``<key>.html``     — a standalone page embedding the spec,
+* ``<key>.txt``      — the figure's numbers as a plain-text summary —
 
 where ``<key>`` is the figure's *content key*: a digest of the entry
 name/version, its build parameters and seed, the simulation kernel
@@ -27,7 +29,7 @@ import hashlib
 import json
 from dataclasses import dataclass, field
 from pathlib import Path
-from typing import Any, Callable, Mapping
+from typing import Any, Callable, Iterable, Mapping
 
 import numpy as np
 
@@ -46,6 +48,8 @@ from .vega import (
 )
 
 __all__ = [
+    "ArtifactFormat",
+    "FORMATS",
     "FigureEntry",
     "FigureService",
     "RenderedFigure",
@@ -53,9 +57,6 @@ __all__ = [
     "campaign_digest",
     "content_key",
 ]
-
-_FORMATS = ("json", "vl.json", "html")
-
 
 # --------------------------------------------------------------- registry
 
@@ -65,7 +66,8 @@ class FigureEntry:
     """One named figure: how to build it and how to draw it.
 
     ``build(params)`` returns the figure dataclass; ``to_vega(figure)``
-    converts it to a Vega-Lite spec dict.  ``params`` are the
+    converts it to a Vega-Lite spec dict and ``to_text(figure)`` to a
+    plain-text summary of its numbers.  ``params`` are the
     full-fidelity defaults; ``quick_params`` overlay them for fast
     CI/test renders.  ``needs_campaign`` entries build from recorded
     campaign data instead of fresh simulation, and key on the campaign's
@@ -79,6 +81,7 @@ class FigureEntry:
     description: str
     build: Callable[..., Any]
     to_vega: Callable[[Any], dict[str, Any]]
+    to_text: Callable[[Any], str]
     params: Mapping[str, Any] = field(default_factory=dict)
     quick_params: Mapping[str, Any] = field(default_factory=dict)
     needs_campaign: bool = False
@@ -87,6 +90,10 @@ class FigureEntry:
 
 def _f(values: Any) -> list[float]:
     return [float(v) for v in np.asarray(values).ravel()]
+
+
+def _text(title: str, rows: Iterable[str]) -> str:
+    return "\n".join([title, *rows])
 
 
 # -- paper figures ------------------------------------------------------
@@ -110,6 +117,11 @@ def _vega_fig1(fig: _figs.Fig1HPL) -> dict[str, Any]:
     )
 
 
+def _text_fig1(fig: _figs.Fig1HPL) -> str:
+    return _text("Figure 1: HPL annotations",
+                 (f"{k:<16} {v:8.2f} Tflop/s" for k, v in fig.annotation_rows()))
+
+
 def _vega_fig2(fig: _figs.Fig2Normalization) -> dict[str, Any]:
     return vl_qq_chart(
         [
@@ -122,6 +134,13 @@ def _vega_fig2(fig: _figs.Fig2Normalization) -> dict[str, Any]:
         ],
         title="Fig 2: normalization strategies (normal Q-Q)",
     )
+
+
+def _text_fig2(fig: _figs.Fig2Normalization) -> str:
+    return _text("Figure 2: normalization ladder", (
+        f"{v.name:<12} k={v.k:<5} QQ={v.report.qq_corr:.4f} normal={v.report.plausibly_normal}"
+        for v in fig.variants
+    ))
 
 
 def _vega_fig3(fig: _figs.Fig3Significance) -> dict[str, Any]:
@@ -139,6 +158,17 @@ def _vega_fig3(fig: _figs.Fig3Significance) -> dict[str, Any]:
             (f"{fig.pilatus.name} median", fig.pilatus.summary.median),
         ],
     )
+
+
+def _text_fig3(fig: _figs.Fig3Significance) -> str:
+    rows = [
+        f"{s.name:<10} median {s.summary.median:.3f} us "
+        f"(99% CI [{s.median_ci99.low:.3f}, {s.median_ci99.high:.3f}]), "
+        f"range [{s.summary.minimum:.2f}, {s.summary.maximum:.2f}]"
+        for s in (fig.dora, fig.pilatus)
+    ]
+    rows.append(f"medians differ: {fig.medians_differ_significantly}")
+    return _text("Figure 3: two-system significance", rows)
 
 
 def _vega_fig4(qc: Any) -> dict[str, Any]:
@@ -162,6 +192,16 @@ def _vega_fig4(qc: Any) -> dict[str, Any]:
     )
 
 
+def _text_fig4(qc: Any) -> str:
+    rows = [
+        f"tau={t:.1f}  Dora {i.coef[0]:.3f} us  diff {d.coef[0]:+.3f} us"
+        for t, i, d in zip(qc.taus, qc.intercept, qc.difference)
+    ]
+    rows.append(f"mean difference {qc.mean_difference:+.3f} us; "
+                f"crossover at {qc.crossover_taus()}")
+    return _text("Figure 4: quantile regression", rows)
+
+
 def _vega_fig5(fig: _figs.Fig5Reduce) -> dict[str, Any]:
     rows = [
         {
@@ -182,6 +222,16 @@ def _vega_fig5(fig: _figs.Fig5Reduce) -> dict[str, Any]:
         series_names=["power of two", "other"],
         legend_title="process count",
     )
+
+
+def _text_fig5(fig: _figs.Fig5Reduce) -> str:
+    rows = [
+        f"P={pt.p:<3} {'2^k' if pt.power_of_two else '   '} "
+        f"median {pt.median_us:6.2f} us"
+        for pt in fig.points
+    ]
+    rows.append(f"power-of-two advantage: {fig.pof2_advantage():.3f}x")
+    return _text("Figure 5: reduce scaling", rows)
 
 
 def _vega_fig6(fig: _figs.Fig6RankVariation) -> dict[str, Any]:
@@ -207,6 +257,12 @@ def _vega_fig6(fig: _figs.Fig6RankVariation) -> dict[str, Any]:
     )
 
 
+def _text_fig6(fig: _figs.Fig6RankVariation) -> str:
+    return _text("Figure 6: rank variation", [
+        f"heterogeneous ranks: {not fig.rank_summary.homogeneous}; slow ranks {fig.slow_ranks()}",
+    ])
+
+
 def _vega_fig7ab(fig: _figs.Fig7Bounds) -> dict[str, Any]:
     return vl_line_chart(
         list(fig.ps),
@@ -222,9 +278,16 @@ def _vega_fig7ab(fig: _figs.Fig7Bounds) -> dict[str, Any]:
     )
 
 
+def _text_fig7ab(fig: _figs.Fig7Bounds) -> str:
+    return _text("Figure 7(a)/(b): bounds models", [
+        "median relative error: "
+        + ", ".join(f"{k}={v:.3f}" for k, v in fig.model_error().items()),
+    ])
+
+
 def _vega_fig7c(fig: _figs.Fig7cPlots) -> dict[str, Any]:
     s = fig.summary
-    spec = vl_density_chart(
+    return vl_density_chart(
         {"latency": (_f(fig.violin_x), _f(fig.violin_density))},
         title="Fig 7(c): latency distribution with box statistics",
         xlabel="latency (µs)",
@@ -236,7 +299,15 @@ def _vega_fig7c(fig: _figs.Fig7cPlots) -> dict[str, Any]:
             ("whisker high", fig.whisker_high),
         ],
     )
-    return spec
+
+
+def _text_fig7c(fig: _figs.Fig7cPlots) -> str:
+    s = fig.summary
+    return _text("Figure 7(c): latency distribution", [
+        f"median {s.median:.3f} us, mean {s.mean:.3f}, "
+        f"geometric {fig.geometric_mean:.3f}, whiskers "
+        f"[{fig.whisker_low:.3f}, {fig.whisker_high:.3f}]",
+    ])
 
 
 # -- scenario figures ---------------------------------------------------
@@ -306,6 +377,14 @@ def _vega_scale(fig: ScaleCollectives) -> dict[str, Any]:
     )
 
 
+def _text_scale(fig: ScaleCollectives) -> str:
+    return _text(f"Collective completion on xc_scale (median of {fig.n_runs} runs)", (
+        f"P={pt.p:<8} reduce {pt.reduce_median_us:9.2f} us  "
+        f"allreduce {pt.allreduce_median_us:9.2f} us"
+        for pt in fig.points
+    ))
+
+
 @dataclass(frozen=True)
 class ChaosDegradation:
     """Latency quantiles on a clean vs fault-injected machine."""
@@ -360,6 +439,14 @@ def _vega_chaos(fig: ChaosDegradation) -> dict[str, Any]:
         ylabel="latency (µs)",
         legend_title="fault profile",
     )
+
+
+def _text_chaos(fig: ChaosDegradation) -> str:
+    cols = (0, len(fig.taus) // 2, -1)  # lowest, middle and highest τ
+    return _text(f"Latency quantiles under fault profiles ({fig.samples:,} ping-pongs)", (
+        f"{name:<8} " + "  ".join(f"q{fig.taus[c]:.1f} {q[c]:8.3f} us" for c in cols)
+        for name, q in zip(fig.profiles, fig.quantiles_us)
+    ))
 
 
 @dataclass(frozen=True)
@@ -435,6 +522,14 @@ def _vega_trajectory(fig: CampaignTrajectory) -> dict[str, Any]:
     )
 
 
+def _text_trajectory(fig: CampaignTrajectory) -> str:
+    rows = zip(fig.datasets, fig.units, fig.medians, fig.q25s, fig.q75s, fig.ns)
+    return _text(f"Campaign {fig.campaign!r}: per-dataset median and IQR", (
+        f"{name:<20} median {med:.4g} {unit}  IQR [{q25:.4g}, {q75:.4g}]  n={n}"
+        for name, unit, med, q25, q75, n in rows
+    ))
+
+
 # -- the registry itself ------------------------------------------------
 
 FIGURES: dict[str, FigureEntry] = {
@@ -447,6 +542,7 @@ FIGURES: dict[str, FigureEntry] = {
                         "from time quantiles.",
             build=_figs.fig1_hpl,
             to_vega=_vega_fig1,
+            to_text=_text_fig1,
             params={"n_runs": 50},
             quick_params={"n_runs": 12},
         ),
@@ -457,6 +553,7 @@ FIGURES: dict[str, FigureEntry] = {
                         "against normal quantiles.",
             build=_figs.fig2_normalization,
             to_vega=_vega_fig2,
+            to_text=_text_fig2,
             params={"samples": 1_000_000},
             quick_params={"samples": 20_000},
         ),
@@ -467,6 +564,7 @@ FIGURES: dict[str, FigureEntry] = {
                         "with median annotations.",
             build=_figs.fig3_significance,
             to_vega=_vega_fig3,
+            to_text=_text_fig3,
             params={"samples": 1_000_000},
             quick_params={"samples": 20_000},
         ),
@@ -477,6 +575,7 @@ FIGURES: dict[str, FigureEntry] = {
                         "with bootstrap CIs.",
             build=_figs.fig4_quantile_regression,
             to_vega=_vega_fig4,
+            to_text=_text_fig4,
             params={"samples": 1_000_000},
             quick_params={"samples": 5_000},
         ),
@@ -487,6 +586,7 @@ FIGURES: dict[str, FigureEntry] = {
                         "quartile band, powers of two marked.",
             build=_figs.fig5_reduce_scaling,
             to_vega=_vega_fig5,
+            to_text=_text_fig5,
             params={"n_runs": 1000},
             quick_params={"process_counts": tuple(range(2, 18)),
                           "n_runs": 60},
@@ -498,6 +598,7 @@ FIGURES: dict[str, FigureEntry] = {
                         "MPI_Reduce.",
             build=_figs.fig6_rank_variation,
             to_vega=_vega_fig6,
+            to_text=_text_fig6,
             params={"nprocs": 64, "n_runs": 1000},
             quick_params={"nprocs": 16, "n_runs": 60},
         ),
@@ -508,6 +609,7 @@ FIGURES: dict[str, FigureEntry] = {
                         "ideal/Amdahl bounds.",
             build=_figs.fig7ab_bounds,
             to_vega=_vega_fig7ab,
+            to_text=_text_fig7ab,
             params={"n_runs": 10},
             quick_params={"process_counts": (1, 2, 4, 8), "n_runs": 6},
         ),
@@ -518,6 +620,7 @@ FIGURES: dict[str, FigureEntry] = {
                         "of 10⁶ latencies.",
             build=_figs.fig7c_distribution,
             to_vega=_vega_fig7c,
+            to_text=_text_fig7c,
             params={"samples": 1_000_000},
             quick_params={"samples": 20_000},
         ),
@@ -528,6 +631,7 @@ FIGURES: dict[str, FigureEntry] = {
                         "xc_scale dragonfly up to 10⁶ ranks.",
             build=_build_scale_collectives,
             to_vega=_vega_scale,
+            to_text=_text_scale,
             params={},
             quick_params={"rank_counts": (256, 2_048, 16_384),
                           "n_runs": 2},
@@ -539,6 +643,7 @@ FIGURES: dict[str, FigureEntry] = {
                         "fault-injected machines.",
             build=_build_chaos_degradation,
             to_vega=_vega_chaos,
+            to_text=_text_chaos,
             params={},
             quick_params={"samples": 5_000},
         ),
@@ -549,6 +654,7 @@ FIGURES: dict[str, FigureEntry] = {
                         "campaign (spilled shards included).",
             build=_build_campaign_trajectory,
             to_vega=_vega_trajectory,
+            to_text=_text_trajectory,
             needs_campaign=True,
         ),
     )
@@ -635,37 +741,61 @@ def _canon(value: Any) -> Any:
 
 
 @dataclass(frozen=True)
+class ArtifactFormat:
+    """One artifact a render writes: file suffix, HTTP content type, and
+    ``write(entry, figure, spec)`` returning the artifact's text."""
+
+    suffix: str
+    content_type: str
+    write: Callable[[FigureEntry, Any, dict[str, Any]], str]
+
+
+_JSON = "application/json; charset=utf-8"
+
+#: Every artifact of a render, by suffix.  ``vl.json`` precedes ``json``
+#: so that matching a file name against the suffixes in order finds the
+#: longer one first.
+FORMATS: dict[str, ArtifactFormat] = {f.suffix: f for f in (
+    ArtifactFormat("vl.json", _JSON, lambda e, fig, spec: vl_to_json(spec, indent=2)),
+    ArtifactFormat("json", _JSON, lambda e, fig, spec: figure_to_json(fig, indent=2)),
+    ArtifactFormat("html", "text/html; charset=utf-8",
+                   lambda e, fig, spec: vl_html(spec, title=e.title)),
+    ArtifactFormat("txt", "text/plain; charset=utf-8",
+                   lambda e, fig, spec: e.to_text(fig) + "\n"),
+)}
+
+
+@dataclass(frozen=True)
 class RenderedFigure:
-    """One render: where its three artifacts live and how it was served."""
+    """One render: where its artifacts live and how it was served."""
 
     name: str
     key: str
     cached: bool
-    json_path: Path
-    vl_path: Path
-    html_path: Path
+    directory: Path
 
     def path(self, fmt: str) -> Path:
-        """The artifact path for *fmt* (``json``/``vl.json``/``html``)."""
-        if fmt == "json":
-            return self.json_path
-        if fmt == "vl.json":
-            return self.vl_path
-        if fmt == "html":
-            return self.html_path
-        raise ValidationError(
-            f"unknown figure format {fmt!r}; have {list(_FORMATS)}"
-        )
+        """The artifact path for *fmt*, one of :data:`FORMATS`."""
+        if fmt not in FORMATS:
+            raise ValidationError(
+                f"unknown figure format {fmt!r}; have {list(FORMATS)}"
+            )
+        return self.directory / f"{self.key}.{fmt}"
+
+    def text(self) -> str:
+        """The plain-text summary this render wrote."""
+        return self.path("txt").read_text(encoding="utf-8")
 
 
 class FigureService:
     """Renders registry figures into a content-addressed cache directory.
 
-    The cache layout is ``<dir>/<figure>/<key>.{json,vl.json,html}`` plus
-    ``<dir>/<figure>/current`` naming the latest key.  A render whose key
-    already has all three artifacts is a *cache hit*: the builder never
-    runs, the bytes on disk are served as-is (and are byte-identical to
-    the first render, since every serialization here is deterministic).
+    The cache layout is ``<dir>/<figure>/<key>.{json,vl.json,html,txt}``
+    plus ``<dir>/<figure>/current`` naming the latest key.  A render whose
+    key already has every artifact of :data:`FORMATS` is a *cache hit*:
+    the builder never runs, the bytes on disk are served as-is (and are
+    byte-identical to the first render, since every serialization here is
+    deterministic).
     """
 
     def __init__(
@@ -732,26 +862,21 @@ class FigureService:
             "version": entry.version,
             "needs_campaign": entry.needs_campaign,
             "key": self.content_key(name),
-            "formats": list(_FORMATS),
+            "formats": list(FORMATS),
         }
 
     # -- rendering -------------------------------------------------------
 
-    def _paths(self, name: str, key: str) -> tuple[Path, Path, Path]:
-        d = self.cache_dir / name
-        return (d / f"{key}.json", d / f"{key}.vl.json", d / f"{key}.html")
-
     def render(self, name: str) -> RenderedFigure:
-        """Render (or serve from cache) all three artifacts of *name*."""
+        """Render (or serve from cache) every artifact of *name*."""
         entry = self.entry(name)
         key = self.content_key(name)
-        json_path, vl_path, html_path = self._paths(name, key)
-        if json_path.exists() and vl_path.exists() and html_path.exists():
+        rendered = RenderedFigure(
+            name=name, key=key, cached=True, directory=self.cache_dir / name,
+        )
+        if all(rendered.path(fmt).exists() for fmt in FORMATS):
             self._count("repro_serve_cache_hits_total")
-            return RenderedFigure(
-                name=name, key=key, cached=True,
-                json_path=json_path, vl_path=vl_path, html_path=html_path,
-            )
+            return rendered
 
         params = self.params_for(entry)
         if entry.needs_campaign:
@@ -765,16 +890,12 @@ class FigureService:
             figure = entry.build(**params)
         spec = entry.to_vega(figure)
 
-        json_path.parent.mkdir(parents=True, exist_ok=True)
-        write_atomic(json_path, figure_to_json(figure, indent=2))
-        write_atomic(vl_path, vl_to_json(spec, indent=2))
-        write_atomic(html_path, vl_html(spec, title=entry.title))
-        write_atomic(json_path.parent / "current", key + "\n")
+        rendered.directory.mkdir(parents=True, exist_ok=True)
+        for fmt in FORMATS.values():
+            write_atomic(rendered.path(fmt.suffix), fmt.write(entry, figure, spec))
+        write_atomic(rendered.directory / "current", key + "\n")
         self._count("repro_serve_renders_total")
-        return RenderedFigure(
-            name=name, key=key, cached=False,
-            json_path=json_path, vl_path=vl_path, html_path=html_path,
-        )
+        return dataclasses.replace(rendered, cached=False)
 
     def payload(self, name: str, fmt: str) -> tuple[bytes, RenderedFigure]:
         """The bytes of one artifact, rendering on a cache miss."""

@@ -24,17 +24,12 @@ from dataclasses import dataclass, field
 from typing import Any, Mapping
 
 from ..errors import ReproError, ValidationError
+from ..report.registry import FORMATS
 
 __all__ = ["Response", "handle_request", "FigureServer", "run_server"]
 
 _SERVER_NAME = "repro-serve"
 _MAX_REQUEST_BYTES = 16 * 1024
-
-_CONTENT_TYPES = {
-    "json": "application/json; charset=utf-8",
-    "vl.json": "application/json; charset=utf-8",
-    "html": "text/html; charset=utf-8",
-}
 
 _STATUS_TEXT = {
     200: "OK",
@@ -83,8 +78,13 @@ class Response:
 
 
 def _split_figure_path(rest: str) -> tuple[str, str] | None:
-    """``"fig1_hpl.vl.json"`` → ``("fig1_hpl", "vl.json")``; None if bad."""
-    for fmt in ("vl.json", "json", "html"):
+    """``"<name>.<fmt>"`` → ``(name, fmt)`` for a format of
+    :data:`~repro.report.registry.FORMATS`; None if no format matches.
+
+    The table lists the longer of two overlapping suffixes first, so
+    trying them in order never splits one suffix as another.
+    """
+    for fmt in FORMATS:
         suffix = "." + fmt
         if rest.endswith(suffix) and len(rest) > len(suffix):
             return rest[: -len(suffix)], fmt
@@ -158,7 +158,7 @@ def _route(
                 return Response.error(
                     404,
                     "figure paths look like /figures/<name>.<fmt> with "
-                    "fmt one of json, vl.json, html",
+                    f"fmt one of {', '.join(FORMATS)}",
                 )
             name, fmt = split
             if name not in service.names():
@@ -176,7 +176,7 @@ def _route(
             return Response(
                 status=200,
                 body=body,
-                content_type=_CONTENT_TYPES[fmt],
+                content_type=FORMATS[fmt].content_type,
                 headers={
                     "ETag": f'"{rendered.key}"',
                     "Cache-Control": "no-cache",

@@ -1,7 +1,8 @@
 """The figure registry and content-addressed FigureService.
 
 Acceptance contract of the registry: every named figure renders strict
-JSON, a valid Vega-Lite spec, and a standalone HTML page; a second
+JSON, a valid Vega-Lite spec, a standalone HTML page, and a non-empty
+text summary; a second
 render with unchanged inputs is a cache hit that serves byte-identical
 artifacts without re-running the builder; any change to the inputs — a
 different seed, different params, or new campaign data — changes the
@@ -32,7 +33,7 @@ from repro.report.vega import VL_SCHEMA
 SIMULATED = sorted(n for n, e in FIGURES.items() if not e.needs_campaign)
 CAMPAIGN = sorted(n for n, e in FIGURES.items() if e.needs_campaign)
 
-FORMATS = ("json", "vl.json", "html")
+FORMATS = ("json", "vl.json", "html", "txt")
 
 
 @pytest.fixture(scope="module")
@@ -101,7 +102,7 @@ class TestEveryFigureRenders:
 
     @pytest.mark.parametrize("name", SIMULATED)
     def test_vega_lite_spec_is_valid_strict_json(self, rendered, name):
-        text = rendered[name].vl_path.read_text(encoding="utf-8")
+        text = rendered[name].path("vl.json").read_text(encoding="utf-8")
         assert "NaN" not in text and "Infinity" not in text
         spec = json.loads(
             text,
@@ -112,7 +113,7 @@ class TestEveryFigureRenders:
 
     @pytest.mark.parametrize("name", SIMULATED)
     def test_html_embeds_the_spec(self, rendered, name):
-        html = rendered[name].html_path.read_text(encoding="utf-8")
+        html = rendered[name].path("html").read_text(encoding="utf-8")
         assert "<!DOCTYPE html>" in html
         assert "vegaEmbed" in html
         assert VL_SCHEMA in html
@@ -120,10 +121,15 @@ class TestEveryFigureRenders:
     @pytest.mark.parametrize("name", SIMULATED)
     def test_data_json_is_strict(self, rendered, name):
         payload = json.loads(
-            rendered[name].json_path.read_text(encoding="utf-8"),
+            rendered[name].path("json").read_text(encoding="utf-8"),
             parse_constant=lambda c: pytest.fail(f"non-strict token {c!r}"),
         )
         assert set(payload) == {"figure", "data", "provenance"}
+
+    @pytest.mark.parametrize("name", SIMULATED)
+    def test_text_summary_is_nonempty(self, rendered, name):
+        text = rendered[name].text()
+        assert text.strip() and text.endswith("\n")
 
 
 class TestContentAddressing:
@@ -166,6 +172,17 @@ class TestContentAddressing:
         svc.render("fig1_hpl")  # warmed by the module fixture
         assert metrics.get("repro_serve_cache_hits_total").value == 1.0
         assert metrics.get("repro_serve_renders_total").value == 0.0
+
+    def test_older_cache_without_text_is_a_miss(self, tmp_path):
+        """A key directory holding only the json/vl.json/html artifacts
+        (written before the text format existed) is rebuilt, not served."""
+        name = "fig7ab_bounds"
+        first = FigureService(tmp_path, quick=True, seed=0).render(name)
+        first.path("txt").unlink()
+        again = FigureService(tmp_path, quick=True, seed=0).render(name)
+        assert not again.cached
+        assert again.key == first.key
+        assert again.path("txt").read_text(encoding="utf-8").strip()
 
     def test_different_seed_renders_fresh(self, service, rendered):
         svc = FigureService(service.cache_dir, quick=True, seed=99)
@@ -239,8 +256,9 @@ class TestCampaignFigures:
         assert "campaign_trajectory" in svc.names()
         first = svc.render("campaign_trajectory")
         assert not first.cached
-        spec = json.loads(first.vl_path.read_text(encoding="utf-8"))
+        spec = json.loads(first.path("vl.json").read_text(encoding="utf-8"))
         assert spec["$schema"] == VL_SCHEMA
+        assert "latency" in first.text() and "bandwidth" in first.text()
         again = svc.render("campaign_trajectory")
         assert again.cached and again.key == first.key
 
@@ -271,5 +289,5 @@ class TestDescribe:
 
     def test_payload_round_trips(self, service, rendered):
         body, fig = service.payload("fig1_hpl", "vl.json")
-        assert body == rendered["fig1_hpl"].vl_path.read_bytes()
+        assert body == rendered["fig1_hpl"].path("vl.json").read_bytes()
         assert fig.cached

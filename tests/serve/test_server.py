@@ -16,7 +16,7 @@ import urllib.request
 import pytest
 
 from repro.obs import MetricsRegistry
-from repro.report.registry import FigureService
+from repro.report.registry import FORMATS, FigureService
 from repro.serve import FigureServer, Response, handle_request
 
 FAST_FIGURE = "fig7ab_bounds"  # cheapest quick-mode build in the registry
@@ -91,6 +91,11 @@ class TestRouting:
     def test_bad_format_404(self, service):
         assert handle_request(service, "GET", "/figures/fig1_hpl.png").status == 404
 
+    def test_bad_format_404_lists_every_format(self, service):
+        resp = handle_request(service, "GET", "/figures/fig1_hpl.png")
+        message = json.loads(resp.body)["error"]
+        assert FORMATS and all(fmt in message for fmt in FORMATS)
+
     def test_post_is_405(self, service):
         assert handle_request(service, "POST", "/figures").status == 405
 
@@ -114,6 +119,17 @@ class TestFigureRoutesAndEtags:
         assert resp.headers["X-Repro-Figure"] == FAST_FIGURE
         spec = json.loads(resp.body)
         assert spec["$schema"].startswith("https://vega.github.io/schema")
+
+    def test_text_summary_served_as_plain_text(self, service):
+        path = "/figures/fig1_hpl.txt"
+        resp = handle_request(service, "GET", path)
+        assert resp.status == 200
+        assert resp.content_type == "text/plain; charset=utf-8"
+        etag = f'"{service.content_key("fig1_hpl")}"'
+        assert resp.headers["ETag"] == etag
+        assert b"Tflop/s" in resp.body
+        replay = handle_request(service, "GET", path, {"If-None-Match": etag})
+        assert replay.status == 304 and replay.body == b""
 
     def test_second_request_is_served_from_cache(self, service):
         first = handle_request(service, "GET", f"/figures/{FAST_FIGURE}.html")

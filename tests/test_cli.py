@@ -18,6 +18,11 @@ class TestParser:
         with pytest.raises(SystemExit):
             build_parser().parse_args(["frobnicate"])
 
+    def test_figures_command_is_gone(self, capsys):
+        # `render` is the one figure path; `figures` has no alias.
+        with pytest.raises(SystemExit):
+            build_parser().parse_args(["figures"])
+
 
 class TestTable1:
     def test_outputs_totals(self, capsys):
@@ -26,40 +31,28 @@ class TestTable1:
         assert "79/95" in out and "25/120" in out
 
 
-class TestFigures:
-    def test_single_figure(self, capsys):
-        assert main(["figures", "--fig", "1"]) == 0
-        out = capsys.readouterr().out
+class TestRenderText:
+    """The text summary ``render`` prints under each figure's paths."""
+
+    def _render(self, tmp_path, capsys, name):
+        argv = ["render", name, "--quick", "--cache-dir", str(tmp_path / "c")]
+        assert main(argv) == 0
+        return capsys.readouterr().out
+
+    def test_fig1_text_reports_tflops(self, tmp_path, capsys):
+        out = self._render(tmp_path, capsys, "fig1_hpl")
         assert "Figure 1" in out and "Tflop/s" in out
         assert "Figure 3" not in out
+        txt = next(line.strip() for line in out.splitlines()
+                   if line.strip().endswith(".txt"))
+        assert open(txt, encoding="utf-8").read() in out
 
-    def test_figure4_crossover_reported(self, capsys):
-        assert main(["figures", "--fig", "4", "--samples", "20000"]) == 0
-        out = capsys.readouterr().out
-        assert "crossover" in out
+    def test_fig4_text_reports_crossover(self, tmp_path, capsys):
+        assert "crossover" in self._render(tmp_path, capsys, "fig4_quantreg")
 
-    def test_figure5_pof2(self, capsys):
-        assert main(["figures", "--fig", "5", "--samples", "100000"]) == 0
-        out = capsys.readouterr().out
+    def test_fig5_text_reports_pof2_advantage(self, tmp_path, capsys):
+        out = self._render(tmp_path, capsys, "fig5_reduce")
         assert "power-of-two advantage" in out
-
-    def test_workers_output_matches_serial(self, capsys):
-        assert main(["figures", "--fig", "1", "--samples", "10000"]) == 0
-        serial = capsys.readouterr().out
-        assert main(
-            ["figures", "--fig", "1", "--samples", "10000", "--workers", "2"]
-        ) == 0
-        assert capsys.readouterr().out == serial
-
-    def test_workers_preserve_figure_order(self, capsys):
-        code = main(
-            ["figures", "--fig", "all", "--samples", "10000", "--workers", "2"]
-        )
-        out = capsys.readouterr().out
-        assert code == 0
-        positions = [out.index(f"Figure {i}") for i in ("1", "2", "3")]
-        assert positions == sorted(positions)
-        assert "Figure 7(c)" in out
 
 
 class TestCalibrate:
@@ -210,18 +203,6 @@ class TestTraceCommand:
     def test_missing_trace_errors(self, tmp_path, capsys):
         assert main(["trace", str(tmp_path)]) == 2
         assert "error" in capsys.readouterr().err
-
-
-class TestFiguresMetrics:
-    def test_emit_metrics_flag(self, tmp_path, capsys):
-        metrics = tmp_path / "figures.prom"
-        assert main([
-            "figures", "--fig", "1", "--samples", "1000",
-            "--emit-metrics", str(metrics),
-        ]) == 0
-        text = metrics.read_text()
-        assert "repro_tasks_completed_total 1" in text
-        assert "# TYPE repro_task_latency_seconds histogram" in text
 
 
 class TestChaosCommand:
