@@ -9,9 +9,7 @@ versioned :class:`repro.compare.BenchRecord` suite in
 ``BENCH_simsys.json`` at the repository root, so the performance
 trajectory is tracked across PRs with enough structure for the
 Kalibera–Jones effect-size comparisons behind ``repro compare``
-(see docs/COMPARE.md).  The legacy scalar writer
-:func:`record_bench_json` still works but emits a
-``DeprecationWarning``; it forwards into the same suite.
+(see docs/COMPARE.md).
 """
 
 from __future__ import annotations
@@ -48,9 +46,10 @@ def record_bench(
     *run_samples* are the individual timed iterations of this process's
     run; repeated invocations accumulate runs (up to ``max_runs``,
     oldest dropped first) so the suite carries the run/iteration
-    structure the multi-level variance estimator needs.  A legacy
-    flat-layout file is migrated in place on first write.  Returns the
-    updated :class:`repro.compare.BenchRecord`.
+    structure the multi-level variance estimator needs.  A file the
+    reader rejects (corrupt, or another schema version) is discarded
+    with a ``RuntimeWarning`` and rewritten.  Returns the updated
+    :class:`repro.compare.BenchRecord`.
     """
     from repro.compare import BenchRecord, BenchSuiteResult
     from repro.compare.record import DEFAULT_MAX_RUNS
@@ -85,48 +84,3 @@ def record_bench(
     )
     suite.write(target)
     return suite.records[record.key]
-
-
-def record_bench_json(
-    op: str,
-    nprocs: int,
-    n: int,
-    *,
-    wall_s: float,
-    reference_wall_s: float | None = None,
-    kernel: str = "vectorized",
-    machine: str = "piz_daint",
-    path: Path | None = None,
-) -> dict:
-    """Deprecated scalar writer; forwards into :func:`record_bench`.
-
-    Kept so untouched bench scripts keep working: each call appends a
-    single-sample run for the measured kernel (and, when given, the
-    reference kernel) to the versioned suite, and returns the legacy row
-    dict the old callers expect.
-    """
-    warnings.warn(
-        "record_bench_json is deprecated; record raw per-iteration samples "
-        "with record_bench(name, params, run_samples) instead",
-        DeprecationWarning,
-        stacklevel=2,
-    )
-    params = {"machine": machine, "P": int(nprocs), "n": int(n), "kernel": kernel}
-    record_bench(op, params, [float(wall_s)], path=path)
-    row = {
-        "op": op,
-        "machine": machine,
-        "P": int(nprocs),
-        "n": int(n),
-        "kernel": kernel,
-        "wall_s": float(wall_s),
-    }
-    if reference_wall_s is not None:
-        record_bench(
-            op, {**params, "kernel": "reference"}, [float(reference_wall_s)], path=path
-        )
-        row["reference_wall_s"] = float(reference_wall_s)
-        row["speedup_vs_reference"] = (
-            float(reference_wall_s) / float(wall_s) if wall_s > 0 else float("inf")
-        )
-    return row

@@ -1,10 +1,12 @@
 """Vectorized vs reference collective kernels: wall-time comparison.
 
-Times the round-batched numpy kernels against the scalar ``kernel=
-"reference"`` path and records the raw per-iteration timings as
-:class:`repro.compare.BenchRecord` runs in ``BENCH_simsys.json`` at the
-repo root (machine-readable, merged across runs) plus a human-readable
-table in ``benchmarks/results/``.
+Times the round-batched numpy kernels of :class:`~repro.simsys.SimComm`
+against the scalar :class:`~repro.simsys.reference.ReferenceComm` oracle
+and records the raw per-iteration timings as
+:class:`repro.compare.BenchRecord` runs (``kernel=vectorized`` and
+``kernel=reference``) in ``BENCH_simsys.json`` at the repo root
+(machine-readable, merged across runs) plus a human-readable table in
+``benchmarks/results/``.
 
 Two machines separate the two cost regimes (see docs/PERFORMANCE.md):
 
@@ -46,6 +48,7 @@ import numpy as np
 from _bench_utils import fidelity, record_bench
 
 from repro.simsys import SimComm, piz_daint, testbed
+from repro.simsys.reference import ReferenceComm
 
 #: (label, factory) pairs: 128 XC30 nodes x 8 cores and 256 testbed
 #: nodes x 4 cores both give 1024 packed ranks at the largest sweep point.
@@ -68,15 +71,17 @@ def _time_op(machine, op: str, nprocs: int, n: int, kernel: str,
     One untimed warm-up call precedes the timed iterations so one-time
     costs (noise-table and batch-cache construction) don't pollute the
     recorded samples — the timings should measure the steady state the
-    speedup claims are about.
+    speedup claims are about.  *kernel* is the record label:
+    ``"reference"`` times :class:`ReferenceComm`, ``"vectorized"``
+    times :class:`SimComm`.
     """
+    cls = ReferenceComm if kernel == "reference" else SimComm
     args = (8, n)
-    warm = SimComm(machine, nprocs, placement="packed", seed=seed, kernel=kernel)
+    warm = cls(machine, nprocs, placement="packed", seed=seed)
     getattr(warm, op)(*args)
     times = []
     for it in range(iterations):
-        comm = SimComm(machine, nprocs, placement="packed", seed=seed + it,
-                       kernel=kernel)
+        comm = cls(machine, nprocs, placement="packed", seed=seed + it)
         start = time.perf_counter()
         out = getattr(comm, op)(*args)
         times.append(time.perf_counter() - start)

@@ -4,8 +4,8 @@ The acceptance contract of the tiled v3 kernel path (docs/PERFORMANCE.md):
 reduce, allreduce, and alltoall on a simulated XC-scale dragonfly machine
 at 10⁶ ranks (10⁵ at quick fidelity) must complete with the Python heap
 staying under a fixed ``tracemalloc`` cap — peak memory is O(tile), not
-O(P·n) or O(P²) — while remaining bit-identical to the scalar reference
-kernels at small P.
+O(P·n) or O(P²) — while remaining bit-identical to the scalar
+:class:`~repro.simsys.reference.ReferenceComm` oracle at small P.
 
 Three things are measured and recorded into ``BENCH_simsys.json``:
 
@@ -35,6 +35,7 @@ from _bench_utils import fidelity, record_bench
 from repro.report import render_table
 from repro.simsys.machine import xc_scale
 from repro.simsys.mpi import SimComm
+from repro.simsys.reference import ReferenceComm
 
 P_MAIN = int(os.environ.get("REPRO_BENCH_MR_P", fidelity(1_000_000, 100_000)))
 CAP_MB = int(os.environ.get("REPRO_BENCH_MR_CAP_MB", fidelity(512, 256)))
@@ -78,8 +79,8 @@ def build_millionrank():
 
     # -- small-P parity: the scale path must not have forked the physics.
     small = xc_scale(64, deterministic=True)
-    v = SimComm(small, 24, seed=3, kernel="vectorized")
-    r = SimComm(small, 24, seed=3, kernel="reference")
+    v = SimComm(small, 24, seed=3)
+    r = ReferenceComm(small, 24, seed=3)
     parity = bool(
         np.array_equal(v.reduce(8, 4), r.reduce(8, 4))
         and np.array_equal(v.allreduce(8, 4), r.allreduce(8, 4))
@@ -92,7 +93,7 @@ def build_millionrank():
     SimComm(dense_m, P_DENSE, seed=SEED).reduce(8, DENSE_REPS)
     dense_vec = time.perf_counter() - start
     start = time.perf_counter()
-    SimComm(dense_m, P_DENSE, seed=SEED, kernel="reference").reduce(8, DENSE_REPS)
+    ReferenceComm(dense_m, P_DENSE, seed=SEED).reduce(8, DENSE_REPS)
     dense_ref = time.perf_counter() - start
     speedup = dense_ref / dense_vec
 

@@ -7,8 +7,7 @@ repository's benchmark snapshot into a gated trajectory:
 
 * :mod:`repro.compare.record` — the versioned ``BenchRecord`` /
   ``BenchSuiteResult`` schema every ``BENCH_*.json`` file uses, with
-  in-memory migration of the legacy flat layout, provenance stamping,
-  and integrity digests;
+  provenance stamping and integrity digests;
 * :mod:`repro.compare.kalibera` — Kalibera–Jones multi-level
   random-effects variance estimation and effect-size confidence
   intervals on the ratio of means (asymptotic + hierarchical
@@ -48,7 +47,6 @@ from .record import (
     BenchRecord,
     BenchSuiteResult,
     history_labels,
-    migrate_payload,
     record_key,
 )
 
@@ -69,7 +67,6 @@ __all__ = [
     "compare_runs_sequential",
     "history_labels",
     "mean_and_variance",
-    "migrate_payload",
     "ratio_ci",
     "ratio_ci_bootstrap",
     "record_key",

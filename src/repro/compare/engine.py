@@ -16,7 +16,7 @@ bootstrap, and renders a per-record verdict:
     the CI straddles 1 (or the effect is smaller than the threshold);
 ``incomparable``
     not enough independent replication for a defensible interval
-    (e.g. a migrated single-sample legacy record) — reported with the
+    (e.g. a record with a single run) — reported with the
     point ratio, but never allowed to fail a gate: the paper's Rule 7
     forbids claiming a change without sound statistics.
 

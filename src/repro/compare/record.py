@@ -18,9 +18,8 @@ result cache to the benchmark trajectory).
 Schema versioning policy (see ``docs/COMPARE.md``):
 
 * ``schema`` is a monotonically increasing integer stored in the file;
-* readers upgrade any older layout in memory via :func:`migrate_payload`
-  (the v0/v1 flat-row layout written by the original
-  ``record_bench_json`` becomes single-sample records);
+* readers reject any other schema, older or newer, with a
+  :class:`~repro.errors.ValidationError` naming both versions;
 * writers always emit the current :data:`BENCH_SCHEMA_VERSION`.
 """
 
@@ -44,15 +43,12 @@ __all__ = [
     "BenchRecord",
     "BenchSuiteResult",
     "history_labels",
-    "migrate_payload",
     "record_key",
 ]
 
-#: Current on-disk schema version of ``BENCH_*.json`` files.
-#: History: 0/1 — flat ``results`` rows with scalar ``wall_s`` (plus an
-#: optional ``reference_wall_s``) written by ``record_bench_json``;
-#: 2 — keyed :class:`BenchRecord` payloads with run/iteration-structured
-#: samples, provenance, and an integrity digest.
+#: Current on-disk schema version of ``BENCH_*.json`` files: keyed
+#: :class:`BenchRecord` payloads with run/iteration-structured samples,
+#: provenance, and an integrity digest.
 BENCH_SCHEMA_VERSION = 2
 
 #: Bound on the number of runs a record retains when merged repeatedly,
@@ -135,7 +131,7 @@ class BenchRecord:
         The unit every sample is expressed in (default seconds).
     metadata:
         Free-form annotations that do not affect identity (e.g.
-        ``{"migrated_from": 1}``).
+        ``{"regime": "dense"}``).
     """
 
     name: str
@@ -235,72 +231,6 @@ class BenchRecord:
             unit=str(payload.get("unit", "s")),
             metadata=dict(payload.get("metadata", {})),
         )
-
-
-def _migrate_v1_row(row: Mapping[str, Any]) -> list[BenchRecord]:
-    """One legacy flat row → one or two single-sample records.
-
-    The v0/v1 writer stored one scalar ``wall_s`` per (op, machine, P, n,
-    kernel) row, with the scalar-path time inlined as
-    ``reference_wall_s``.  That reference timing becomes its own record
-    under ``kernel="reference"`` so the two kernels stay comparable under
-    the unified key scheme.
-    """
-    try:
-        name = str(row["op"])
-        params = {
-            "machine": str(row["machine"]),
-            "P": int(row["P"]),
-            "n": int(row["n"]),
-            "kernel": str(row.get("kernel", "vectorized")),
-        }
-        wall = float(row["wall_s"])
-    except (KeyError, TypeError, ValueError) as exc:
-        raise ValidationError(f"unmigratable legacy benchmark row: {exc}") from exc
-    meta = {"migrated_from_schema": int(row.get("schema", 1)) if "schema" in row else 1}
-    records = [
-        BenchRecord(name=name, params=params, samples=[[wall]], metadata=meta)
-    ]
-    if row.get("reference_wall_s") is not None:
-        records.append(
-            BenchRecord(
-                name=name,
-                params=params | {"kernel": "reference"},
-                samples=[[float(row["reference_wall_s"])]],
-                metadata=meta,
-            )
-        )
-    return records
-
-
-def migrate_payload(payload: Mapping[str, Any]) -> dict[str, Any]:
-    """Upgrade any known ``BENCH_*.json`` payload to the current schema.
-
-    Returns a schema-:data:`BENCH_SCHEMA_VERSION` dict; current-version
-    payloads pass through unchanged.  Unknown *newer* schemas raise — a
-    reader must never silently downgrade data it does not understand.
-    """
-    schema = int(payload.get("schema", 0))
-    if schema > BENCH_SCHEMA_VERSION:
-        raise ValidationError(
-            f"benchmark file schema {schema} is newer than supported "
-            f"({BENCH_SCHEMA_VERSION}); upgrade repro"
-        )
-    if schema == BENCH_SCHEMA_VERSION:
-        return dict(payload)
-    rows = payload.get("results", {})
-    if not isinstance(rows, Mapping):
-        raise ValidationError("legacy benchmark payload has no 'results' mapping")
-    records: dict[str, Any] = {}
-    for row in rows.values():
-        for rec in _migrate_v1_row(row):
-            records[rec.key] = rec.to_dict()
-    return {
-        "schema": BENCH_SCHEMA_VERSION,
-        "records": records,
-        "provenance": None,
-        "migrated_from": schema,
-    }
 
 
 def _suite_digest(records_payload: Mapping[str, Any]) -> str:
@@ -407,19 +337,29 @@ class BenchSuiteResult:
     def from_dict(
         cls, payload: Mapping[str, Any], *, verify: bool = True
     ) -> "BenchSuiteResult":
-        """Rebuild a suite from JSON, migrating old schemas on the fly.
+        """Rebuild a suite from its :meth:`to_dict` payload.
 
-        ``verify`` checks the stored integrity digest (when present —
-        migrated legacy payloads have none) and raises
-        :class:`~repro.errors.ValidationError` on mismatch.
+        Any schema other than :data:`BENCH_SCHEMA_VERSION` raises
+        :class:`~repro.errors.ValidationError`: a reader must never guess
+        at data it does not understand.  ``verify`` checks the stored
+        integrity digest (when present) and raises on mismatch.
         """
-        upgraded = migrate_payload(payload)
+        schema = payload.get("schema", 0)
+        if schema != BENCH_SCHEMA_VERSION:
+            if isinstance(schema, int) and schema > BENCH_SCHEMA_VERSION:
+                hint = "newer than supported ({}); upgrade repro"
+            else:
+                hint = "older than supported ({}); re-record it"
+            raise ValidationError(
+                f"benchmark file schema {schema!r} is "
+                + hint.format(BENCH_SCHEMA_VERSION)
+            )
         records = {
             key: BenchRecord.from_dict(rec)
-            for key, rec in upgraded.get("records", {}).items()
+            for key, rec in payload.get("records", {}).items()
         }
-        suite = cls(records=records, provenance=upgraded.get("provenance"))
-        stored = payload.get("digest") if int(payload.get("schema", 0)) == BENCH_SCHEMA_VERSION else None
+        suite = cls(records=records, provenance=payload.get("provenance"))
+        stored = payload.get("digest")
         if verify and stored is not None and stored != suite.digest:
             raise ValidationError(
                 "benchmark suite integrity digest mismatch: file is corrupt "
@@ -429,7 +369,7 @@ class BenchSuiteResult:
 
     @classmethod
     def load(cls, path: str | Path, *, verify: bool = True) -> "BenchSuiteResult":
-        """Read and migrate a ``BENCH_*.json`` file."""
+        """Read a ``BENCH_*.json`` file (see :meth:`from_dict`)."""
         path = Path(path)
         try:
             payload = json.loads(path.read_text())

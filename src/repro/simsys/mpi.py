@@ -17,30 +17,23 @@ Collectives are evaluated *vectorized over repetitions*: one call computes
 ``n`` independent repetitions of the operation and returns an ``(n, P)``
 array of per-rank completion times, which is what the analysis layer wants.
 
-Two kernel implementations exist, selected by the ``kernel`` field:
-
-``"vectorized"`` (default)
-    round-batched numpy kernels.  Repetitions stream through fixed-size
-    *tiles* (``tile_bytes``): within a tile, per-round message costs come
-    from one vectorized network-model lookup, state is held transposed
-    (one contiguous row per rank), and noise is drawn per round as
-    ``(messages, tile_reps)`` blocks — the v3 stream layout of
-    :data:`~repro.simsys.schedules.KERNEL_VERSION`.  Schedules are taken
-    from the ``lru_cache``-d compilers when small and *generated lazily*
-    (:func:`~repro.simsys.schedules.iter_rounds`) when the materialized
-    schedule would be large, so peak memory is O(tile + round), never
-    O(P·n) or O(P²) — the million-rank path (docs/PERFORMANCE.md).
-``"reference"``
-    the original scalar per-message path, kept for cross-validation; on a
-    noiseless machine both kernels are bit-identical, on a noisy machine
-    they are statistically equivalent but consume the RNG stream in a
-    different order (see docs/PERFORMANCE.md).
+The collectives run as round-batched numpy kernels.  Repetitions stream
+through fixed-size *tiles* (``tile_bytes``): within a tile, per-round
+message costs come from one vectorized network-model lookup, state is
+held transposed (one contiguous row per rank), and noise is drawn per
+round as ``(messages, tile_reps)`` blocks — the v3 stream layout of
+:data:`~repro.simsys.schedules.KERNEL_VERSION`.  Schedules are taken from
+the ``lru_cache``-d compilers when small and *generated lazily*
+(:func:`~repro.simsys.schedules.iter_rounds`) when the materialized
+schedule would be large, so peak memory is O(tile + round), never O(P·n)
+or O(P²) — the million-rank path (docs/PERFORMANCE.md).
 
 Repetitions are mutually independent, so on noiseless machines the tiled
 evaluation is bit-identical for every tile size.  With random skew or
 noise, different tile sizes consume the RNG stream differently (that is
 what the v3 layout version records); the kernels agree bit-for-bit with
-the reference path whenever the run is deterministic and fits one tile.
+the scalar oracle :class:`repro.simsys.reference.ReferenceComm` whenever
+the run is deterministic and fits one tile.
 
 Very large alltoall is special: its pairwise-exchange schedule has
 P·(P−1) messages, quadratic in P no matter how rounds are streamed.
@@ -93,7 +86,6 @@ __all__ = [
     "SimComm",
     "reduce_schedule",
     "Placement",
-    "Kernel",
     "KERNEL_VERSION",
     "SkewModel",
     "bind_kernel_metrics",
@@ -102,7 +94,6 @@ __all__ = [
 ]
 
 Placement = Literal["packed", "scattered", "one_per_node"]
-Kernel = Literal["vectorized", "reference"]
 
 #: Fixed software cost of executing the reduction operator on one message
 #: worth of data, relative to node compute speed; small vs. network costs.
@@ -203,12 +194,6 @@ class SimComm:
         play an important role") because intra-node messages are cheaper.
     seed:
         Root seed for all noise streams.
-    kernel:
-        ``"vectorized"`` (default) evaluates collectives as tiled,
-        round-batched numpy kernels; ``"reference"`` uses the scalar
-        per-message path for cross-validation.  Same seed, same
-        statistics — but different RNG stream-consumption layouts, so
-        individual samples differ between kernels on noisy machines.
     tile_bytes:
         Working-set budget per repetition tile of the vectorized kernels.
         Smaller tiles bound peak memory (million-rank runs); repetition
@@ -220,13 +205,11 @@ class SimComm:
     nprocs: int
     placement: Placement = "packed"
     seed: int = 0
-    kernel: Kernel = "vectorized"
     tile_bytes: int = DEFAULT_TILE_BYTES
 
     def __post_init__(self) -> None:
         check_int(self.nprocs, "nprocs", minimum=1)
         check_in(self.placement, ("packed", "scattered", "one_per_node"), "placement")
-        check_in(self.kernel, ("vectorized", "reference"), "kernel")
         check_int(self.tile_bytes, "tile_bytes", minimum=1)
         self._rngs = RngFactory(self.seed).child("simcomm", self.machine.name)
         self.rank_node, self.rank_core = self._place()
@@ -347,11 +330,11 @@ class SimComm:
     def _draw_skew(
         self, rng: np.random.Generator, skew, n: int
     ) -> np.ndarray | None:
-        """The per-tile ``(n, P)`` start-offset block (both kernels).
+        """The per-tile ``(n, P)`` start-offset block.
 
         Drawn *first* in each tile so deterministic runs stay bit-identical
-        between kernels.  Accepts a float (uniform on ``[0, skew]``) or any
-        :class:`SkewModel`.
+        with the scalar oracle, which draws it first too.  Accepts a float
+        (uniform on ``[0, skew]``) or any :class:`SkewModel`.
         """
         if skew is None:
             return None
@@ -492,12 +475,9 @@ class SimComm:
         rng = self._fresh_stream("reduce")
         spec = schedule_spec("reduce", self.nprocs)
         start = time.perf_counter()
-        if self.kernel == "vectorized":
-            out = self._run_tiled(
-                self._reduce_tile, "reduce", rng, size_bytes, n, skew
-            )
-        else:
-            out = self._reduce_reference(rng, size_bytes, n, skew)
+        out = self._run_tiled(
+            self._reduce_tile, "reduce", rng, size_bytes, n, skew
+        )
         self._record_kernel(time.perf_counter() - start, spec.n_messages * n)
         return out
 
@@ -580,45 +560,6 @@ class SimComm:
             completion[dst] = np.maximum(completion[dst], arrived)
         return completion.T
 
-    def _reduce_reference(
-        self,
-        rng: np.random.Generator,
-        size_bytes: int,
-        n: int,
-        skew,
-    ) -> np.ndarray:
-        pre, rounds = reduce_schedule(self.nprocs)
-        P = self.nprocs
-        op_cost = self._op_cost(size_bytes)
-        skew_blk = self._draw_skew(rng, skew, n)
-        ready = skew_blk if skew_blk is not None else np.zeros((n, P))
-        local = self._net_noise(rng, n * P).reshape(n, P)
-        ready = ready + 0.2 * local * self.rank_noise_scale[None, :]
-        done = ready.copy()
-        completion = ready.copy()
-
-        def deliver(src: int, dst: int) -> None:
-            base = self.message_base(src, dst, size_bytes)
-            noise = self._net_noise(rng, n)
-            send_done = done[:, src] + base + noise
-            recv_extra = (
-                0.15
-                * self._net_noise(rng, n)
-                * self.rank_noise_scale[dst]
-            )
-            arrived = np.maximum(done[:, dst], send_done) + recv_extra
-            done[:, dst] = arrived + op_cost
-            # Sender is finished once its message is on the wire.
-            completion[:, src] = np.maximum(completion[:, src], send_done)
-            completion[:, dst] = np.maximum(completion[:, dst], done[:, dst])
-
-        for src, dst in pre:
-            deliver(src, dst)
-        for rnd in rounds:
-            for src, dst in rnd:
-                deliver(src, dst)
-        return completion
-
     def reduce_root_times(self, size_bytes: int = 8, n: int = 1000) -> np.ndarray:
         """Convenience: the root's completion time for *n* reductions."""
         return self.reduce(size_bytes, n)[:, 0]
@@ -630,10 +571,7 @@ class SimComm:
         rng = self._fresh_stream("bcast")
         spec = schedule_spec("bcast", self.nprocs)
         start = time.perf_counter()
-        if self.kernel == "vectorized":
-            out = self._run_tiled(self._bcast_tile, "bcast", rng, size_bytes, n)
-        else:
-            out = self._bcast_reference(rng, size_bytes, n)
+        out = self._run_tiled(self._bcast_tile, "bcast", rng, size_bytes, n)
         self._record_kernel(time.perf_counter() - start, spec.n_messages * n)
         return out
 
@@ -657,23 +595,6 @@ class SimComm:
             done[dst] = np.maximum(done[dst], incoming)
         return done.T
 
-    def _bcast_reference(
-        self, rng: np.random.Generator, size_bytes: int, n: int
-    ) -> np.ndarray:
-        P = self.nprocs
-        done = np.zeros((n, P))
-        # Binomial tree: in round k, every rank that already has the data
-        # (rank < 2^k) sends to rank + 2^k.
-        k = 1
-        while k < P:
-            for src in range(min(k, P - k)):
-                dst = src + k
-                base = self.message_base(src, dst, size_bytes)
-                noise = self._net_noise(rng, n)
-                done[:, dst] = np.maximum(done[:, dst], done[:, src] + base + noise)
-            k *= 2
-        return done
-
     def allreduce(
         self, size_bytes: int = 8, n: int = 1, *, skew=None
     ) -> np.ndarray:
@@ -690,12 +611,9 @@ class SimComm:
         rng = self._fresh_stream("allreduce")
         spec = schedule_spec("allreduce", self.nprocs)
         start = time.perf_counter()
-        if self.kernel == "vectorized":
-            out = self._run_tiled(
-                self._allreduce_tile, "allreduce", rng, size_bytes, n, skew
-            )
-        else:
-            out = self._allreduce_reference(rng, size_bytes, n, skew)
+        out = self._run_tiled(
+            self._allreduce_tile, "allreduce", rng, size_bytes, n, skew
+        )
         self._record_kernel(time.perf_counter() - start, spec.n_messages * n)
         return out
 
@@ -734,46 +652,6 @@ class SimComm:
             t[dst] = merged
         return t.T
 
-    def _allreduce_reference(
-        self, rng: np.random.Generator, size_bytes: int, n: int, skew=None
-    ) -> np.ndarray:
-        P = self.nprocs
-        op_cost = self._op_cost(size_bytes)
-        skew_blk = self._draw_skew(rng, skew, n)
-        t = skew_blk if skew_blk is not None else np.zeros((n, P))
-        local = self._net_noise(rng, n * P).reshape(n, P)
-        t = t + 0.2 * local * self.rank_noise_scale[None, :]
-        pof2 = 1 << (P.bit_length() - 1)
-        rem = P - pof2
-        # Fold-in: rank 2r+1 sends to 2r for r < rem.
-        for r in range(rem):
-            src, dst = 2 * r + 1, 2 * r
-            base = self.message_base(src, dst, size_bytes)
-            noise = self._net_noise(rng, n)
-            t[:, dst] = np.maximum(t[:, dst], t[:, src] + base + noise) + op_cost
-        survivors = (
-            list(range(0, 2 * rem, 2)) + list(range(2 * rem, P)) if rem else list(range(P))
-        )
-        # Recursive doubling among survivors (pairwise exchange per round).
-        k = 1
-        while k < pof2:
-            new_t = t.copy()
-            for j in range(pof2):
-                partner = j ^ k
-                a, b = survivors[j], survivors[partner]
-                base = self.message_base(b, a, size_bytes)
-                noise = self._net_noise(rng, n)
-                new_t[:, a] = np.maximum(t[:, a], t[:, b] + base + noise) + op_cost
-            t = new_t
-            k *= 2
-        # Fold-out: results back to the folded-in odd ranks.
-        for r in range(rem):
-            src, dst = 2 * r, 2 * r + 1
-            base = self.message_base(src, dst, size_bytes)
-            noise = self._net_noise(rng, n)
-            t[:, dst] = np.maximum(t[:, dst], t[:, src] + base + noise)
-        return t
-
     def alltoall(
         self, size_bytes: int = 8, n: int = 1, *, aggregated: bool | None = None
     ) -> np.ndarray:
@@ -802,7 +680,7 @@ class SimComm:
         start = time.perf_counter()
         if use_agg:
             out = self._alltoall_aggregated(rng, size_bytes, n)
-        elif self.kernel == "vectorized":
+        else:
             out = self._run_tiled(
                 self._shift_tile_factory(op_cost=0.0),
                 "alltoall",
@@ -810,8 +688,6 @@ class SimComm:
                 size_bytes,
                 n,
             )
-        else:
-            out = self._alltoall_reference(rng, size_bytes, n)
         self._record_kernel(time.perf_counter() - start, P * (P - 1) * n)
         return out
 
@@ -843,24 +719,6 @@ class SimComm:
             return t.T
 
         return tile
-
-    def _alltoall_reference(
-        self, rng: np.random.Generator, size_bytes: int, n: int
-    ) -> np.ndarray:
-        P = self.nprocs
-        t = np.zeros((n, P))
-        use_xor = (P & (P - 1)) == 0
-        for k in range(1, P):
-            new_t = t.copy()
-            for r in range(P):
-                partner = (r ^ k) if use_xor else ((r + k) % P)
-                if partner == r:
-                    continue
-                base = self.message_base(partner, r, size_bytes)
-                noise = self._net_noise(rng, n)
-                new_t[:, r] = np.maximum(new_t[:, r], t[:, partner] + base + noise)
-            t = new_t
-        return t
 
     def _noise_moments(self) -> tuple[float, float]:
         """Calibrated (mean, std) of one network-noise draw.
@@ -925,16 +783,9 @@ class SimComm:
         if P == 1:
             return np.zeros((n, 1))
         start = time.perf_counter()
-        if self.kernel == "vectorized":
-            out = self._run_tiled(
-                self._alltoallv_tile_factory(counts_fn),
-                "alltoall",
-                rng,
-                0,
-                n,
-            )
-        else:
-            out = self._alltoallv_reference(rng, counts_fn, n)
+        out = self._run_tiled(
+            self._alltoallv_tile_factory(counts_fn), "alltoall", rng, 0, n
+        )
         self._record_kernel(time.perf_counter() - start, P * (P - 1) * n)
         return out
 
@@ -977,28 +828,6 @@ class SimComm:
 
         return tile
 
-    def _alltoallv_reference(
-        self, rng: np.random.Generator, counts_fn, n: int
-    ) -> np.ndarray:
-        P = self.nprocs
-        t = np.zeros((n, P))
-        use_xor = (P & (P - 1)) == 0
-        one = np.zeros(1, dtype=np.int64)
-        for k in range(1, P):
-            new_t = t.copy()
-            for r in range(P):
-                partner = (r ^ k) if use_xor else ((r + k) % P)
-                if partner == r:
-                    continue
-                size = int(np.asarray(counts_fn(one + partner, one + r))[0])
-                if size < 0:
-                    raise ValidationError("counts must be non-negative")
-                base = self.message_base(partner, r, size)
-                noise = self._net_noise(rng, n)
-                new_t[:, r] = np.maximum(new_t[:, r], t[:, partner] + base + noise)
-            t = new_t
-        return t
-
     def scan(self, size_bytes: int = 8, n: int = 1) -> np.ndarray:
         """Recursive-doubling inclusive prefix scan; ``(n, P)`` times.
 
@@ -1027,10 +856,8 @@ class SimComm:
         start = time.perf_counter()
         if self.nprocs == 1:
             out = np.zeros((n, 1))
-        elif self.kernel == "vectorized":
-            out = self._run_tiled(self._scan_tile, "scan", rng, size_bytes, n)
         else:
-            out = self._scan_reference(rng, size_bytes, n)
+            out = self._run_tiled(self._scan_tile, "scan", rng, size_bytes, n)
         self._record_kernel(time.perf_counter() - start, spec.n_messages * n)
         return out
 
@@ -1062,28 +889,6 @@ class SimComm:
             t[dst] = np.maximum(t[dst], incoming) + op_cost
         return t.T
 
-    def _scan_reference(
-        self, rng: np.random.Generator, size_bytes: int, n: int
-    ) -> np.ndarray:
-        P = self.nprocs
-        op_cost = self._op_cost(size_bytes)
-        t = np.zeros((n, P))
-        local = self._net_noise(rng, n * P).reshape(n, P)
-        t += 0.2 * local * self.rank_noise_scale[None, :]
-        k = 1
-        while k < P:
-            new_t = t.copy()
-            for dst in range(k, P):
-                src = dst - k
-                base = self.message_base(src, dst, size_bytes)
-                noise = self._net_noise(rng, n)
-                new_t[:, dst] = (
-                    np.maximum(t[:, dst], t[:, src] + base + noise) + op_cost
-                )
-            t = new_t
-            k *= 2
-        return t
-
     def neighbor_alltoall(
         self, offsets, size_bytes: int = 8, n: int = 1
     ) -> np.ndarray:
@@ -1101,41 +906,16 @@ class SimComm:
         rng = self._fresh_stream("neighbor", offsets)
         spec = schedule_spec("neighbor", self.nprocs, offsets=offsets)
         start = time.perf_counter()
-        if self.kernel == "vectorized":
-            out = self._run_tiled(
-                self._shift_tile_factory(op_cost=0.0),
-                "neighbor",
-                rng,
-                size_bytes,
-                n,
-                offsets=offsets,
-            )
-        else:
-            out = self._neighbor_reference(rng, offsets, size_bytes, n)
+        out = self._run_tiled(
+            self._shift_tile_factory(op_cost=0.0),
+            "neighbor",
+            rng,
+            size_bytes,
+            n,
+            offsets=offsets,
+        )
         self._record_kernel(time.perf_counter() - start, spec.n_messages * n)
         return out
-
-    def _neighbor_reference(
-        self,
-        rng: np.random.Generator,
-        offsets: tuple[int, ...],
-        size_bytes: int,
-        n: int,
-    ) -> np.ndarray:
-        from .schedules import _check_offsets
-
-        P = self.nprocs
-        _check_offsets(P, offsets)
-        t = np.zeros((n, P))
-        for off in offsets:
-            new_t = t.copy()
-            for r in range(P):
-                dst = (r + off) % P
-                base = self.message_base(r, dst, size_bytes)
-                noise = self._net_noise(rng, n)
-                new_t[:, dst] = np.maximum(new_t[:, dst], t[:, r] + base + noise)
-            t = new_t
-        return t
 
     def gather(self, size_bytes: int = 8, n: int = 1) -> np.ndarray:
         """Binomial-tree gather to root 0; ``(n, P)`` completion times.
@@ -1216,30 +996,11 @@ class SimComm:
             return np.zeros((n, 1))
         spec = schedule_spec("barrier", self.nprocs)
         start = time.perf_counter()
-        if self.kernel == "vectorized":
-            out = self._run_tiled(
-                self._shift_tile_factory(op_cost=0.0), "barrier", rng, 0, n
-            )
-        else:
-            out = self._barrier_reference(rng, n)
+        out = self._run_tiled(
+            self._shift_tile_factory(op_cost=0.0), "barrier", rng, 0, n
+        )
         self._record_kernel(time.perf_counter() - start, spec.n_messages * n)
         return out
-
-    def _barrier_reference(self, rng: np.random.Generator, n: int) -> np.ndarray:
-        P = self.nprocs
-        t = np.zeros((n, P))
-        rounds = math.ceil(math.log2(P))
-        size = 0  # zero-byte flag messages
-        for k in range(rounds):
-            shift = 1 << k
-            arrive = np.empty_like(t)
-            for r in range(P):
-                dst = (r + shift) % P
-                base = self.message_base(r, dst, size)
-                noise = self._net_noise(rng, n)
-                arrive[:, dst] = t[:, r] + base + noise
-            t = np.maximum(t, arrive)
-        return t
 
     # -- introspection ---------------------------------------------------
 

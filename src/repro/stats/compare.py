@@ -18,7 +18,6 @@ definitions) and cross-checkable against scipy.
 from __future__ import annotations
 
 import math
-import warnings
 from dataclasses import dataclass, field
 from typing import Iterable, Sequence
 
@@ -35,8 +34,6 @@ __all__ = [
     "one_way_anova",
     "kruskal_wallis",
     "effect_size",
-    "cohens_d",
-    "significant_by_ci",
     "compare_groups",
     "GroupComparison",
 ]
@@ -195,44 +192,6 @@ def effect_size(a: Iterable[float], b: Iterable[float]) -> float:
     return float((x.mean() - y.mean()) / math.sqrt(igv))
 
 
-def cohens_d(a: Iterable[float], b: Iterable[float]) -> float:
-    """Deprecated alias of :func:`effect_size` (identical for two groups).
-
-    .. deprecated:: use :func:`effect_size` directly, or the
-       ``effect_sizes`` field of :func:`compare_groups`, which reports
-       every pairwise E alongside the significance tests.
-    """
-    warnings.warn(
-        "cohens_d is deprecated; use effect_size (or compare_groups, which "
-        "reports pairwise effect sizes) instead",
-        DeprecationWarning,
-        stacklevel=2,
-    )
-    return effect_size(a, b)
-
-
-def _ci_separated(a: ConfidenceInterval, b: ConfidenceInterval) -> bool:
-    if a.confidence != b.confidence:
-        raise ValidationError("intervals must share a confidence level")
-    return not intervals_overlap(a, b)
-
-
-def significant_by_ci(a: ConfidenceInterval, b: ConfidenceInterval) -> bool:
-    """Deprecated: use the ``ci_separated`` field of :func:`compare_groups`.
-
-    Significance via non-overlapping confidence intervals (Section 3.2).
-    Conservative: ``True`` (non-overlap) establishes significance at the
-    intervals' confidence level; ``False`` is inconclusive.
-    """
-    warnings.warn(
-        "significant_by_ci is deprecated; compare_groups now reports the "
-        "pairwise CI-overlap verdicts in its ci_separated field",
-        DeprecationWarning,
-        stacklevel=2,
-    )
-    return _ci_separated(a, b)
-
-
 @dataclass(frozen=True)
 class GroupComparison:
     """Full comparison report for k groups (what Rule 7 asks to be done).
@@ -282,8 +241,6 @@ def compare_groups(
     *confidence* plus the conservative CI-overlap verdicts
     (``ci_separated[(i, j)]`` is ``True`` when the two intervals do not
     overlap, which establishes a significant difference on its own).
-    This subsumes the deprecated free functions :func:`cohens_d` and
-    :func:`significant_by_ci`.
     """
     check_prob(alpha, "alpha")
     check_prob(confidence, "confidence")
@@ -295,7 +252,7 @@ def compare_groups(
     }
     cis = tuple(mean_ci(g, confidence) for g in gs)
     separated = {
-        (i, j): _ci_separated(cis[i], cis[j])
+        (i, j): not intervals_overlap(cis[i], cis[j])
         for i in range(len(gs))
         for j in range(i + 1, len(gs))
     }

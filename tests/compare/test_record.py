@@ -3,7 +3,6 @@
 from __future__ import annotations
 
 import json
-from pathlib import Path
 
 import numpy as np
 import pytest
@@ -13,12 +12,9 @@ from repro.compare import (
     BenchRecord,
     BenchSuiteResult,
     history_labels,
-    migrate_payload,
     record_key,
 )
 from repro.errors import ValidationError
-
-GOLDEN_V1 = Path(__file__).parent / "data" / "legacy_bench_v1.json"
 
 
 def make_record(name="reduce", runs=((1.0, 1.2, 1.1), (0.9, 1.0, 1.05))):
@@ -162,44 +158,26 @@ class TestSuite:
 
 
 class TestMigration:
-    def test_golden_v1_file_migrates(self):
-        suite = BenchSuiteResult.load(GOLDEN_V1)
-        # 18 legacy rows, each with an inlined reference timing -> 36 records.
-        assert len(suite) == 36
-        key = record_key(
-            "allreduce",
-            {"machine": "piz_daint", "P": 1024, "n": 1000, "kernel": "vectorized"},
-        )
-        rec = suite.records[key]
-        assert rec.n_runs == 1 and rec.n_samples == 1
-        assert rec.samples[0][0] == pytest.approx(0.7853367190000426)
-        assert rec.metadata["migrated_from_schema"] == 1
-        ref = suite.records[
-            record_key(
-                "allreduce",
-                {"machine": "piz_daint", "P": 1024, "n": 1000, "kernel": "reference"},
-            )
-        ]
-        assert ref.samples[0][0] == pytest.approx(1.1196029750008165)
-
-    def test_migrated_suite_rewrites_at_current_schema(self, tmp_path):
-        suite = BenchSuiteResult.load(GOLDEN_V1)
-        path = suite.write(tmp_path / "BENCH.json")
-        payload = json.loads(path.read_text())
-        assert payload["schema"] == BENCH_SCHEMA_VERSION
-        assert BenchSuiteResult.load(path).records == suite.records
+    """Readers accept only BENCH_SCHEMA_VERSION, older or newer files raise."""
 
     def test_current_schema_passes_through(self):
         payload = BenchSuiteResult(records={}).merged(make_record()).to_dict()
-        assert migrate_payload(payload) == payload
+        assert BenchSuiteResult.from_dict(payload).to_dict() == payload
 
     def test_newer_schema_rejected(self):
         with pytest.raises(ValidationError, match="newer than supported"):
-            migrate_payload({"schema": BENCH_SCHEMA_VERSION + 1})
+            BenchSuiteResult.from_dict({"schema": BENCH_SCHEMA_VERSION + 1})
 
-    def test_unmigratable_row_rejected(self):
-        with pytest.raises(ValidationError, match="unmigratable"):
-            migrate_payload({"schema": 1, "results": {"k": {"op": "x"}}})
+    def test_schema_1_payload_rejected(self):
+        legacy = {
+            "schema": 1,
+            "results": {"reduce-64": {"op": "reduce", "P": 64, "wall_s": 0.1}},
+        }
+        with pytest.raises(
+            ValidationError,
+            match=rf"schema 1 is older than supported \({BENCH_SCHEMA_VERSION}\)",
+        ):
+            BenchSuiteResult.from_dict(legacy)
 
 
 class TestHistoryLabels:

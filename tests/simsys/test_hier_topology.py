@@ -37,10 +37,9 @@ class TestHierMatchesGraph:
         graph_topo = dragonfly(g, r, npr)
         hier = hier_dragonfly(g, r, npr)
         assert hier.n_compute_nodes == graph_topo.n_compute_nodes
-        with pytest.deprecated_call():
-            dense = graph_topo.hop_matrix()
         N = hier.n_compute_nodes
         src, dst = np.meshgrid(np.arange(N), np.arange(N), indexing="ij")
+        dense = graph_topo.pairwise_hops(src, dst)
         assert np.array_equal(
             hier.pairwise_hops(src.ravel(), dst.ravel()).reshape(N, N), dense
         )
@@ -50,10 +49,9 @@ class TestHierMatchesGraph:
         l, npl, s = shape
         graph_topo = fat_tree(l, npl, s)
         hier = hier_fat_tree(l, npl, s)
-        with pytest.deprecated_call():
-            dense = graph_topo.hop_matrix()
         N = hier.n_compute_nodes
         src, dst = np.meshgrid(np.arange(N), np.arange(N), indexing="ij")
+        dense = graph_topo.pairwise_hops(src, dst)
         assert np.array_equal(
             hier.pairwise_hops(src.ravel(), dst.ravel()).reshape(N, N), dense
         )
@@ -116,21 +114,19 @@ class TestHopMatrixCacheBudget:
         old = set_hop_matrix_budget(1 << 20)  # 1 MiB
         try:
             with pytest.raises(SimulationError, match="hierarchical"):
-                with pytest.deprecated_call():
-                    big.hop_matrix()
+                big.pairwise_hops(np.array([0]), np.array([1]))
         finally:
             set_hop_matrix_budget(old)
 
     def test_budget_raise_allows_build(self):
         big = dragonfly(4, 8, 4)  # 128 nodes, 128 KiB matrix
+        idx = np.arange(128)
         old = set_hop_matrix_budget(1 << 14)
         try:
             with pytest.raises(SimulationError):
-                with pytest.deprecated_call():
-                    big.hop_matrix()
+                big.pairwise_hops(idx[:, None], idx[None, :])
             set_hop_matrix_budget(1 << 30)
-            with pytest.deprecated_call():
-                m = big.hop_matrix()
+            m = big.pairwise_hops(idx[:, None], idx[None, :])
             assert m.shape == (128, 128)
         finally:
             set_hop_matrix_budget(old)
@@ -143,28 +139,8 @@ class TestHopMatrixCacheBudget:
         hops = hier.pairwise_hops(src, dst)
         assert hops.shape == (3,) and hops.max() <= 3
 
-    def test_hier_dense_matrix_respects_budget_too(self):
-        hier = hier_dragonfly(6, 16, 4)
-        old = set_hop_matrix_budget(1 << 10)
-        try:
-            with pytest.raises(SimulationError):
-                with pytest.deprecated_call():
-                    hier.hop_matrix()
-        finally:
-            set_hop_matrix_budget(old)
-
 
 class TestDeprecation:
-    def test_hop_matrix_warns_and_matches_pairwise(self):
-        topo = dragonfly(3, 4, 2)
-        with pytest.deprecated_call():
-            dense = topo.hop_matrix()
-        N = topo.n_compute_nodes
-        src, dst = np.meshgrid(np.arange(N), np.arange(N), indexing="ij")
-        assert np.array_equal(
-            topo.pairwise_hops(src.ravel(), dst.ravel()).reshape(N, N), dense
-        )
-
     def test_pairwise_hops_does_not_warn(self):
         import warnings
 

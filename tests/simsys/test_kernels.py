@@ -1,7 +1,7 @@
 """Cross-validation of the vectorized collective kernels.
 
 Three layers of evidence that the round-batched kernels compute the same
-simulation as the scalar reference path:
+simulation as the scalar oracle :class:`~repro.simsys.reference.ReferenceComm`:
 
 * on a *deterministic* machine (no noise) the two kernels must agree
   bit-for-bit, rank-for-rank — same schedules, same vectorized network
@@ -38,11 +38,12 @@ from repro.simsys import (
     scaled,
     testbed as make_testbed,
 )
+from repro.simsys.reference import ReferenceComm
 
 
 def _pair(machine, nprocs, seed=11, placement="packed"):
-    vec = SimComm(machine, nprocs, placement=placement, seed=seed, kernel="vectorized")
-    ref = SimComm(machine, nprocs, placement=placement, seed=seed, kernel="reference")
+    vec = SimComm(machine, nprocs, placement=placement, seed=seed)
+    ref = ReferenceComm(machine, nprocs, placement=placement, seed=seed)
     return vec, ref
 
 
@@ -206,9 +207,10 @@ class TestExecutorDeterminism:
 
 
 class TestKernelValidation:
-    def test_unknown_kernel_rejected(self):
-        with pytest.raises(ValidationError):
-            SimComm(make_testbed(4), 4, kernel="turbo")
+    def test_kernel_keyword_removed(self):
+        # SimComm runs one kernel; the scalar oracle is ReferenceComm.
+        with pytest.raises(TypeError):
+            SimComm(make_testbed(4), 4, kernel="vectorized")
 
     @pytest.mark.parametrize("op", ["reduce", "bcast", "allreduce", "alltoall"])
     def test_size_bytes_must_be_positive(self, op):

@@ -24,6 +24,7 @@ from repro.errors import ValidationError
 from repro.simsys.machine import piz_daint, xc_scale
 from repro.simsys.machine import testbed as make_testbed
 from repro.simsys.mpi import SimComm
+from repro.simsys.reference import ReferenceComm
 from repro.simsys.workloads import GpuNodeSkew
 
 QUIET = make_testbed(8, deterministic=True)
@@ -31,10 +32,8 @@ NOISY = piz_daint(4)
 
 
 def _pair(machine, nprocs, seed=11, placement="packed", **kw):
-    mk = lambda kernel: SimComm(
-        machine, nprocs, placement=placement, seed=seed, kernel=kernel, **kw
-    )
-    return mk("vectorized"), mk("reference")
+    mk = lambda cls: cls(machine, nprocs, placement=placement, seed=seed, **kw)
+    return mk(SimComm), mk(ReferenceComm)
 
 
 class TestNewCollectiveBitIdentity:

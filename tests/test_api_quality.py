@@ -10,7 +10,11 @@ from __future__ import annotations
 
 import importlib
 import inspect
+import os
 import pkgutil
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
@@ -78,6 +82,23 @@ def test_subpackage_alls_are_sorted_unique():
         pkg = importlib.import_module(pkg_name)
         entries = list(getattr(pkg, "__all__", []))
         assert len(entries) == len(set(entries)), f"duplicate __all__ in {pkg_name}"
+
+
+def test_library_never_imports_reference_oracle():
+    # The scalar ReferenceComm is a test oracle and benchmark baseline; no
+    # library module may pull it in.  A fresh interpreter keeps this test
+    # independent of whatever the rest of the suite already imported.
+    code = (
+        "import importlib, pkgutil, sys, repro\n"
+        "skip = {'repro.simsys.reference', 'repro.__main__'}\n"
+        "for info in pkgutil.walk_packages(repro.__path__, 'repro.'):\n"
+        "    if info.name not in skip:\n"
+        "        importlib.import_module(info.name)\n"
+        "assert 'repro.simsys.reference' not in sys.modules\n"
+    )
+    src = str(Path(repro.__file__).resolve().parent.parent)
+    env = {**os.environ, "PYTHONPATH": src}
+    subprocess.run([sys.executable, "-c", code], check=True, env=env)
 
 
 def test_errors_all_derive_from_base():
