@@ -1,9 +1,11 @@
 """Shared infrastructure for the benchmark harness.
 
-Every ``bench_*`` module regenerates one table or figure of the paper:
-it times the computational kernel with pytest-benchmark *and* writes the
-regenerated rows/series to ``benchmarks/results/<name>.txt`` so the output
-survives pytest's stdout capture (EXPERIMENTS.md embeds these files).
+``bench_figures`` rebuilds Table 1 and every paper figure through the
+figure registry; the other ``bench_*`` modules each run one ablation,
+extension or performance study.  They time the computational kernel with
+pytest-benchmark *and* write the regenerated rows/series to
+``benchmarks/results/<name>.txt`` so the output survives pytest's stdout
+capture (EXPERIMENTS.md quotes these files).
 
 Sample sizes default to a reduced "CI" fidelity so the whole harness runs
 in minutes; set ``REPRO_BENCH_FULL=1`` for the paper's full sample sizes

@@ -8,8 +8,9 @@ workflow:
 1. record a latency baseline in a persistent campaign (data + environment);
 2. months later, after an "upgrade" (here: a machine model with heavier
    transport noise), re-measure;
-3. let the campaign's regression check (Mann–Whitney) decide whether the
-   machine still is the machine the baseline described;
+3. let the campaign's regression check (``compare_groups``: Kruskal–Wallis
+   plus the effect size) decide whether the machine still is the machine
+   the baseline described;
 4. plan the re-measurement size with power analysis instead of guessing.
 
 Run:  python examples/campaign_workflow.py
@@ -25,7 +26,7 @@ import numpy as np
 
 from repro.core import Campaign, MeasurementSet, from_machine
 from repro.simsys import CompositeNoise, ExponentialSpikes, SimComm, piz_dora
-from repro.stats import effect_size, required_n_for_power, t_test_power
+from repro.stats import required_n_for_power, t_test_power
 
 
 def measure_latency(machine, seed: int, n: int) -> MeasurementSet:
@@ -76,13 +77,13 @@ def main() -> None:
     # --- after the upgrade ---------------------------------------------
     camp2 = Campaign.open(workdir / "latency-study")
     after = measure_latency(upgraded(machine), seed=2, n=max(n_needed, 20_000))
-    outcome = camp2.compare("64B ping-pong", after)
-    d = effect_size(after.values, camp2.load("64B ping-pong").values)
+    result = camp2.compare("64B ping-pong", after)
+    d = result.effect_sizes[(0, 1)]  # baseline minus new: negative = slower
     print("post-upgrade check:")
-    print(f"  Mann-Whitney U p-value: {outcome.p_value:.3g}")
-    print(f"  effect size: {d:+.3f} pooled standard deviations")
-    if outcome.significant(0.01):
-        direction = "slower" if d > 0 else "faster"
+    print(f"  Kruskal-Wallis p-value: {result.kruskal.p_value:.3g}")
+    print(f"  effect size (baseline - new): {d:+.3f} pooled standard deviations")
+    if result.kruskal.significant(0.01):
+        direction = "slower" if d < 0 else "faster"
         print(f"  -> the machine is measurably {direction} than the recorded "
               f"baseline; the old environment description no longer holds "
               f"(re-document before citing old numbers, per Section 4.1.2).")

@@ -2,8 +2,6 @@
 
 Commands
 --------
-``table1``
-    Regenerate the literature-survey table.
 ``calibrate``
     Calibrate this host's timer and report resolution/overhead and the
     smallest soundly measurable interval (Section 4.2.1).
@@ -44,7 +42,7 @@ Commands
     content-addressed cache directory as figure JSON, Vega-Lite spec,
     standalone HTML, and a text summary, which it also prints; unchanged
     inputs are served from cache.  This is the one way to regenerate the
-    paper's figures.
+    paper's figures and Table 1 (``render table1_survey``).
 ``serve``
     Serve the figure registry over HTTP (``/figures``, ``/health``,
     ``/metrics``) from the same content-addressed cache; ETags are
@@ -230,23 +228,6 @@ def _cmd_trace(args: argparse.Namespace) -> int:
     # Bad input (missing/corrupt trace) raises ValidationError, which
     # main() converts to the uniform exit code 2.
     print(render_span_tree(read_trace(path)))
-    return 0
-
-
-def _cmd_table1(args: argparse.Namespace) -> int:
-    from .report import render_table
-    from .survey import category_totals, load_survey, not_applicable_count
-
-    records = load_survey()
-    totals = category_totals(records)
-    na, total = not_applicable_count(records)
-    print(
-        render_table(
-            ["category", "documented"],
-            [[k, f"{got}/{n}"] for k, (got, n) in totals.items()],
-            title=f"Table 1 ({na}/{total} not applicable)",
-        )
-    )
     return 0
 
 
@@ -676,9 +657,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("run", help="trace.jsonl file, or a campaign directory "
                                "containing one")
     p.set_defaults(func=_cmd_trace)
-
-    p = sub.add_parser("table1", help="regenerate the survey table")
-    p.set_defaults(func=_cmd_table1)
 
     p = sub.add_parser(
         "calibrate",

@@ -27,8 +27,7 @@ from pathlib import Path
 from .._atomic import write_atomic
 from ..errors import ValidationError
 from ..exec import ExecHooks, Executor, ResultCache
-from ..stats.compare import TestOutcome
-from ..stats.nonparametric import mann_whitney
+from ..stats.compare import GroupComparison, compare_groups
 from .environment import EnvironmentSpec
 from .measurement import MeasurementSet
 
@@ -307,17 +306,20 @@ class Campaign:
 
     # -- analysis ---------------------------------------------------------
 
-    def compare(self, name: str, new: MeasurementSet) -> TestOutcome:
+    def compare(self, name: str, new: MeasurementSet) -> GroupComparison:
         """Has this measurement changed since it was recorded?
 
-        Runs the Mann–Whitney test between the stored dataset and *new* —
-        the regression-detection primitive (e.g. after a software upgrade,
-        the Section 4.1.2 concern about "regular software upgrades on these
-        systems").  Units must match.
+        Runs :func:`~repro.stats.compare.compare_groups` on the stored
+        dataset (group 0) and *new* (group 1): ANOVA and Kruskal–Wallis
+        verdicts plus the effect size ``effect_sizes[(0, 1)]``, negative
+        when *new* has the larger mean (slower, for times).  This is the
+        regression check after e.g. a software upgrade, the Section 4.1.2
+        concern about "regular software upgrades on these systems".  Units
+        must match.
         """
         old = self.load(name)
         if old.unit != new.unit:
             raise ValidationError(
                 f"unit mismatch: stored {old.unit!r}, new {new.unit!r}"
             )
-        return mann_whitney(old.values, new.values)
+        return compare_groups([old.values, new.values])

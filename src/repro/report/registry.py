@@ -1,12 +1,12 @@
 """The figure registry: named generators behind a content-addressed cache.
 
 Every figure the library can produce is one :class:`FigureEntry` in
-:data:`FIGURES` — the paper's seven reproduction figures plus the
-scenario figures (million-rank collective scaling, chaos degradation,
-campaign trajectory).  An entry declares how to *build* the figure
-dataclass, how to convert it to a Vega-Lite spec, and how to summarize
-it as text; the surrounding :class:`FigureService` renders each entry to
-the four artifacts of :data:`FORMATS` —
+:data:`FIGURES` — the paper's seven reproduction figures and Table 1,
+plus the scenario figures (million-rank collective scaling, chaos
+degradation, campaign trajectory).  An entry declares how to *build*
+the figure dataclass, how to convert it to a Vega-Lite spec, and how to
+summarize it as text; the surrounding :class:`FigureService` renders
+each entry to the four artifacts of :data:`FORMATS` —
 
 * ``<key>.vl.json``  — the Vega-Lite spec (strict JSON),
 * ``<key>.json``     — figure data + provenance (:func:`figure_to_json`),
@@ -35,6 +35,19 @@ import numpy as np
 
 from .._atomic import write_atomic
 from ..errors import ValidationError
+from ..stats.compare import TestOutcome
+from ..survey import (
+    CONFERENCES,
+    PaperRecord,
+    ScoreBox,
+    category_totals,
+    extras_totals,
+    load_survey,
+    not_applicable_count,
+    render_table1_grid,
+    score_boxes,
+    trend_test,
+)
 from .export import figure_to_json
 from . import figures as _figs
 from .vega import (
@@ -118,8 +131,14 @@ def _vega_fig1(fig: _figs.Fig1HPL) -> dict[str, Any]:
 
 
 def _text_fig1(fig: _figs.Fig1HPL) -> str:
-    return _text("Figure 1: HPL annotations",
-                 (f"{k:<16} {v:8.2f} Tflop/s" for k, v in fig.annotation_rows()))
+    rows = [*fig.annotation_rows(), ("Theoretical peak", fig.peak_tflops)]
+    s, ci = fig.summary, fig.median_ci99
+    return _text("Figure 1: HPL annotations", [
+        *(f"{k:<16} {v:8.2f} Tflop/s" for k, v in rows),
+        f"completion times: n={s.n}, median {s.median:.1f} s "
+        f"(99% CI [{ci.low:.1f}, {ci.high:.1f}]), "
+        f"range [{s.minimum:.1f}, {s.maximum:.1f}] s",
+    ])
 
 
 def _vega_fig2(fig: _figs.Fig2Normalization) -> dict[str, Any]:
@@ -138,7 +157,9 @@ def _vega_fig2(fig: _figs.Fig2Normalization) -> dict[str, Any]:
 
 def _text_fig2(fig: _figs.Fig2Normalization) -> str:
     return _text("Figure 2: normalization ladder", (
-        f"{v.name:<12} k={v.k:<5} QQ={v.report.qq_corr:.4f} normal={v.report.plausibly_normal}"
+        f"{v.name:<12} k={v.k:<5} n={v.data.size:<8} QQ={v.report.qq_corr:.4f} "
+        f"skew={v.report.skew:.3f} Shapiro p={v.report.shapiro.p_value:.2e} "
+        f"normal={v.report.plausibly_normal}"
         for v in fig.variants
     ))
 
@@ -162,12 +183,21 @@ def _vega_fig3(fig: _figs.Fig3Significance) -> dict[str, Any]:
 
 def _text_fig3(fig: _figs.Fig3Significance) -> str:
     rows = [
-        f"{s.name:<10} median {s.summary.median:.3f} us "
+        f"{s.name:<10} min {s.summary.minimum:.2f} us, "
+        f"median {s.summary.median:.3f} "
         f"(99% CI [{s.median_ci99.low:.3f}, {s.median_ci99.high:.3f}]), "
-        f"range [{s.summary.minimum:.2f}, {s.summary.maximum:.2f}]"
+        f"mean {s.summary.mean:.3f} "
+        f"(99% CI [{s.mean_ci99.low:.3f}, {s.mean_ci99.high:.3f}]), "
+        f"max {s.summary.maximum:.2f}"
         for s in (fig.dora, fig.pilatus)
     ]
-    rows.append(f"medians differ: {fig.medians_differ_significantly}")
+    kw = fig.kruskal
+    rows += [
+        f"Kruskal-Wallis H = {kw.statistic:.1f}, p = {kw.p_value:.3g} "
+        f"-> medians differ: {fig.medians_differ_significantly}",
+        f"median 99% CIs overlap: {fig.median_cis_overlap}; "
+        f"mean 99% CIs overlap: {fig.mean_cis_overlap}",
+    ]
     return _text("Figure 3: two-system significance", rows)
 
 
@@ -194,7 +224,8 @@ def _vega_fig4(qc: Any) -> dict[str, Any]:
 
 def _text_fig4(qc: Any) -> str:
     rows = [
-        f"tau={t:.1f}  Dora {i.coef[0]:.3f} us  diff {d.coef[0]:+.3f} us"
+        f"tau={t:.1f}  Dora {i.coef[0]:.3f} us  diff {d.coef[0]:+.3f} us "
+        f"(95% CI [{d.low[0]:+.3f}, {d.high[0]:+.3f}])"
         for t, i, d in zip(qc.taus, qc.intercept, qc.difference)
     ]
     rows.append(f"mean difference {qc.mean_difference:+.3f} us; "
@@ -227,11 +258,17 @@ def _vega_fig5(fig: _figs.Fig5Reduce) -> dict[str, Any]:
 def _text_fig5(fig: _figs.Fig5Reduce) -> str:
     rows = [
         f"P={pt.p:<3} {'2^k' if pt.power_of_two else '   '} "
-        f"median {pt.median_us:6.2f} us"
+        f"median {pt.median_us:6.2f} us  IQR [{pt.q25_us:.2f}, {pt.q75_us:.2f}]"
         for pt in fig.points
     ]
-    rows.append(f"power-of-two advantage: {fig.pof2_advantage():.3f}x")
-    return _text("Figure 5: reduce scaling", rows)
+    pof2 = [pt.median_us for pt in fig.points if pt.power_of_two]
+    others = [pt.median_us for pt in fig.points if not pt.power_of_two]
+    rows += [
+        f"power-of-two advantage: {fig.pof2_advantage():.3f}x",
+        f"median over powers of two: {np.median(pof2):.2f} us; "
+        f"over others: {np.median(others):.2f} us",
+    ]
+    return _text(f"Figure 5: reduce scaling ({fig.n_runs} runs per point)", rows)
 
 
 def _vega_fig6(fig: _figs.Fig6RankVariation) -> dict[str, Any]:
@@ -258,8 +295,16 @@ def _vega_fig6(fig: _figs.Fig6RankVariation) -> dict[str, Any]:
 
 
 def _text_fig6(fig: _figs.Fig6RankVariation) -> str:
-    return _text("Figure 6: rank variation", [
-        f"heterogeneous ranks: {not fig.rank_summary.homogeneous}; slow ranks {fig.slow_ranks()}",
+    rs = fig.rank_summary
+    meds = [b["median"] for b in fig.boxstats]
+    overall = float(np.median(meds))
+    return _text(f"Figure 6: rank variation ({fig.nprocs} ranks, {fig.n_runs} runs)", [
+        f"ANOVA F = {rs.anova.statistic:.1f} (p = {rs.anova.p_value:.2e}); "
+        f"Kruskal-Wallis H = {rs.kruskal.statistic:.1f} (p = {rs.kruskal.p_value:.2e})",
+        f"homogeneous: {rs.homogeneous} -> {rs.recommendation()}",
+        f"slow ranks (median > 1.5x cross-rank median): {fig.slow_ranks()}",
+        f"cross-rank median of medians {overall:.2f} us; slowest rank median "
+        f"{max(meds):.2f} us = {max(meds) / overall:.1f}x",
     ])
 
 
@@ -279,10 +324,20 @@ def _vega_fig7ab(fig: _figs.Fig7Bounds) -> dict[str, Any]:
 
 
 def _text_fig7ab(fig: _figs.Fig7Bounds) -> str:
-    return _text("Figure 7(a)/(b): bounds models", [
+    rows = [
+        f"P={p:<3} time {t * 1e3:7.3f} ms  speedup measured {s:5.2f}  "
+        f"overheads {so:5.2f}  Amdahl {sa:5.2f}  ideal {si:5.2f}"
+        for p, t, s, so, sa, si in zip(
+            fig.ps, fig.measured_times, fig.measured_speedups,
+            fig.overhead_speedups, fig.amdahl_speedups, fig.ideal_speedups,
+        )
+    ]
+    rows += [
+        f"95% CI within 5% of the mean at every point: {fig.ci_within_5pct}",
         "median relative error: "
         + ", ".join(f"{k}={v:.3f}" for k, v in fig.model_error().items()),
-    ])
+    ]
+    return _text("Figure 7(a)/(b): bounds models", rows)
 
 
 def _vega_fig7c(fig: _figs.Fig7cPlots) -> dict[str, Any]:
@@ -302,12 +357,106 @@ def _vega_fig7c(fig: _figs.Fig7cPlots) -> dict[str, Any]:
 
 
 def _text_fig7c(fig: _figs.Fig7cPlots) -> str:
-    s = fig.summary
-    return _text("Figure 7(c): latency distribution", [
-        f"median {s.median:.3f} us, mean {s.mean:.3f}, "
-        f"geometric {fig.geometric_mean:.3f}, whiskers "
-        f"[{fig.whisker_low:.3f}, {fig.whisker_high:.3f}]",
+    s, ci = fig.summary, fig.median_ci95
+    return _text(f"Figure 7(c): latency distribution (n={s.n}, us)", [
+        f"whiskers (1.5 IQR) [{fig.whisker_low:.3f}, {fig.whisker_high:.3f}]",
+        f"q1 {s.q25:.3f}, median {s.median:.3f}, q3 {s.q75:.3f}, max {s.maximum:.3f}",
+        f"median 95% CI [{ci.low:.4f}, {ci.high:.4f}]",
+        f"mean {s.mean:.3f}, geometric mean {fig.geometric_mean:.3f}",
     ])
+
+
+# -- Table 1 ------------------------------------------------------------
+
+
+@dataclass(frozen=True)
+class Table1Survey:
+    """Table 1: the literature survey and every number derived from it.
+
+    ``totals`` maps each category to (documented, applicable) papers,
+    ``boxes`` holds the per-venue-year design-score box statistics of
+    the table's right margin, ``extras`` the running-text counts, and
+    ``trends`` the per-conference Kruskal–Wallis test across years.
+    """
+
+    records: tuple[PaperRecord, ...]
+    totals: dict[str, tuple[int, int]]
+    not_applicable: int
+    total: int
+    boxes: tuple[ScoreBox, ...]
+    extras: dict[str, int]
+    trends: dict[str, TestOutcome]
+
+
+def _build_table1(*, seed: int = 0) -> Table1Survey:
+    """Table 1 from the encoded survey dataset.
+
+    The dataset is a fixed reconstruction (see :func:`load_survey`), so
+    *seed* — part of every simulated figure's build signature — cannot
+    change it.
+    """
+    records = load_survey()
+    na, total = not_applicable_count(records)
+    return Table1Survey(
+        records=records,
+        totals=category_totals(records),
+        not_applicable=na,
+        total=total,
+        boxes=tuple(score_boxes(records)),
+        extras=extras_totals(records),
+        trends={conf: trend_test(records, conf) for conf in CONFERENCES},
+    )
+
+
+def _vega_table1(fig: Table1Survey) -> dict[str, Any]:
+    boxes = [
+        {
+            "x": f"{b.conference} {b.year}",
+            "q1": b.q1,
+            "median": b.median,
+            "q3": b.q3,
+            "lo": b.minimum,
+            "hi": b.maximum,
+        }
+        for b in fig.boxes
+    ]
+    return vl_box_chart(
+        boxes,
+        title="Table 1: design-score box plots per venue-year",
+        xlabel="venue-year",
+        ylabel="documented design categories (0-9)",
+    )
+
+
+def _text_table1(fig: Table1Survey) -> str:
+    n_app = fig.total - fig.not_applicable
+    return _text(
+        f"Table 1: literature survey ({fig.not_applicable}/{fig.total} "
+        f"papers not applicable)",
+        [
+            render_table1_grid(fig.records),
+            "",
+            f"category totals (of {n_app} applicable papers)",
+            *(f"{cat:<12} {got:>3}/{n}" for cat, (got, n) in fig.totals.items()),
+            "",
+            "design-score box plots (min / q1 / median / q3 / max)",
+            *(
+                f"{b.conference} {b.year}  {b.minimum:g} / {b.q1:g} / "
+                f"{b.median:g} / {b.q3:g} / {b.maximum:g}"
+                for b in fig.boxes
+            ),
+            "",
+            f"running-text observations (of {n_app} applicable papers)",
+            *(f"{k:<25} {v:>3}" for k, v in fig.extras.items()),
+            "",
+            "year-over-year trend (Kruskal-Wallis across years)",
+            *(
+                f"{conf:<6} H = {t.statistic:.2f}, p = {t.p_value:.3f} "
+                f"-> scores differ across years: {t.significant()}"
+                for conf, t in fig.trends.items()
+            ),
+        ],
+    )
 
 
 # -- scenario figures ---------------------------------------------------
@@ -545,6 +694,7 @@ FIGURES: dict[str, FigureEntry] = {
             to_text=_text_fig1,
             params={"n_runs": 50},
             quick_params={"n_runs": 12},
+            version=2,
         ),
         FigureEntry(
             name="fig2_normalization",
@@ -556,6 +706,7 @@ FIGURES: dict[str, FigureEntry] = {
             to_text=_text_fig2,
             params={"samples": 1_000_000},
             quick_params={"samples": 20_000},
+            version=2,
         ),
         FigureEntry(
             name="fig3_significance",
@@ -567,6 +718,7 @@ FIGURES: dict[str, FigureEntry] = {
             to_text=_text_fig3,
             params={"samples": 1_000_000},
             quick_params={"samples": 20_000},
+            version=2,
         ),
         FigureEntry(
             name="fig4_quantreg",
@@ -578,6 +730,7 @@ FIGURES: dict[str, FigureEntry] = {
             to_text=_text_fig4,
             params={"samples": 1_000_000},
             quick_params={"samples": 5_000},
+            version=2,
         ),
         FigureEntry(
             name="fig5_reduce",
@@ -590,6 +743,7 @@ FIGURES: dict[str, FigureEntry] = {
             params={"n_runs": 1000},
             quick_params={"process_counts": tuple(range(2, 18)),
                           "n_runs": 60},
+            version=2,
         ),
         FigureEntry(
             name="fig6_rank_variation",
@@ -601,6 +755,7 @@ FIGURES: dict[str, FigureEntry] = {
             to_text=_text_fig6,
             params={"nprocs": 64, "n_runs": 1000},
             quick_params={"nprocs": 16, "n_runs": 60},
+            version=2,
         ),
         FigureEntry(
             name="fig7ab_bounds",
@@ -612,6 +767,7 @@ FIGURES: dict[str, FigureEntry] = {
             to_text=_text_fig7ab,
             params={"n_runs": 10},
             quick_params={"process_counts": (1, 2, 4, 8), "n_runs": 6},
+            version=2,
         ),
         FigureEntry(
             name="fig7c_distribution",
@@ -623,6 +779,16 @@ FIGURES: dict[str, FigureEntry] = {
             to_text=_text_fig7c,
             params={"samples": 1_000_000},
             quick_params={"samples": 20_000},
+            version=2,
+        ),
+        FigureEntry(
+            name="table1_survey",
+            title="Literature survey (Table 1)",
+            description="Table 1: documentation practice in 120 papers "
+                        "from three conferences, 2011-2014.",
+            build=_build_table1,
+            to_vega=_vega_table1,
+            to_text=_text_table1,
         ),
         FigureEntry(
             name="scale_collectives",

@@ -90,15 +90,16 @@ class TestCampaignCompare:
     def test_no_change_detected(self, tmp_path, rng):
         camp = Campaign.create(tmp_path / "c", name="s")
         camp.record(make_ms(rng))
-        outcome = camp.compare("64B ping-pong", make_ms(rng))
-        assert not outcome.significant(0.01)
+        result = camp.compare("64B ping-pong", make_ms(rng))
+        assert not result.kruskal.significant(0.01)
 
     def test_regression_detected(self, tmp_path, rng):
         camp = Campaign.create(tmp_path / "c", name="s")
         camp.record(make_ms(rng))
         slower = make_ms(rng, shift=0.3)  # a 35% slowdown
-        outcome = camp.compare("64B ping-pong", slower)
-        assert outcome.significant(0.01)
+        result = camp.compare("64B ping-pong", slower)
+        assert result.kruskal.significant(0.01)
+        assert result.effect_sizes[(0, 1)] < 0  # stored minus new: slower
 
     def test_unit_mismatch_rejected(self, tmp_path, rng):
         camp = Campaign.create(tmp_path / "c", name="s")

@@ -38,7 +38,7 @@ def f3():
 
 @pytest.fixture(scope="module")
 def f5():
-    return fig5_reduce_scaling(tuple(range(2, 33)), 150)
+    return fig5_reduce_scaling(tuple(range(2, 34)), 150)
 
 
 class TestFig1:
@@ -63,6 +63,12 @@ class TestFig1:
     def test_below_peak(self, f1):
         assert f1.rate_max < f1.peak_tflops  # 94.5
 
+    def test_rate_anchors(self, f1):
+        """Paper: Max 77.38 and Min 61.23 Tflop/s."""
+        rows = dict(f1.annotation_rows())
+        assert 74 < rows["Max"] < 80
+        assert 60 < rows["Min"] < 68
+
     def test_median_ci_brackets_median(self, f1):
         assert f1.median_ci99.low <= f1.summary.median <= f1.median_ci99.high
 
@@ -78,8 +84,9 @@ class TestFig2:
     def test_qq_straightness_improves_with_k(self, f2):
         """CLT at work: larger k gives straighter Q-Q plots."""
         qq = {v.name: v.report.qq_corr for v in f2.variants}
-        assert qq["block_k100"] > qq["original"]
+        assert qq["block_k100"] > qq["log"] > qq["original"]
         assert qq["block_k1000"] >= qq["block_k100"] - 0.01
+        assert qq["block_k1000"] > 0.97
 
     def test_block_sizes(self, f2):
         assert f2.variant("block_k100").data.size == 1000
@@ -105,6 +112,7 @@ class TestFig3:
     def test_min_max_anchors(self, f3):
         assert f3.dora.summary.minimum == pytest.approx(1.57, abs=0.05)
         assert f3.pilatus.summary.minimum == pytest.approx(1.48, abs=0.05)
+        assert f3.pilatus.summary.minimum < f3.dora.summary.minimum
         assert f3.pilatus.summary.maximum > f3.dora.summary.maximum
 
     def test_pilatus_mean_higher(self, f3):
@@ -153,6 +161,11 @@ class TestFig5:
         by_p = {pt.p: pt.median_us for pt in f5.points}
         assert by_p[32] > by_p[4]
 
+    def test_step_at_power_of_two_boundaries(self, f5):
+        by_p = {pt.p: pt.median_us for pt in f5.points}
+        assert by_p[33] > by_p[32]
+        assert by_p[17] > by_p[16]
+
     def test_quartiles_bracket_median(self, f5):
         for pt in f5.points:
             assert pt.q25_us <= pt.median_us <= pt.q75_us
@@ -172,6 +185,7 @@ class TestFig6:
     def test_some_ranks_systematically_slower(self, f6):
         meds = np.array([b["median"] for b in f6.boxstats])
         assert meds.max() > 2.0 * np.median(meds)
+        assert f6.slow_ranks()
 
     def test_root_among_slowest(self, f6):
         """Rank 0 receives messages in every round; it completes last."""
@@ -218,6 +232,9 @@ class TestFig7c:
 
     def test_latency_range_matches_dora(self, f7c):
         assert f7c.summary.median == pytest.approx(1.72, abs=0.08)
+
+    def test_median_ci_is_tight(self, f7c):
+        assert f7c.median_ci95.relative_width < 0.01
 
     def test_geometric_between_median_and_mean(self, f7c):
         """For this right-skewed data: median < geometric <= arithmetic."""

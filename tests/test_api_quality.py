@@ -12,6 +12,7 @@ import importlib
 import inspect
 import os
 import pkgutil
+import re
 import subprocess
 import sys
 from pathlib import Path
@@ -107,3 +108,27 @@ def test_errors_all_derive_from_base():
     for name in errors.__all__:
         exc = getattr(errors, name)
         assert issubclass(exc, errors.ReproError)
+
+
+_BENCH_PATH = re.compile(r"benchmarks/(?:results/)?[\w.-]+\.(?:py|txt)\b")
+
+
+def test_docs_name_only_existing_bench_files():
+    # A deleted or renamed bench script or result file must not live on in
+    # the documentation that tells readers how to regenerate a number.
+    root = Path(__file__).resolve().parent.parent
+    try:
+        listed = subprocess.run(
+            ["git", "ls-files", "*.md"], cwd=root, capture_output=True, text=True,
+        )
+    except FileNotFoundError:
+        pytest.skip("git is not installed")
+    if listed.returncode != 0:
+        pytest.skip("not a git checkout")
+    stale = sorted(
+        f"{doc}: {path}"
+        for doc in listed.stdout.splitlines()
+        for path in set(_BENCH_PATH.findall((root / doc).read_text(encoding="utf-8")))
+        if not (root / path).exists()
+    )
+    assert not stale, f"docs name missing bench files: {stale}"

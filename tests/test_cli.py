@@ -23,10 +23,16 @@ class TestParser:
         with pytest.raises(SystemExit):
             build_parser().parse_args(["figures"])
 
+    def test_table1_command_is_gone(self, capsys):
+        # Table 1 renders as the `table1_survey` registry entry.
+        with pytest.raises(SystemExit):
+            build_parser().parse_args(["table1"])
+
 
 class TestTable1:
-    def test_outputs_totals(self, capsys):
-        assert main(["table1"]) == 0
+    def test_outputs_totals(self, tmp_path, capsys):
+        argv = ["render", "table1_survey", "--cache-dir", str(tmp_path / "c")]
+        assert main(argv) == 0
         out = capsys.readouterr().out
         assert "79/95" in out and "25/120" in out
 
