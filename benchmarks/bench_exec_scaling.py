@@ -75,11 +75,9 @@ def build_scaling(tmp_dir, *, out=None):
     )
     # One run (single wall-time sample) per engine per invocation; runs
     # accumulate across invocations into the comparison trajectory.
-    # "process_pool" names the ProcessExecutor row from before it became a
-    # fork-mode DistExecutor; kept so the recorded trajectory continues.
     for engine, wall in (
         ("serial", serial_s),
-        ("process_pool", parallel_s),
+        ("process", parallel_s),
         ("serial_cold_cache", cold_s),
         ("serial_warm_cache", warm_s),
     ):

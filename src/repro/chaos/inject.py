@@ -11,12 +11,13 @@ those paths get hit with a planted fault.
 Two invariants make injected faults recoverable *and* keep recovered
 results bit-identical to a fault-free run:
 
-* a task fault fires on the task's **first** encounter only (claimed via
-  an ``O_CREAT | O_EXCL`` marker file in a per-run state directory, which
-  works across worker processes), so the executor's normal retry budget
-  always suffices;
+* a task or socket fault fires on the task's **first** encounter only
+  (claimed via an ``O_CREAT | O_EXCL`` marker file in a per-run state
+  directory, which works across worker processes), so the executor's
+  normal retry budget always suffices;
 * injection never touches the task's RNG — crashes raise before the
-  measurement starts, hangs sleep in *wall* time, and cache corruption
+  measurement starts, hangs and slow links sleep in *wall* time, kills
+  and partitions throw the measured value away, and cache corruption
   destroys bytes on disk — so the retried (or re-measured) value is the
   value the clean run produces.
 """
@@ -47,15 +48,26 @@ __all__ = [
 ]
 
 
-def _marker(state_dir: str, label: str) -> str:
-    digest = hashlib.blake2b(label.encode(), digest_size=12).hexdigest()
+#: The injection counter of each planted fault kind.
+_COUNTERS = {
+    "crash": "repro_chaos_crashes_injected_total",
+    "hang": "repro_chaos_hangs_injected_total",
+    "kill": "repro_chaos_net_kills_injected_total",
+    "partition": "repro_chaos_net_partitions_injected_total",
+    "slow": "repro_chaos_net_slow_links_injected_total",
+}
+
+
+def _marker(state_dir: str, domain: str, label: str) -> str:
+    digest = hashlib.blake2b(f"{domain}|{label}".encode(), digest_size=12).hexdigest()
     return os.path.join(state_dir, f"fault-{digest}")
 
 
-def _claim(state_dir: str, label: str) -> bool:
-    """Atomically claim the one allowed firing of *label*'s fault."""
+def _claim(state_dir: str, domain: str, label: str) -> bool:
+    """Atomically claim the one allowed firing of *label*'s *domain* fault."""
     try:
-        fd = os.open(_marker(state_dir, label), os.O_CREAT | os.O_EXCL | os.O_WRONLY)
+        path = _marker(state_dir, domain, label)
+        fd = os.open(path, os.O_CREAT | os.O_EXCL | os.O_WRONLY)
     except FileExistsError:
         return False
     os.close(fd)
@@ -63,11 +75,12 @@ def _claim(state_dir: str, label: str) -> bool:
 
 
 class _ChaosWorker:
-    """Picklable worker wrapper that detonates planned task faults.
+    """Picklable worker wrapper that detonates planned faults.
 
     Items arrive as ``(label, item)`` pairs (wrapped by
     :class:`ChaosExecutor`); the fault decision keys on the label, so the
     same task meets the same fate under any executor or worker count.
+    Task faults fire before the measurement, socket faults after it.
     """
 
     def __init__(self, inner: Callable[[Any], Any], plan: FaultPlan, state_dir: str):
@@ -78,7 +91,7 @@ class _ChaosWorker:
     def __call__(self, wrapped: tuple[str, Any]) -> Any:
         label, item = wrapped
         fault = self.plan.task_fault(label)
-        if fault is not None and _claim(self.state_dir, label):
+        if fault is not None and _claim(self.state_dir, "task", label):
             if fault == "crash":
                 if self.plan.profile.crash_mode == "exit":
                     # Die the way a segfaulting worker dies: no result
@@ -91,18 +104,36 @@ class _ChaosWorker:
             # timeout the task is merely late — values are unaffected
             # either way because no task RNG is consumed.
             time.sleep(self.plan.profile.hang_s)
-        return self.inner(item)
+        try:
+            return self.inner(item)
+        finally:
+            self._net_fault(label)
+
+    def _net_fault(self, label: str) -> None:
+        """Fire *label*'s socket fault: the work is done, its reply not sent."""
+        fault = self.plan.net_fault(label)
+        if fault is None or not _claim(self.state_dir, "net", label):
+            return
+        if fault == "kill":
+            os._exit(17)
+        if fault == "partition":
+            # A clean exit: the kernel closes the socket with the result
+            # unsent, so the coordinator sees a dropped connection.
+            os._exit(0)
+        time.sleep(self.plan.profile.net_slow_s)  # slow link
 
 
 class ChaosExecutor(Executor):
-    """An :class:`~repro.exec.Executor` that injects planned task faults.
+    """An :class:`~repro.exec.Executor` that injects planned faults.
 
     Wraps *inner* (serial, process, or dist): every ``run()`` routes the
     worker through a :class:`_ChaosWorker`, which consults the plan per
-    task label and detonates each planned fault exactly once.  Injection
-    counts land in :attr:`injected` and — when the hooks carry a
-    :class:`~repro.obs.MetricsRegistry` — in the
-    ``repro_chaos_*_injected_total`` counters.
+    task label and detonates each planned task fault (crash, hang) and
+    socket fault (kill, partition, slow link) exactly once.  A plan that
+    kills workers (:attr:`FaultProfile.kills_workers`) needs an *inner*
+    with worker processes.  Injection counts land in :attr:`injected`
+    and — when the hooks carry a :class:`~repro.obs.MetricsRegistry` —
+    in the ``repro_chaos_*_injected_total`` counters.
 
     ``state_dir`` scopes the once-only markers to one logical run; give
     each campaign its own fresh directory.
@@ -114,9 +145,10 @@ class ChaosExecutor(Executor):
             backoff=inner.backoff,
             max_backoff=inner.max_backoff,
         )
-        if plan.profile.crash_mode == "exit" and not isinstance(inner, DistExecutor):
+        if plan.profile.kills_workers and not isinstance(inner, DistExecutor):
             raise ValidationError(
-                "crash_mode='exit' kills the worker process; it needs a "
+                f"profile {plan.profile.name!r} kills worker processes "
+                "(crash_mode='exit', net kills or partitions); it needs a "
                 "ProcessExecutor or DistExecutor (a SerialExecutor would "
                 "take the campaign down with it)"
             )
@@ -125,7 +157,7 @@ class ChaosExecutor(Executor):
         self.state_dir = str(state_dir)
         Path(self.state_dir).mkdir(parents=True, exist_ok=True)
         #: Faults planted by this executor so far, by kind.
-        self.injected: dict[str, int] = {"crash": 0, "hang": 0}
+        self.injected: dict[str, int] = dict.fromkeys(_COUNTERS, 0)
 
     def run(
         self,
@@ -141,14 +173,13 @@ class ChaosExecutor(Executor):
         # and not yet claimed) before handing off — the worker side may be
         # in another process.
         for name in names:
-            fault = self.plan.task_fault(name)
-            if fault is not None and not os.path.exists(_marker(self.state_dir, name)):
-                self.injected[fault] += 1
-                if hooks.metrics is not None:
-                    hooks.metrics.counter(
-                        f"repro_chaos_{fault}{'es' if fault == 'crash' else 's'}"
-                        "_injected_total"
-                    ).inc()
+            for domain, fault in (("task", self.plan.task_fault(name)),
+                                  ("net", self.plan.net_fault(name))):
+                marker = _marker(self.state_dir, domain, name)
+                if fault is not None and not os.path.exists(marker):
+                    self.injected[fault] += 1
+                    if hooks.metrics is not None:
+                        hooks.metrics.counter(_COUNTERS[fault]).inc()
         chaos_worker = _ChaosWorker(worker, self.plan, self.state_dir)
         wrapped = [(name, item) for name, item in zip(names, items)]
         return self.inner.run(chaos_worker, wrapped, labels=names, hooks=hooks)

@@ -64,15 +64,16 @@ class FaultProfile:
         ``"exit"`` needs a :class:`~repro.exec.ProcessExecutor` or
         :class:`~repro.exec.DistExecutor`.
     net_kill_p, net_partition_p, net_slow_p:
-        Socket-level faults for the distributed backend
-        (:class:`~repro.exec.DistExecutor`): per-task probabilities that,
+        Socket-level faults, planted by :class:`~repro.chaos.ChaosExecutor`
+        around a :class:`~repro.exec.ProcessExecutor` or
+        :class:`~repro.exec.DistExecutor`: per-task probabilities that,
         *after* the measurement but before its result is sent, the worker
-        process is killed hard, its connection is severed, or the send is
-        delayed by ``net_slow_s`` seconds.  Like task faults, each fires
-        at most once per task label, so one retry on another worker
-        always recovers — and because the retry re-derives the task's
-        generator from its own SeedSequence, the recovered bytes are
-        identical.
+        process dies hard (exit code 17), exits cleanly with its
+        connection dropped (a partition), or the reply is delayed by
+        ``net_slow_s`` seconds.  Like task faults, each fires at most
+        once per task label, so one retry on another worker always
+        recovers — and because the retry re-derives the task's generator
+        from its own SeedSequence, the recovered bytes are identical.
     """
 
     name: str
@@ -92,31 +93,21 @@ class FaultProfile:
     description: str = ""
 
     def __post_init__(self) -> None:
-        _check_prob(self.crash_p, "crash_p")
-        _check_prob(self.hang_p, "hang_p")
+        for name in ("crash_p", "hang_p", "net_kill_p", "net_partition_p",
+                     "net_slow_p", "cache_corrupt_p", "storm_weight"):
+            _check_prob(getattr(self, name), name)
         if self.crash_p + self.hang_p > 1.0:
             raise ValidationError("crash_p + hang_p must not exceed 1")
-        _check_prob(self.net_kill_p, "net_kill_p")
-        _check_prob(self.net_partition_p, "net_partition_p")
-        _check_prob(self.net_slow_p, "net_slow_p")
         if self.net_kill_p + self.net_partition_p + self.net_slow_p > 1.0:
             raise ValidationError(
                 "net_kill_p + net_partition_p + net_slow_p must not exceed 1"
             )
-        if self.net_slow_s <= 0.0:
-            raise ValidationError(
-                f"net_slow_s must be positive, got {self.net_slow_s}"
-            )
-        _check_prob(self.cache_corrupt_p, "cache_corrupt_p")
-        _check_prob(self.storm_weight, "storm_weight")
-        if self.storm_factor < 0.0:
-            raise ValidationError(f"storm_factor must be >= 0, got {self.storm_factor}")
-        if self.straggler_factor < 0.0:
-            raise ValidationError(
-                f"straggler_factor must be >= 0, got {self.straggler_factor}"
-            )
-        if self.hang_s <= 0.0:
-            raise ValidationError(f"hang_s must be positive, got {self.hang_s}")
+        for name in ("storm_factor", "straggler_factor"):
+            if getattr(self, name) < 0.0:
+                raise ValidationError(f"{name} must be >= 0, got {getattr(self, name)}")
+        for name in ("hang_s", "net_slow_s"):
+            if getattr(self, name) <= 0.0:
+                raise ValidationError(f"{name} must be positive, got {getattr(self, name)}")
         if self.crash_mode not in ("raise", "exit"):
             raise ValidationError(
                 f"crash_mode must be 'raise' or 'exit', got {self.crash_mode!r}"
@@ -144,6 +135,11 @@ class FaultProfile:
                 f"slow p={self.net_slow_p:g} ({self.net_slow_s:g} s)"
             )
         return text
+
+    @property
+    def kills_workers(self) -> bool:
+        """Can a planted fault end the process it runs in?"""
+        return self.crash_mode == "exit" or self.net_kill_p + self.net_partition_p > 0.0
 
 
 #: The standard profiles.  ``smoke`` is the CI gate's contract: worker
@@ -182,13 +178,15 @@ PROFILES: dict[str, FaultProfile] = {
     "dist": FaultProfile(
         name="dist",
         crash_p=0.05,
+        cache_corrupt_p=0.02,
         net_kill_p=0.1,
         net_partition_p=0.1,
         net_slow_p=0.1,
         net_slow_s=0.05,
         hang_s=0.1,
-        description="socket faults for the distributed backend: worker "
-        "kills, partitions, slow links, plus light task crashes",
+        description="socket faults for the worker-process backends: worker "
+        "kills, partitions, slow links, plus light task crashes and "
+        "cache corruption",
     ),
 }
 
@@ -238,22 +236,19 @@ class FaultPlan:
     def net_fault(self, label: str) -> str | None:
         """``"kill"``, ``"partition"``, ``"slow"``, or None for *label*.
 
-        Socket-level fates for the distributed backend, drawn from an
-        independent hash domain so a task can meet both a task fault and
-        a network fault (on different attempts).  The dist worker fires
-        the fault *after* measuring, just before the result frame goes
+        Socket-level fates, drawn from an independent hash domain so a
+        task can meet both a task fault and a network fault (on different
+        attempts).  :class:`~repro.chaos.ChaosExecutor` fires the fault
+        in the worker *after* measuring, before the result frame goes
         out — the most adversarial moment, because the work is lost.
         """
         p = self.profile
-        total = p.net_kill_p + p.net_partition_p + p.net_slow_p
-        if total <= 0.0:
-            return None
         u = self._unit("net", label)
         if u < p.net_kill_p:
             return "kill"
         if u < p.net_kill_p + p.net_partition_p:
             return "partition"
-        if u < total:
+        if u < p.net_kill_p + p.net_partition_p + p.net_slow_p:
             return "slow"
         return None
 

@@ -3,13 +3,13 @@
 :func:`run_chaos` is what ``repro chaos`` executes.  It drives three
 phases against one seeded :class:`~repro.chaos.FaultPlan`:
 
-A. **Campaign under task faults.**  A fault-free baseline campaign runs
-   first (serial, no retries); then the same campaign runs again under a
-   :class:`~repro.chaos.ChaosExecutor` with ``on_failure="annotate"``.
-   The gate demands that every design point is *recovered or annotated*
-   (no silently lost points) and that every recovered point's values are
-   **bit-identical** to the baseline — fault injection must never leak
-   into the measured numbers.
+A. **Campaign under task and socket faults.**  A fault-free baseline
+   campaign runs first (serial, no retries); then the same campaign runs
+   again under a :class:`~repro.chaos.ChaosExecutor` with
+   ``on_failure="annotate"``.  The gate demands that every design point
+   is *recovered or annotated* (no silently lost points) and that every
+   recovered point's values are **bit-identical** to the baseline —
+   fault injection must never leak into the measured numbers.
 
 B. **Cache corruption and recovery.**  The campaign re-runs warm against
    a :class:`~repro.chaos.ChaosResultCache` that rots planned entries on
@@ -153,14 +153,19 @@ class ChaosReport:
         return "\n".join(lines)
 
 
-def _identical(base, other, keys) -> tuple[bool, str]:
-    """Are *other*'s datasets bit-identical to *base*'s over *keys*?"""
+def _identical(base, other) -> tuple[bool, str]:
+    """Are *other*'s ok or recovered datasets bit-identical to *base*'s?"""
+    keys = [
+        key
+        for key, env in other.envelopes.items()
+        if env.state in ("ok", "recovered") and key in other.datasets
+    ]
     for key in keys:
         a = base.datasets[key].values
         b = other.datasets[key].values
         if a.shape != b.shape or not np.array_equal(a, b):
             return False, f"values differ at {dict(key)!r}"
-    return True, f"{len(list(keys))} point(s) bit-identical"
+    return True, f"{len(keys)} point(s) bit-identical"
 
 
 def run_chaos(
@@ -178,8 +183,10 @@ def run_chaos(
     *out_dir* receives the run's scratch state (fault markers, result
     cache) and is where :meth:`ChaosReport.write` puts the report.  Pass
     the hooks/metrics pair from the CLI to surface ``repro_chaos_*``
-    counters; *workers* > 1 runs the campaign phases over a
-    :class:`~repro.exec.ProcessExecutor`.
+    counters.  The campaign phases run over a
+    :class:`~repro.exec.ProcessExecutor` with *workers* workers when
+    *workers* > 1 or when the profile kills worker processes
+    (:attr:`~repro.chaos.FaultProfile.kills_workers`), else serially.
     """
     out_dir = Path(out_dir)
     out_dir.mkdir(parents=True, exist_ok=True)
@@ -204,7 +211,7 @@ def run_chaos(
     )
 
     def make_executor() -> Any:
-        if workers > 1:
+        if workers > 1 or profile.kills_workers:
             return ProcessExecutor(
                 max_workers=workers, timeout=profile.hang_s * 10, retries=2
             )
@@ -212,7 +219,7 @@ def run_chaos(
 
     baseline = None
     try:
-        # Phase A: task faults (crashes + hangs) under annotate mode.
+        # Phase A: task and socket faults under annotate mode.
         baseline = experiment.run(
             executor=SerialExecutor(retries=0), on_failure="raise", tracer=tracer
         )
@@ -225,8 +232,12 @@ def run_chaos(
             tracer=tracer,
             on_failure="annotate",
         )
-        report.injected["crashes"] = chaos_exec.injected["crash"]
-        report.injected["hangs"] = chaos_exec.injected["hang"]
+        planted = chaos_exec.injected
+        report.injected.update(
+            crashes=planted["crash"], hangs=planted["hang"],
+            net_kills=planted["kill"], net_partitions=planted["partition"],
+            net_slow_links=planted["slow"],
+        )
         for envelope in chaotic.envelopes.values():
             report.states[envelope.state] = report.states.get(envelope.state, 0) + 1
             if envelope.state != "ok":
@@ -242,12 +253,7 @@ def run_chaos(
             f"lost without envelope: {lost}" if lost else
             f"{len(chaotic.envelopes)} point(s) enveloped",
         )
-        surviving = [
-            key
-            for key, env in chaotic.envelopes.items()
-            if env.state in ("ok", "recovered") and key in chaotic.datasets
-        ]
-        same, detail = _identical(baseline, chaotic, surviving)
+        same, detail = _identical(baseline, chaotic)
         report.check("recovered values bit-identical to fault-free run", same, detail)
         report.check(
             "task faults were injected",
@@ -255,6 +261,12 @@ def run_chaos(
             f"{report.injected['crashes']} crash(es), "
             f"{report.injected['hangs']} hang(s)",
         )
+        if profile.net_kill_p + profile.net_partition_p + profile.net_slow_p > 0.0:
+            net = (planted["kill"], planted["partition"], planted["slow"])
+            report.check(
+                "socket faults were injected", sum(net) > 0,
+                "{} kill(s), {} partition(s), {} slow link(s)".format(*net),
+            )
     except Exception:  # noqa: BLE001 - the gate's whole point
         report.escapes.append(traceback.format_exc())
 
@@ -280,12 +292,7 @@ def run_chaos(
                 cache_b.corrupt_entries >= injected,
                 f"detected {cache_b.corrupt_entries} of {injected}",
             )
-            survivors = [
-                key
-                for key, env in rerun.envelopes.items()
-                if env.state in ("ok", "recovered") and key in rerun.datasets
-            ]
-            same, detail = _identical(baseline, rerun, survivors)
+            same, detail = _identical(baseline, rerun)
             report.check(
                 "re-measured values bit-identical after corruption", same, detail
             )

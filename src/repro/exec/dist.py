@@ -30,26 +30,18 @@ contract in ``tests/exec/conformance.py`` and docs/EXEC.md):
 
 :class:`ProcessExecutor` is this backend's local preset: forked workers
 on localhost, one per core by default.
-
-Socket-level chaos composes the same way task-level chaos does: give the
-executor a :class:`~repro.chaos.FaultPlan` whose profile sets
-``net_kill_p`` / ``net_partition_p`` / ``net_slow_p`` and the worker
-detonates each planned fault once, *after* measuring but before the
-result frame goes out — the adversarial moment where the work is lost
-and recovery must re-measure to the same bytes.
 """
 
 from __future__ import annotations
 
 import asyncio
-import hashlib
+import dataclasses
 import hmac
 import os
 import secrets
 import socket
 import subprocess
 import sys
-import dataclasses
 import time
 from pathlib import Path
 from typing import Any, Callable, Collection, Sequence
@@ -85,27 +77,6 @@ _DRAIN_TIMEOUT = 3.0
 #: How long a dropped worker's process may take to exit and be named a crash.
 _EXIT_GRACE = 0.5
 
-_NET_FAULT_COUNTERS = {
-    "kill": "repro_chaos_net_kills_injected_total",
-    "partition": "repro_chaos_net_partitions_injected_total",
-    "slow": "repro_chaos_net_slow_links_injected_total",
-}
-
-
-def _net_marker(state_dir: str, label: str) -> str:
-    digest = hashlib.blake2b(f"net|{label}".encode(), digest_size=12).hexdigest()
-    return os.path.join(state_dir, f"netfault-{digest}")
-
-
-def _claim_net_fault(state_dir: str, label: str) -> bool:
-    """Atomically claim the one allowed firing of *label*'s network fault."""
-    try:
-        fd = os.open(_net_marker(state_dir, label), os.O_CREAT | os.O_EXCL | os.O_WRONLY)
-    except FileExistsError:
-        return False
-    os.close(fd)
-    return True
-
 
 # --------------------------------------------------------------------------
 # Worker side (blocking loop; runs in a forked/spawned/remote process)
@@ -123,15 +94,6 @@ def _connect_with_retry(host: str, port: int, timeout: float) -> socket.socket:
             time.sleep(0.05)
 
 
-def _plan_from_wire(spec: dict[str, Any] | None) -> Any:
-    if spec is None:
-        return None
-    # Runtime import: repro.exec must stay importable without repro.chaos.
-    from ..chaos.plan import FaultPlan, FaultProfile
-
-    return FaultPlan(FaultProfile(**spec["profile"]), seed=spec["seed"])
-
-
 def _execute_payload(payload: dict[str, Any], rank: int) -> dict[str, Any]:
     """Run one TASK payload; returns the RESULT payload (not yet sent)."""
     fn, item = payload["work"]
@@ -145,7 +107,7 @@ def _execute_payload(payload: dict[str, Any], rank: int) -> dict[str, Any]:
         try:
             value = fn(item)
             ok = True
-        except Exception as caught:  # noqa: BLE001 - fault boundary
+        except Exception as caught:  # noqa: BLE001 - task error boundary
             error = f"{type(caught).__name__}: {caught}"
             exc = caught
     return {
@@ -188,12 +150,14 @@ def worker_main(
 
     Connects to the coordinator, announces itself (``HELLO``), then
     executes ``TASK`` frames one at a time until ``SHUTDOWN``.  All run
-    configuration — assigned rank, metric forwarding, the fault plan —
-    arrives in the ``WELCOME`` frame, so a worker needs nothing but the
+    configuration — assigned rank, metric forwarding — arrives in the
+    ``WELCOME`` frame, so a worker needs nothing but the
     coordinator's address (and, if the coordinator spawned it, the run
     *token*, default ``$REPRO_WORKER_TOKEN``).  Returns a process exit
     code: 0 on a clean shutdown, 1 when the coordinator vanished, 3 when
     the coordinator refused the handshake (e.g. version skew, no token).
+    A task that ends the process (a segfault, or a kill planted by
+    :class:`repro.chaos.ChaosExecutor`) just never sends its result.
     """
     if token is None:
         token = os.environ.get(_TOKEN_ENV)
@@ -225,8 +189,6 @@ def worker_main(
                   file=sys.stderr)
             return 3
         rank = int(cfg["rank"])
-        plan = _plan_from_wire(cfg.get("fault"))
-        state_dir = cfg.get("fault_state_dir")
         registry = None
         last_counters: dict[str, float] = {}
         if cfg.get("forward_metrics"):
@@ -262,21 +224,6 @@ def worker_main(
                 last_counters = current
                 if deltas:
                     result["counters"] = deltas
-            if plan is not None and state_dir:
-                fault = plan.net_fault(payload["label"])
-                if fault is not None and _claim_net_fault(state_dir, payload["label"]):
-                    if fault == "kill":
-                        os._exit(17)
-                    if fault == "partition":
-                        # Sever the link abruptly: the coordinator sees a
-                        # dropped connection with the result unsent.
-                        try:
-                            sock.shutdown(socket.SHUT_RDWR)
-                        except OSError:
-                            pass
-                        sock.close()
-                        os._exit(0)
-                    time.sleep(plan.profile.net_slow_s)  # slow link
             try:
                 sock.sendall(_safe_result_frame(result))
             except OSError:
@@ -339,12 +286,13 @@ class _Run:
         self.next_rank = 0
         self.ever_connected = False
         self.draining = False
-        # External workers cannot be respawned; everything else gets a
-        # budget that scales with how many attempts the run can burn.
-        self.respawn_budget = (
-            0 if executor.spawn == "external"
-            else executor.workers * (1 + executor.retries)
-        )
+        # External workers cannot be respawned; spawned ones are replaced
+        # from a budget of consecutive losses that every result refills.
+        spawned = executor.spawn != "external"
+        self.max_respawns = executor.workers * (1 + executor.retries) if spawned else 0
+        self.respawn_budget = self.max_respawns
+        #: Spawned workers that have not finished their handshake yet.
+        self.joining = executor.workers if spawned else 0
 
     # -- metric helpers --------------------------------------------------
 
@@ -394,8 +342,6 @@ class _Run:
             "rank": rank,
             "protocol": PROTOCOL_VERSION,
             "forward_metrics": self.hooks.metrics is not None,
-            "fault": self.ex._plan_wire_spec(),
-            "fault_state_dir": self.ex.fault_state_dir,
         }
         try:
             writer.write(encode_frame(WELCOME, cfg))
@@ -404,6 +350,7 @@ class _Run:
             writer.close()
             return
         self.workers.append(w)
+        self.joining = max(self.joining - 1, 0)
         self.ever_connected = True
         self._count("repro_dist_workers_connected_total")
         if self.draining:
@@ -459,6 +406,8 @@ class _Run:
         """A worker is gone: fail its attempt, requeue, maybe respawn.
 
         *status* completes ``worker rank N ...`` in the attempt's error.
+        The pool is exhausted only when no budget *and* no worker is left
+        (a replacement still joining will pick up the queue).
         """
         if w not in self.workers:
             return  # already dropped (timeout path races the reader's EOF)
@@ -474,13 +423,17 @@ class _Run:
             self._count("repro_dist_tasks_reassigned_total")
             self.ledger.failed(i, attempt, f"worker rank {w.rank} {status}",
                                elapsed=max(_now() - w.started_at, 0.0))
-        if (
-            self.ledger.pending or self.inflight
-        ) and self.ex.spawn != "external" and self.respawn_budget > 0:
-            if len(self.workers) < self.ex.workers:
-                self.respawn_budget -= 1
-                self.ex._spawn_worker(self.next_rank)
-                self.next_rank += 1
+        if not (self.ledger.pending or self.inflight):
+            return
+        if self.respawn_budget > 0 and len(self.workers) + self.joining < self.ex.workers:
+            self.respawn_budget -= 1
+            self.joining += 1
+            self.ex._spawn_worker(self.next_rank)
+            self.next_rank += 1
+        elif not self.workers and not self.joining:
+            self.ledger.fail_pending(
+                "worker pool exhausted (all workers lost, respawn budget spent)"
+            )
 
     async def _assign(self, w: _WorkerConn, i: int, attempt: int) -> None:
         payload = {
@@ -515,6 +468,7 @@ class _Run:
         attempt = int(payload["attempt"])
         if w.busy != (i, attempt):
             return  # stale frame from an attempt already timed out
+        self.respawn_budget = self.max_respawns
         w.busy = None
         self.inflight.pop(i, None)
         self.idle.append(w)
@@ -583,19 +537,12 @@ class _Run:
             elif kind == "lost":
                 self._drop_worker(w, payload)
             self._check_timeouts()
-            if not self.workers and (ledger.pending or self.inflight):
-                if not self.ever_connected:
-                    if _now() - started > self.ex.connect_timeout:
-                        raise ExecutionError(
-                            f"no workers connected to "
-                            f"{self.ex.address[0]}:{self.ex.address[1]} within "
-                            f"{self.ex.connect_timeout:g} s"
-                        )
-                elif self.respawn_budget <= 0:
-                    ledger.fail_pending(
-                        "worker pool exhausted (all workers lost, "
-                        "respawn budget spent)"
-                    )
+            if not self.ever_connected and _now() - started > self.ex.connect_timeout:
+                raise ExecutionError(
+                    f"no workers connected to "
+                    f"{self.ex.address[0]}:{self.ex.address[1]} within "
+                    f"{self.ex.connect_timeout:g} s"
+                )
 
     async def _shutdown(self, w: _WorkerConn) -> None:
         try:
@@ -664,20 +611,17 @@ class DistExecutor(Executor):
         start *and* package import when sizing it for ``spawn="cli"``:
         a cold ``repro worker`` costs seconds, and N of them compete
         for the same cores.
-    fault_plan, fault_state_dir:
-        Socket-level chaos: a :class:`~repro.chaos.FaultPlan` consulted
-        per task label, with once-only markers kept in
-        *fault_state_dir*.  The plan crosses the wire as ``(profile,
-        seed)`` and is reconstructed worker-side, so it must be a real
-        ``FaultPlan`` (hash-addressed decisions), not an arbitrary
-        object.  See :attr:`injected_net` and docs/ROBUSTNESS.md.
 
     A lost worker costs one attempt of the one task it was running —
     crash-looping tasks are bounded by ``retries`` and crash-looping
-    *workers* by a respawn budget of ``workers * (1 + retries)``.  The
-    attempt's error names the cause: ``worker rank N crashed (exit code
+    *workers* by a respawn budget of ``workers * (1 + retries)``
+    *consecutive* losses (every result refills it); queued tasks fail
+    only once it is spent and no worker is left.  The attempt's error
+    names the cause: ``worker rank N crashed (exit code
     C): ...`` when a spawned worker's process exited, ``worker rank N
-    lost: ...`` when only the connection went away.
+    lost: ...`` when only the connection went away.  Socket-level
+    chaos (kills, partitions, slow links) comes from wrapping this
+    executor in :class:`repro.chaos.ChaosExecutor`.
     """
 
     _TICK = 0.02  # seconds between scheduler wake-ups
@@ -694,8 +638,6 @@ class DistExecutor(Executor):
         backoff: float = 0.05,
         max_backoff: float = 2.0,
         connect_timeout: float = 30.0,
-        fault_plan: Any | None = None,
-        fault_state_dir: str | Path | None = None,
     ) -> None:
         super().__init__(retries=retries, backoff=backoff, max_backoff=max_backoff)
         self.workers = check_int(workers, "workers", minimum=1)
@@ -706,16 +648,6 @@ class DistExecutor(Executor):
         self.spawn = spawn
         self.timeout = None if timeout is None else check_positive(timeout, "timeout")
         self.connect_timeout = float(connect_timeout)
-        if fault_plan is not None and fault_state_dir is None:
-            raise ValidationError(
-                "fault_plan needs fault_state_dir for its once-only markers"
-            )
-        self.fault_plan = fault_plan
-        self.fault_state_dir = str(fault_state_dir) if fault_state_dir else None
-        if self.fault_state_dir:
-            Path(self.fault_state_dir).mkdir(parents=True, exist_ok=True)
-        #: Network faults planted by this executor so far, by kind.
-        self.injected_net: dict[str, int] = {"kill": 0, "partition": 0, "slow": 0}
         self._procs: list[Any] = []
         #: The current run's secret; spawned workers present it in HELLO.
         self._token: str | None = None
@@ -797,26 +729,6 @@ class DistExecutor(Executor):
                 pass
         self._procs = []
 
-    # -- chaos accounting ------------------------------------------------
-
-    def _plan_wire_spec(self) -> dict[str, Any] | None:
-        if self.fault_plan is None:
-            return None
-        plan = self.fault_plan
-        return {"seed": plan.seed, "profile": dataclasses.asdict(plan.profile)}
-
-    def _count_planned_net_faults(self, names: list[str], hooks: ExecHooks) -> None:
-        if self.fault_plan is None or self.fault_state_dir is None:
-            return
-        for name in names:
-            fault = self.fault_plan.net_fault(name)
-            if fault is not None and not os.path.exists(
-                _net_marker(self.fault_state_dir, name)
-            ):
-                self.injected_net[fault] += 1
-                if hooks.metrics is not None:
-                    hooks.metrics.counter(_NET_FAULT_COUNTERS[fault]).inc()
-
     # -- the executor contract -------------------------------------------
 
     def run(
@@ -835,7 +747,6 @@ class DistExecutor(Executor):
             raise ExecutionError("DistExecutor is closed")
         if hooks.metrics is not None:
             hooks.metrics.bind_dist_metrics()
-        self._count_planned_net_faults(names, hooks)
         # External workers cannot learn a secret minted here; they are
         # trusted the way the network they connect over is.
         self._token = None if self.spawn == "external" else secrets.token_hex(16)

@@ -70,9 +70,9 @@ CHAOS_METRICS: dict[str, str] = {
     "repro_chaos_points_recovered_total": "Design points needing retries that still produced full data.",
     "repro_chaos_points_degraded_total": "Design points that lost replications but kept values.",
     "repro_chaos_points_failed_total": "Design points annotated as failed (no surviving values).",
-    "repro_chaos_net_kills_injected_total": "Dist workers killed mid-task by a fault plan.",
-    "repro_chaos_net_partitions_injected_total": "Dist worker connections severed by a fault plan.",
-    "repro_chaos_net_slow_links_injected_total": "Dist result sends delayed by a fault plan.",
+    "repro_chaos_net_kills_injected_total": "Workers killed mid-task by a fault plan.",
+    "repro_chaos_net_partitions_injected_total": "Worker connections severed by a fault plan.",
+    "repro_chaos_net_slow_links_injected_total": "Worker result sends delayed by a fault plan.",
 }
 
 #: Distributed-backend metric names (recorded by ``repro.exec.dist``).

@@ -37,7 +37,8 @@ class TestChaosExecutor:
         assert [o.value for o in outcomes] == [4, 9, 16]
         # Every task crashed once and succeeded on the clean retry.
         assert all(o.attempts == 2 for o in outcomes)
-        assert ex.injected == {"crash": 3, "hang": 0}
+        assert ex.injected == {"crash": 3, "hang": 0, "kill": 0, "partition": 0,
+                               "slow": 0}
 
     def test_fault_fires_once_per_label_across_runs(self, tmp_path):
         ex = ChaosExecutor(SerialExecutor(retries=1, backoff=0.0), ALL_CRASH, tmp_path)
@@ -57,7 +58,8 @@ class TestChaosExecutor:
         ex = ChaosExecutor(SerialExecutor(retries=0), ALL_HANG, tmp_path)
         outcomes = ex.run(square, [5])
         assert outcomes[0].ok and outcomes[0].value == 25
-        assert ex.injected == {"crash": 0, "hang": 1}
+        assert ex.injected == {"crash": 0, "hang": 1, "kill": 0, "partition": 0,
+                               "slow": 0}
 
     def test_injection_counts_reach_metrics(self, tmp_path):
         registry = MetricsRegistry()
@@ -73,6 +75,33 @@ class TestChaosExecutor:
             ChaosExecutor(SerialExecutor(), plan, tmp_path)
         # The process pool variant is accepted.
         ChaosExecutor(ProcessExecutor(max_workers=1), plan, tmp_path)
+
+    @pytest.mark.parametrize("fault", ["net_kill_p", "net_partition_p"])
+    def test_worker_killing_socket_faults_require_process_executor(self, tmp_path,
+                                                                   fault):
+        plan = FaultPlan(FaultProfile(name="net", **{fault: 1.0}))
+        with pytest.raises(ValidationError, match="kills worker processes"):
+            ChaosExecutor(SerialExecutor(), plan, tmp_path)
+
+    def test_slow_link_runs_in_process(self, tmp_path):
+        # A slow link only delays the reply: no worker process needed.
+        plan = FaultPlan(FaultProfile(name="slow", net_slow_p=1.0, net_slow_s=0.01))
+        ex = ChaosExecutor(SerialExecutor(retries=0), plan, tmp_path)
+        outcomes = ex.run(square, [5])
+        assert outcomes[0].ok and outcomes[0].value == 25
+        assert outcomes[0].attempts == 1 and outcomes[0].wall_time >= 0.01
+        assert ex.injected["slow"] == 1
+
+    def test_task_and_socket_faults_fire_independently(self, tmp_path):
+        # Same label, two fault domains: the crash burns the first
+        # attempt, the slow link still fires on the second.
+        plan = FaultPlan(FaultProfile(name="both", crash_p=1.0, net_slow_p=1.0,
+                                      net_slow_s=0.01))
+        ex = ChaosExecutor(SerialExecutor(retries=1, backoff=0.0), plan, tmp_path)
+        (outcome,) = ex.run(square, [3], labels=["t"])
+        assert outcome.ok and outcome.value == 9 and outcome.attempts == 2
+        assert ex.injected["crash"] == 1 and ex.injected["slow"] == 1
+        assert len(list(tmp_path.iterdir())) == 2  # one marker per domain
 
     def test_same_plan_same_fates_in_separate_state_dirs(self, tmp_path):
         plan = FaultPlan(FaultProfile(name="half", crash_p=0.5), seed=9)

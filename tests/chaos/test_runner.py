@@ -94,6 +94,18 @@ class TestRunChaos:
         assert len(payload["checks"]) == 9
         assert "OK" in report.describe()
 
+    @pytest.mark.parametrize("workers", [1, 2])
+    def test_dist_gate_plants_socket_faults(self, tmp_path, workers):
+        # Kills and partitions need worker processes, so the gate runs
+        # the dist profile over a ProcessExecutor even at one worker.
+        report = run_chaos("dist", out_dir=tmp_path, seed=12, workers=workers)
+        assert report.ok, report.describe()
+        assert report.injected["net_kills"] >= 1
+        assert report.injected["net_partitions"] >= 1
+        assert report.injected["net_slow_links"] >= 1
+        assert set(report.states) <= {"ok", "recovered"}
+        assert "socket faults were injected" in {c.name for c in report.checks}
+
     def test_none_profile_fails_the_gate_without_escaping(self, tmp_path):
         report = run_chaos("none", out_dir=tmp_path, seed=0)
         assert not report.ok

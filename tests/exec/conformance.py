@@ -31,6 +31,10 @@ opts in by subclassing :class:`ExecutorConformance` and implementing
     reach a bound :class:`~repro.obs.MetricsRegistry`, and
     ``measurement-batch`` spans reach the trace sink from whichever
     process ran the task.
+``worker-counter parity``
+    Simulator kernel counters ticked inside a measurement reach the
+    parent's registry exactly as a serial run counts them, whichever
+    process measured and however many attempts were lost on the way.
 
 Workers and measure callables here are module-level (or marker-file
 based) on purpose: they must survive pickling to other processes, and
@@ -59,6 +63,14 @@ __all__ = ["ExecutorConformance", "make_exp", "SentinelFlaky"]
 def seeded_measure(point, rep, rng):
     """Stochastic measurement driven entirely by the engine-derived rng."""
     return rng.normal(loc=float(point["x"]), scale=0.1, size=5)
+
+
+def simsys_measure(point, rep, rng):
+    """A small simulated collective: ticks the simsys kernel counters."""
+    from repro.simsys import SimComm, testbed
+
+    comm = SimComm(testbed(2), nprocs=4, seed=int(rng.integers(0, 2**31 - 1)))
+    return comm.reduce_root_times(64 * (int(point["x"]) + 1), 3)
 
 
 def annotate_measure(point, rep, rng):
@@ -95,6 +107,26 @@ class SentinelFlaky:
             return item * item
         os.close(fd)
         raise OSError("transient glitch")
+
+
+def kernel_counters(executor):
+    """The simsys ``*_total`` counters of one small campaign under *executor*."""
+    from repro.obs.metrics import SIMSYS_METRICS
+    from repro.simsys.mpi import bind_kernel_metrics
+
+    registry = MetricsRegistry()
+    hooks = ExecHooks()
+    registry.bind_exec_hooks(hooks)
+    bind_kernel_metrics(registry)
+    try:
+        make_exp(measure=simsys_measure, reps=1).run(executor=executor, hooks=hooks)
+    finally:
+        bind_kernel_metrics(None)
+    return {
+        name: registry.get(name).value
+        for name in SIMSYS_METRICS
+        if name.endswith("_total")
+    }
 
 
 def make_exp(seed=123, levels=(0, 1, 2, 3), reps=2, measure=seeded_measure, **kw):
@@ -285,3 +317,12 @@ class ExecutorConformance:
         # Batch spans nest under the per-point spans of the experiment.
         point_ids = {s["span_id"] for s in spans if s["name"] == "design-point"}
         assert all(s["parent_id"] in point_ids for s in batches)
+
+    # -- worker-counter parity --------------------------------------------
+
+    def test_worker_kernel_counters_match_serial(self, executor):
+        """Collectives evaluated in any process count into the parent's
+        bound registry exactly as serial ones do."""
+        serial = kernel_counters(SerialExecutor())
+        assert serial["repro_simsys_kernel_ops_total"] == 4
+        assert kernel_counters(executor) == serial

@@ -7,10 +7,12 @@ the ``executor=`` seam by adding a subclass here and passing unchanged.
 
 from __future__ import annotations
 
+import pytest
+
 from repro.chaos import ChaosExecutor, FaultPlan, FaultProfile
 from repro.exec import DistExecutor, ProcessExecutor, SerialExecutor
 
-from .conformance import ExecutorConformance
+from .conformance import ExecutorConformance, make_exp
 
 
 class TestSerialConformance(ExecutorConformance):
@@ -53,3 +55,40 @@ class TestDistConformance(ExecutorConformance):
             backoff=backoff,
             connect_timeout=30.0,
         )
+
+
+class TestChaosDistConformance(ExecutorConformance):
+    """The dist backend under planted socket faults still honours the
+    whole contract.
+
+    Each task may lose one attempt to a killed or partitioned worker, or
+    be late on a slow link; the lost work is measured again, to the same
+    bytes.
+    """
+
+    exact_attempts = False
+
+    def make_executor(self, tmp_path, *, retries=2, backoff=0.0):
+        # Seed 4 plants two kills, two partitions, and a slow link among
+        # the eight tasks of the shared campaign, and none on the task
+        # the annotate test expects to pass first try.
+        plan = FaultPlan(
+            FaultProfile(name="conformance-net", net_kill_p=0.15,
+                         net_partition_p=0.15, net_slow_p=0.15, net_slow_s=0.01),
+            seed=4,
+        )
+        inner = DistExecutor(workers=2, spawn="fork", retries=retries,
+                             backoff=backoff, connect_timeout=30.0)
+        return ChaosExecutor(inner, plan, tmp_path / "chaos-state")
+
+    @pytest.fixture()
+    def executor(self, tmp_path):
+        ex = self.make_executor(tmp_path, retries=2, backoff=0.0)
+        with ex.inner:
+            yield ex
+
+    def test_socket_faults_fired(self, executor):
+        make_exp().run(executor=executor)
+        assert executor.injected["kill"] == 2
+        assert executor.injected["partition"] == 2
+        assert executor.injected["slow"] == 1

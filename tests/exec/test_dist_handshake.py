@@ -1,4 +1,4 @@
-"""The dist coordinator's handshake and loss reporting.
+"""The dist coordinator's handshake, loss reporting, and respawn budget.
 
 A :class:`ProcessExecutor` listens on loopback, where on a shared host
 any local user can connect.  Nothing a peer sends may be unpickled
@@ -9,14 +9,39 @@ from __future__ import annotations
 
 import os
 import socket
+import time
 
-from repro.chaos import FaultPlan, FaultProfile
-from repro.exec import DistExecutor, ProcessExecutor
+import pytest
+
+from repro.chaos import ChaosExecutor, FaultPlan, FaultProfile
+from repro.exec import DistExecutor, ExecHooks, ProcessExecutor
 from repro.exec.protocol import ERROR, HELLO, PROTOCOL_VERSION, TASK, encode_frame, recv_frame
+from repro.obs import MetricsRegistry
 
 
 def _double(item):
     return 2 * item
+
+
+class _DieOnce:
+    """Kills its worker on each item's first attempt; the marker crosses
+    processes."""
+
+    def __init__(self, state_dir):
+        self.state_dir = str(state_dir)
+
+    def __call__(self, item):
+        try:
+            fd = os.open(os.path.join(self.state_dir, f"die-{item}"),
+                         os.O_CREAT | os.O_EXCL | os.O_WRONLY)
+        except FileExistsError:
+            return 2 * item
+        os.close(fd)
+        os._exit(17)
+
+
+def _always_die(item):
+    os._exit(17)
 
 
 def _touch(path):
@@ -72,12 +97,69 @@ class TestForeignPeers:
 
 
 class TestLossReporting:
+    """Socket faults planted by :class:`ChaosExecutor` around the dist
+    backend: each fires once, after the measurement, before the reply."""
+
+    @staticmethod
+    def _run(tmp_path, retries, **fault_p):
+        plan = FaultPlan(FaultProfile("net", **fault_p), seed=0)
+        with DistExecutor(workers=1, retries=retries) as inner:
+            chaos = ChaosExecutor(inner, plan, tmp_path / f"state-{retries}")
+            (outcome,) = chaos.run(_double, [1], labels=["a"])
+        return outcome
+
     def test_partition_is_lost_not_crashed(self, tmp_path):
         """A partitioned worker exits cleanly: the error says ``lost``."""
-        plan = FaultPlan(FaultProfile("partition", net_partition_p=1.0), seed=0)
-        with DistExecutor(workers=1, retries=0, fault_plan=plan,
-                          fault_state_dir=tmp_path) as executor:
-            (outcome,) = executor.run(_double, [1], labels=["a"])
+        outcome = self._run(tmp_path, 0, net_partition_p=1.0)
         assert not outcome.ok
         assert "worker rank 0 lost" in outcome.error
         assert "crashed" not in outcome.error
+
+    def test_kill_is_crashed_and_recovers_on_retry(self, tmp_path):
+        outcome = self._run(tmp_path, 0, net_kill_p=1.0)
+        assert not outcome.ok
+        assert "worker rank 0 crashed (exit code 17)" in outcome.error
+        outcome = self._run(tmp_path, 1, net_kill_p=1.0)
+        assert outcome.ok and outcome.value == 2 and outcome.attempts == 2
+
+    def test_slow_link_is_late_not_lost(self, tmp_path):
+        outcome = self._run(tmp_path, 0, net_slow_p=1.0, net_slow_s=0.05)
+        assert outcome.ok and outcome.value == 2 and outcome.attempts == 1
+        assert outcome.wall_time >= 0.05
+
+
+class TestRespawnBudget:
+    """Spawned workers are replaced from a budget of ``workers * (1 +
+    retries)`` *consecutive* losses; the pool is exhausted only when that
+    budget is spent and no worker is left, connected or joining."""
+
+    @pytest.mark.parametrize(
+        "n_tasks, backoff", [(3, 0.5), (4, 0.0)], ids=["consecutive", "scattered"]
+    )
+    def test_every_task_killing_its_worker_once_recovers(self, tmp_path, n_tasks,
+                                                         backoff):
+        # Budget 3.  "consecutive": every retry waits out its backoff, so
+        # three losses come back to back and spend the budget while the
+        # last replacement is still connecting.  "scattered": each retry
+        # runs next and its result refills the budget, so four losses in
+        # all do not exhaust it.
+        with ProcessExecutor(max_workers=1, retries=2, backoff=backoff) as executor:
+            outcomes = executor.run(_DieOnce(tmp_path), list(range(n_tasks)))
+        assert [o.value for o in outcomes] == [2 * i for i in range(n_tasks)]
+        assert all(o.ok and o.attempts == 2 for o in outcomes)
+
+    def test_crash_looping_pool_fails_fast(self):
+        registry = MetricsRegistry()
+        hooks = ExecHooks()
+        registry.bind_exec_hooks(hooks)
+        start = time.perf_counter()
+        with ProcessExecutor(max_workers=1, retries=2, backoff=0.0) as executor:
+            outcomes = executor.run(_always_die, [1, 2, 3], hooks=hooks)
+        assert time.perf_counter() - start < 10.0
+        assert not any(o.ok for o in outcomes)
+        assert "crashed (exit code 17)" in outcomes[0].error
+        assert outcomes[0].attempts == 3
+        assert all("worker pool exhausted" in o.error for o in outcomes[1:])
+        # The first task burns its three attempts; three replacements in
+        # all, then the second task's loss leaves no worker and no budget.
+        assert registry.get("repro_dist_workers_lost_total").value == 4

@@ -59,14 +59,6 @@ def sleepy_measure(point, rep, rng):
     return np.zeros(1)
 
 
-def simsys_measure(point, rep, rng):
-    """A small simulated collective: ticks the simsys kernel counters."""
-    from repro.simsys import SimComm, testbed
-
-    comm = SimComm(testbed(2), nprocs=4, seed=int(rng.integers(0, 2**31 - 1)))
-    return comm.reduce_root_times(64 * (int(point["x"]) + 1), 3)
-
-
 def hol_worker(item):
     """Head-of-line scenario worker (generic executor contract).
 
@@ -289,36 +281,6 @@ class TestHooksAndValidation:
             ProcessExecutor(timeout=-1.0)
         with pytest.raises(ValidationError):
             SerialExecutor(retries=-1)
-
-
-class TestWorkerMetrics:
-    def test_worker_kernel_counters_match_serial(self):
-        """Collectives evaluated in worker processes count into the
-        parent's bound registry exactly as serial ones do."""
-        from repro.obs import MetricsRegistry
-        from repro.obs.metrics import SIMSYS_METRICS
-        from repro.simsys.mpi import bind_kernel_metrics
-
-        def kernel_counters(executor):
-            registry = MetricsRegistry()
-            hooks = ExecHooks()
-            registry.bind_exec_hooks(hooks)
-            bind_kernel_metrics(registry)
-            try:
-                make_exp(measure=simsys_measure, reps=1).run(
-                    executor=executor, hooks=hooks
-                )
-            finally:
-                bind_kernel_metrics(None)
-            return {
-                name: registry.get(name).value
-                for name in SIMSYS_METRICS
-                if name.endswith("_total")
-            }
-
-        serial = kernel_counters(SerialExecutor())
-        assert serial["repro_simsys_kernel_ops_total"] == 4
-        assert kernel_counters(ProcessExecutor(max_workers=2)) == serial
 
 
 class TestTimeoutIsolation:
