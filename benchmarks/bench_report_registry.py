@@ -9,6 +9,12 @@ simulation-heavy one) and records the samples into
 ``BENCH_simsys.json`` so ``repro compare`` flags a cache regression
 (e.g. a key accidentally depending on wall-clock) as a slowdown.
 
+A third record, ``report_campaign_request``, times a warm
+``handle_request`` GET of ``campaign_trajectory.json`` on a campaign
+whose datasets spilled to its shard store: every such request keys the
+figure on the campaign's content (``campaign_digest``), so this is the
+cost a dashboard pays per re-served campaign figure.
+
 Override knobs: ``REPRO_BENCH_REGISTRY_OUT`` (alternate suite file).
 Full fidelity (``REPRO_BENCH_FULL=1``) renders at paper sample sizes;
 quick uses the registry's built-in quick params.
@@ -21,15 +27,23 @@ import shutil
 import tempfile
 import time
 
+import numpy as np
 from _bench_utils import FULL, record_bench
 
+from repro.core import Campaign, MeasurementSet
 from repro.report import render_table
 from repro.report.registry import FigureService
+from repro.serve import handle_request
 
 OUT_PATH = os.environ.get("REPRO_BENCH_REGISTRY_OUT") or None
 FIGURES = ("fig7ab_bounds", "fig6_rank_variation")
 CACHED_REPS = 50
 SEED = 2026
+
+#: Shape of the spilled campaign behind ``report_campaign_request``.
+CAMPAIGN_DATASETS = 20
+CAMPAIGN_VALUES = 20_000
+CAMPAIGN_SPILL_ROWS = 1_000
 
 
 def bench_registry():
@@ -82,5 +96,55 @@ def bench_registry():
     )
 
 
+def bench_campaign_request():
+    """Time warm GETs of the campaign figure on a spilled campaign."""
+    workdir = tempfile.mkdtemp(prefix="repro-bench-campaign-request-")
+    try:
+        camp = Campaign.create(os.path.join(workdir, "camp"), name="bench")
+        rng = np.random.default_rng(SEED)
+        for i in range(CAMPAIGN_DATASETS):
+            camp.record(
+                MeasurementSet(
+                    values=rng.lognormal(mean=1.0, sigma=0.3, size=CAMPAIGN_VALUES),
+                    unit="us",
+                    name=f"dataset-{i:02d}",
+                ),
+                spill_rows=CAMPAIGN_SPILL_ROWS,
+            )
+        service = FigureService(
+            os.path.join(workdir, "cache"), campaign=camp, quick=not FULL
+        )
+        path = "/figures/campaign_trajectory.json"
+        cold = handle_request(service, "GET", path)
+        assert cold.status == 200 and cold.headers["X-Repro-Cached"] == "0"
+        samples = []
+        for _ in range(CACHED_REPS):
+            start = time.perf_counter()
+            warm = handle_request(service, "GET", path)
+            samples.append(time.perf_counter() - start)
+            assert warm.status == 200 and warm.headers["X-Repro-Cached"] == "1"
+        record_bench(
+            "report_campaign_request",
+            {
+                "datasets": CAMPAIGN_DATASETS,
+                "values": CAMPAIGN_VALUES,
+                "fidelity": "full" if FULL else "quick",
+            },
+            samples,
+            metadata={"etag": warm.headers["ETag"].strip('"')},
+            path=OUT_PATH,
+        )
+    finally:
+        shutil.rmtree(workdir, ignore_errors=True)
+    median_ms = sorted(samples)[len(samples) // 2] * 1e3
+    print(
+        render_table(
+            ["request", "warm median (ms)"],
+            [["GET campaign_trajectory.json", f"{median_ms:.2f}"]],
+        )
+    )
+
+
 if __name__ == "__main__":
     bench_registry()
+    bench_campaign_request()

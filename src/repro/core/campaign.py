@@ -21,6 +21,7 @@ from __future__ import annotations
 
 import json
 import re
+from contextlib import nullcontext
 from dataclasses import dataclass, field
 from pathlib import Path
 
@@ -161,15 +162,16 @@ class Campaign:
                 f"dataset {ms.name!r} already recorded; pass overwrite=True "
                 "to replace it (the old values will be lost)"
             )
-        store = self.store() if spill_rows is not None else None
-        target.write_text(
-            measurements_to_json(
+        # One store (so one shard) per spilled dataset, sealed before the
+        # dataset file names it.
+        with self.store() if spill_rows is not None else nullcontext() as store:
+            text = measurements_to_json(
                 ms,
                 store=store,
                 spill_rows=spill_rows,
                 namespace=self.dataset_namespace,
             )
-        )
+        target.write_text(text)
         datasets = [d for d in datasets if d["name"] != ms.name]
         datasets.append({"name": ms.name, "file": target.name, "n": ms.n,
                          "unit": ms.unit})
@@ -279,18 +281,21 @@ class Campaign:
         Returns the :class:`~repro.core.experiment.ExperimentResult`.
         """
         cache = self.result_cache(spill_rows=spill_rows) if use_cache else None
-        if tracer is not None:
-            with tracer.span(
-                "campaign", label=self.name, experiment=experiment.name
-            ):
+        span = (
+            nullcontext() if tracer is None
+            else tracer.span("campaign", label=self.name, experiment=experiment.name)
+        )
+        try:
+            with span:
                 result = experiment.run(
                     executor=executor, cache=cache, hooks=hooks, tracer=tracer,
                     on_failure=on_failure,
                 )
-        else:
-            result = experiment.run(
-                executor=executor, cache=cache, hooks=hooks, on_failure=on_failure
-            )
+        finally:
+            # Seal the cache's spill shard before the datasets reopen the
+            # store: a store left open is adopted by the next reader.
+            if cache is not None and cache.spill_store is not None:
+                cache.spill_store.close()
         if record:
             # One index write per run, not per dataset; also on error, so
             # datasets recorded before it stay listed.

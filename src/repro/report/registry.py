@@ -842,8 +842,11 @@ def campaign_digest(campaign: Any) -> str:
     Covers the index, every dataset JSON file (which embeds provenance
     and, for spilled sets, the store stub), and the content digest of
     every listed shard-store entry — so appending a dataset, overwriting
-    one, or any change to spilled values changes the digest, while a
-    byte-identical campaign always produces the same one.
+    one, or losing a shard changes the digest, while a byte-identical
+    campaign always produces the same one.  Entry digests are the ones
+    the store recorded at append (:meth:`repro.store.ShardStore.entry_digest`),
+    so no spilled value is read; in-place bit rot of a shard is
+    :meth:`~repro.store.ShardStore.verify`'s to catch.
     """
     h = hashlib.blake2b(digest_size=16)
     index = campaign.path / "campaign.json"
@@ -1033,10 +1036,16 @@ class FigureService:
 
     # -- rendering -------------------------------------------------------
 
-    def render(self, name: str) -> RenderedFigure:
-        """Render (or serve from cache) every artifact of *name*."""
+    def render(self, name: str, *, key: str | None = None) -> RenderedFigure:
+        """Render (or serve from cache) every artifact of *name*.
+
+        *key* is the :meth:`content_key` the caller already computed for
+        this request (the server keys a figure for its ETag first); it
+        saves keying the figure twice.
+        """
         entry = self.entry(name)
-        key = self.content_key(name)
+        if key is None:
+            key = self.content_key(name)
         rendered = RenderedFigure(
             name=name, key=key, cached=True, directory=self.cache_dir / name,
         )
@@ -1063,9 +1072,12 @@ class FigureService:
         self._count("repro_serve_renders_total")
         return dataclasses.replace(rendered, cached=False)
 
-    def payload(self, name: str, fmt: str) -> tuple[bytes, RenderedFigure]:
-        """The bytes of one artifact, rendering on a cache miss."""
-        rendered = self.render(name)
+    def payload(
+        self, name: str, fmt: str, *, key: str | None = None
+    ) -> tuple[bytes, RenderedFigure]:
+        """The bytes of one artifact, rendering on a cache miss (*key* as
+        for :meth:`render`)."""
+        rendered = self.render(name, key=key)
         return rendered.path(fmt).read_bytes(), rendered
 
     def _count(self, metric: str) -> None:

@@ -172,7 +172,7 @@ def _route(
                 if metrics is not None:
                     metrics.counter("repro_serve_cache_hits_total").inc()
                 return Response(status=304, headers={"ETag": etag})
-            body, rendered = service.payload(name, fmt)
+            body, rendered = service.payload(name, fmt, key=key)
             return Response(
                 status=200,
                 body=body,

@@ -20,7 +20,8 @@ the header), chunked so digesting a multi-gigabyte shard never buffers
 more than :data:`DIGEST_CHUNK` bytes.  The header is excluded on purpose:
 the same payload must digest identically before and after sealing, so a
 crash between "last append" and "seal" cannot silently invalidate data
-that is in fact intact.
+that is in fact intact.  A :class:`ShardWriter` hashes the payload as it
+writes it, so sealing records the digest without reading the shard back.
 """
 
 from __future__ import annotations
@@ -36,6 +37,7 @@ from ..errors import ValidationError
 __all__ = [
     "HEADER_SIZE",
     "ShardWriter",
+    "check_size",
     "open_shard",
     "payload_digest",
     "read_header_rows",
@@ -109,6 +111,7 @@ class ShardWriter:
             raise ValidationError(f"shard {self.path.name} already exists")
         self._fh = self.path.open("wb")
         self._fh.write(_header_bytes(0))
+        self._payload = hashlib.blake2b(digest_size=16)
         self.rows = 0
         self.sealed = False
 
@@ -121,8 +124,14 @@ class ShardWriter:
             raise ValidationError(f"shard blocks must be 1-D, got shape {x.shape}")
         offset = self.rows
         self._fh.write(x.tobytes())
+        self._payload.update(x)
         self.rows += int(x.size)
         return offset
+
+    def digest(self) -> str:
+        """:func:`payload_digest` of the rows appended so far, kept as they
+        are written, so sealing never reads the shard back."""
+        return self._payload.hexdigest()
 
     def flush(self) -> None:
         if not self.sealed:
@@ -137,7 +146,7 @@ class ShardWriter:
         self._fh.write(_header_bytes(self.rows))
         self._fh.close()
         self.sealed = True
-        return payload_digest(self.path)
+        return self.digest()
 
     def abort(self) -> None:
         """Close the handle without sealing (the store quarantines/removes)."""
@@ -146,11 +155,12 @@ class ShardWriter:
             self.sealed = True
 
 
-def open_shard(path: str | Path, rows: int) -> np.ndarray:
-    """Memory-map *rows* float64 values from the shard at *path* (read-only).
+def check_size(path: str | Path, rows: int) -> None:
+    """Raise unless the shard at *path* is long enough to hold *rows* values.
 
-    Raises :class:`ValidationError` when the file is too short for *rows* —
-    the truncation signature the store turns into a quarantine.
+    Raises :class:`ValidationError` on a short file — the truncation
+    signature the store turns into a quarantine — and ``OSError`` when
+    the file is missing.
     """
     path = Path(path)
     expected = HEADER_SIZE + rows * _DTYPE.itemsize
@@ -159,6 +169,15 @@ def open_shard(path: str | Path, rows: int) -> np.ndarray:
         raise ValidationError(
             f"{path.name}: truncated shard ({actual} bytes < {expected} expected)"
         )
+
+
+def open_shard(path: str | Path, rows: int) -> np.ndarray:
+    """Memory-map *rows* float64 values from the shard at *path* (read-only).
+
+    Raises as :func:`check_size` does when the file is too short for *rows*.
+    """
+    path = Path(path)
+    check_size(path, rows)
     if rows == 0:
         return np.empty(0, dtype=np.float64)
     mm = np.memmap(path, dtype=_DTYPE, mode="r", offset=HEADER_SIZE, shape=(rows,))

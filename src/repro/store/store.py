@@ -12,7 +12,9 @@ Integrity extends the cache's quarantine-on-corruption contract
 slice inside the recorded row count, file long enough), :meth:`verify`
 re-digests every shard against the manifest, and any mismatch moves the
 shard aside as ``<name>.corrupt`` and drops its entries — corruption
-costs work, never correctness, and never crashes a campaign.
+costs work, never correctness, and never crashes a campaign.  Each entry
+also records the digest of its own values at :meth:`append`, so
+:meth:`entry_digest` answers without reading them back.
 
 Manifest writes are atomic (tmp + rename) and the store is append-only:
 :meth:`remove` only unlists entries; the bytes are reclaimed by
@@ -21,6 +23,7 @@ Manifest writes are atomic (tmp + rename) and the store is append-only:
 
 from __future__ import annotations
 
+import hashlib
 import json
 from dataclasses import dataclass, field
 from pathlib import Path
@@ -34,6 +37,7 @@ from .shard import (
     HEADER_SIZE,
     ShardWriter,
     _header_bytes,
+    check_size,
     open_shard,
     payload_digest,
 )
@@ -50,6 +54,14 @@ DEFAULT_SHARD_ROWS = 1_000_000
 DEFAULT_CHUNK_ROWS = 512 * 1024
 
 _MANIFEST = "manifest.json"
+
+
+def _values_digest(chunks: Iterable[np.ndarray]) -> str:
+    """BLAKE2b-16 hex digest of float64 values, fed chunk by chunk."""
+    h = hashlib.blake2b(digest_size=16)
+    for chunk in chunks:
+        h.update(np.ascontiguousarray(chunk, dtype="<f8"))
+    return h.hexdigest()
 
 
 @dataclass(frozen=True)
@@ -157,12 +169,15 @@ class ShardStore:
                 digest=spec.get("digest"),
             )
         for fp, spec in entries.items():
-            self._entries[str(fp)] = {
+            entry = {
                 "shard": str(spec["shard"]),
                 "offset": int(spec["offset"]),
                 "rows": int(spec["rows"]),
                 "metadata": dict(spec.get("metadata", {})),
             }
+            if spec.get("digest") is not None:
+                entry["digest"] = str(spec["digest"])
+            self._entries[str(fp)] = entry
         self._provenance = payload.get("provenance")
         indices = [
             int(s.file.split("-")[1].split(".")[0])
@@ -277,6 +292,8 @@ class ShardStore:
             "offset": offset,
             "rows": int(x.size),
             "metadata": dict(metadata or {}),
+            # An entry that opens its shard is the shard's whole payload.
+            "digest": shard.writer.digest() if offset == 0 else _values_digest([x]),
         }
         if shard.rows >= self.shard_rows:
             self._seal_shard(shard)
@@ -321,6 +338,19 @@ class ShardStore:
         self._write_manifest()
         self._warn(f"quarantined shard {name} ({reason}); dropped {len(dropped)} entries")
 
+    def _listed(self, fingerprint: str) -> tuple[dict[str, Any], _Shard] | None:
+        """The entry and its shard, or None (dropping an entry whose slice
+        lies outside its shard's recorded rows)."""
+        entry = self._entries.get(fingerprint)
+        if entry is None:
+            return None
+        shard = self._shards.get(entry["shard"])
+        if shard is None or entry["offset"] + entry["rows"] > shard.rows:
+            self._entries.pop(fingerprint, None)
+            self._warn(f"dropped entry {fingerprint} (inconsistent manifest)")
+            return None
+        return entry, shard
+
     def get(
         self, fingerprint: str
     ) -> tuple[np.ndarray, dict[str, Any]] | None:
@@ -330,19 +360,14 @@ class ShardStore:
         the caller touches them.  Structural corruption (missing shard,
         truncation, slice outside the shard) quarantines and returns None.
         """
-        entry = self._entries.get(fingerprint)
-        if entry is None:
+        listed = self._listed(fingerprint)
+        if listed is None:
             return None
-        name = entry["shard"]
-        shard = self._shards.get(name)
-        if shard is None or entry["offset"] + entry["rows"] > shard.rows:
-            self._entries.pop(fingerprint, None)
-            self._warn(f"dropped entry {fingerprint} (inconsistent manifest)")
-            return None
+        entry, shard = listed
         try:
-            column = open_shard(self.path / name, shard.rows)
+            column = open_shard(self.path / shard.file, shard.rows)
         except (ValidationError, OSError) as exc:
-            self._quarantine_shard(name, str(exc))
+            self._quarantine_shard(shard.file, str(exc))
             return None
         values = column[entry["offset"] : entry["offset"] + entry["rows"]]
         return values, dict(entry["metadata"])
@@ -371,21 +396,27 @@ class ShardStore:
         content identity for a single column slice, independent of which
         shard holds it or at what offset.  The report registry derives
         figure content keys from these, so a figure's cache entry goes
-        stale exactly when the bytes behind it change.  Reads in bounded
-        chunks; a missing or quarantined entry returns ``None``.
-        """
-        import hashlib
+        stale exactly when the entry is rewritten or its shard is lost.
 
-        if fingerprint not in self._entries:
+        The digest :meth:`append` recorded is returned without reading
+        the values, after the structural checks :meth:`get` makes (a
+        failing one quarantines as ``get`` does and returns ``None``).
+        In-place corruption that keeps the file's size is not seen here;
+        :meth:`verify` catches it.  Entries written before digests were
+        recorded are hashed in bounded chunks.
+        """
+        listed = self._listed(fingerprint)
+        if listed is None:
             return None
-        h = hashlib.blake2b(digest_size=16)
+        entry, shard = listed
         try:
-            for chunk in self.iter_chunks(fingerprint):
-                h.update(np.ascontiguousarray(chunk).tobytes())
-        except KeyError:
-            # The read path quarantined the entry mid-iteration.
+            check_size(self.path / shard.file, shard.rows)
+        except (ValidationError, OSError) as exc:
+            self._quarantine_shard(shard.file, str(exc))
             return None
-        return h.hexdigest()
+        if "digest" in entry:
+            return entry["digest"]
+        return _values_digest(self.iter_chunks(fingerprint))
 
     def rows(self, fingerprint: str) -> int | None:
         entry = self._entries.get(fingerprint)

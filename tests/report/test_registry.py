@@ -279,6 +279,117 @@ class TestCampaignFigures:
             svc.render("campaign_trajectory")
 
 
+def ooc_measure(point, rep, rng):
+    """A spill-worthy sample per task (module level, so any executor runs it)."""
+    return rng.lognormal(mean=float(point["size"]) * 1e-3, sigma=0.2, size=300)
+
+
+def _spilled_run(path) -> Campaign:
+    from repro.core import Experiment, Factor, FactorialDesign
+
+    camp = Campaign.create(path, name="ooc")
+    camp.run(
+        Experiment(
+            name="ooc",
+            design=FactorialDesign((Factor("size", (64, 4096)),), replications=2),
+            measure=ooc_measure,
+            unit="us",
+            seed=3,
+        ),
+        spill_rows=100,
+    )
+    return camp
+
+
+class TestCampaignDigest:
+    """Campaign figure keys come from the digests the store recorded."""
+
+    def test_reads_no_value_bytes(self, campaign, monkeypatch):
+        from repro.store import ShardStore
+
+        def boom(*args, **kwargs):
+            raise AssertionError("campaign_digest read spilled values")
+
+        monkeypatch.setattr(ShardStore, "iter_chunks", boom)
+        monkeypatch.setattr(np, "memmap", boom)
+        assert campaign_digest(campaign)
+
+    def test_unchanged_on_reopen(self, campaign):
+        assert campaign_digest(Campaign.open(campaign.path)) == campaign_digest(
+            campaign
+        )
+
+    def test_overwrite_with_other_values_changes_it(self, campaign):
+        before = campaign_digest(campaign)
+        camp = Campaign.open(campaign.path)
+        camp.record(
+            MeasurementSet(values=np.full(300, 9.0), unit="us", name="latency"),
+            overwrite=True,
+            spill_rows=100,
+        )
+        assert campaign_digest(camp) != before
+
+    @pytest.mark.parametrize("damage", ["delete", "truncate"])
+    def test_lost_shard_changes_it(self, campaign, damage):
+        before = campaign_digest(campaign)
+        shard = sorted((campaign.path / "store").glob("shard-*.npy"))[0]
+        if damage == "delete":
+            shard.unlink()
+        else:
+            shard.write_bytes(shard.read_bytes()[:-8])
+        with pytest.warns(RuntimeWarning, match="quarantined"):
+            assert campaign_digest(campaign) != before
+
+    def test_manifest_without_entry_digests_keys_the_same(self, campaign):
+        """Stores written before entries recorded digests keep their keys."""
+        before = campaign_digest(campaign)
+        manifest = campaign.path / "store" / "manifest.json"
+        payload = json.loads(manifest.read_text())
+        assert all("digest" in e for e in payload["entries"].values())
+        for entry in payload["entries"].values():
+            del entry["digest"]
+        manifest.write_text(json.dumps(payload))
+        assert campaign_digest(campaign) == before
+
+    def test_campaign_get_digests_once(self, tmp_path, campaign, monkeypatch):
+        import repro.report.registry as registry
+        from repro.serve import handle_request
+
+        calls = []
+        original = registry.campaign_digest
+
+        def counting(camp):
+            calls.append(camp)
+            return original(camp)
+
+        monkeypatch.setattr(registry, "campaign_digest", counting)
+        svc = FigureService(tmp_path / "cache", campaign=campaign)
+        path = "/figures/campaign_trajectory.vl.json"
+        cold = handle_request(svc, "GET", path)
+        assert cold.status == 200 and len(calls) == 1
+        warm = handle_request(svc, "GET", path)
+        assert warm.status == 200 and len(calls) == 2
+        assert warm.headers["X-Repro-Cached"] == "1"
+        assert warm.headers["ETag"] == f'"{svc.content_key("campaign_trajectory")}"'
+
+    def test_finished_run_leaves_no_unsealed_shard(self, tmp_path):
+        camp = _spilled_run(tmp_path / "camp")
+        manifest = camp.path / "store" / "manifest.json"
+        shards = json.loads(manifest.read_text())["shards"]
+        # Task results share one shard; each spilled dataset has its own.
+        assert len(shards) == 1 + len(camp.names())
+        assert all(s["sealed"] and s["digest"] for s in shards.values())
+        before = manifest.read_bytes()
+        campaign_digest(camp)
+        assert manifest.read_bytes() == before
+
+    def test_record_leaves_no_unsealed_shard(self, campaign):
+        manifest = campaign.path / "store" / "manifest.json"
+        shards = json.loads(manifest.read_text())["shards"]
+        assert len(shards) == 2
+        assert all(s["sealed"] for s in shards.values())
+
+
 class TestDescribe:
     def test_describe_carries_key_and_formats(self, service, rendered):
         info = service.describe("fig1_hpl")

@@ -163,7 +163,7 @@ class TestCorruptionDegradesGracefully:
         manifest = tmp_path / "camp" / "store" / "manifest.json"
         payload = json.loads(manifest.read_text())
         digest = payload["shards"][shard_name]["digest"]
-        assert digest, "dataset shard should be sealed by adoption"
+        assert digest, "dataset shard should be sealed when the run finished"
         payload["shards"][shard_name]["digest"] = (
             "0" if digest[0] != "0" else "1"
         ) + digest[1:]

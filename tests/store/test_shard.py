@@ -117,6 +117,16 @@ class TestPayloadDigest:
         before = payload_digest(tmp_path / "s.npy", 20)
         assert w.seal() == before
 
+    def test_writer_digest_matches_the_file(self, tmp_path):
+        """The digest a writer keeps while appending is the file's."""
+        path = tmp_path / "s.npy"
+        w = ShardWriter(path)
+        w.append(np.arange(7.0))
+        w.append(np.arange(40.0)[::3])  # non-contiguous block
+        w.flush()
+        assert w.digest() == payload_digest(path, 21)
+        assert w.seal() == payload_digest(path)
+
     def test_digest_changes_with_payload(self, tmp_path):
         w = ShardWriter(tmp_path / "a.npy")
         w.append(np.arange(20.0))

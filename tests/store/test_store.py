@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import hashlib
 import json
 
 import numpy as np
@@ -190,6 +191,99 @@ class TestIntegrity:
             fill(store, n_entries=1)
         payload = json.loads((tmp_path / "manifest.json").read_text())
         assert payload["provenance"]["methodology"]["store_schema"] == 1
+
+
+def chunk_digest(store, fp):
+    """BLAKE2b-16 over the entry's values as :meth:`iter_chunks` reads them."""
+    h = hashlib.blake2b(digest_size=16)
+    for chunk in store.iter_chunks(fp, chunk_rows=7):
+        h.update(np.ascontiguousarray(chunk).tobytes())
+    return h.hexdigest()
+
+
+class TestEntryDigest:
+    def test_recorded_digest_is_the_hash_of_the_values(self, tmp_path):
+        store = ShardStore(tmp_path, shard_rows=100)
+        data = fill(store)
+        manifest = json.loads((tmp_path / "manifest.json").read_text())
+        for fp in data:
+            recorded = manifest["entries"][fp]["digest"]
+            assert recorded == chunk_digest(store, fp)
+            assert store.entry_digest(fp) == recorded
+
+    def test_digest_survives_reopen_and_compact(self, tmp_path):
+        with ShardStore(tmp_path, shard_rows=100) as store:
+            data = fill(store)
+            before = {fp: store.entry_digest(fp) for fp in data}
+        store = ShardStore(tmp_path, shard_rows=100)
+        assert {fp: store.entry_digest(fp) for fp in data} == before
+        store.remove(sorted(data)[0])
+        store.compact()
+        store = ShardStore(tmp_path)
+        for fp in sorted(data)[1:]:
+            assert store.entry_digest(fp) == before[fp] == chunk_digest(store, fp)
+
+    def test_recorded_digest_reads_no_values(self, tmp_path, monkeypatch):
+        with ShardStore(tmp_path) as store:
+            data = fill(store)
+        store = ShardStore(tmp_path)
+
+        def boom(*args, **kwargs):
+            raise AssertionError("entry_digest read value bytes")
+
+        monkeypatch.setattr(ShardStore, "iter_chunks", boom)
+        monkeypatch.setattr(np, "memmap", boom)
+        assert all(store.entry_digest(fp) for fp in data)
+
+    def test_entry_without_a_recorded_digest_is_hashed(self, tmp_path):
+        """Manifests written before digests were recorded still key."""
+        with ShardStore(tmp_path) as store:
+            data = fill(store)
+            recorded = {fp: store.entry_digest(fp) for fp in data}
+        manifest = tmp_path / "manifest.json"
+        payload = json.loads(manifest.read_text())
+        for entry in payload["entries"].values():
+            del entry["digest"]
+        manifest.write_text(json.dumps(payload))
+        store = ShardStore(tmp_path)
+        assert {fp: store.entry_digest(fp) for fp in data} == recorded
+
+    def test_truncated_shard_quarantined_like_get(self, tmp_path):
+        with ShardStore(tmp_path) as store:
+            data = fill(store)
+        shard = tmp_path / "shard-00000.npy"
+        shard.write_bytes(shard.read_bytes()[:-8])
+        store = ShardStore(tmp_path)
+        with pytest.warns(RuntimeWarning, match="quarantined"):
+            assert store.entry_digest(sorted(data)[0]) is None
+        assert len(store) == 0
+        assert (tmp_path / "shard-00000.npy.corrupt").exists()
+
+    def test_deleted_shard_quarantined(self, tmp_path):
+        with ShardStore(tmp_path) as store:
+            data = fill(store)
+        (tmp_path / "shard-00000.npy").unlink()
+        store = ShardStore(tmp_path)
+        with pytest.warns(RuntimeWarning, match="quarantined"):
+            assert store.entry_digest(sorted(data)[0]) is None
+        assert len(store) == 0
+
+    def test_slice_outside_shard_dropped(self, tmp_path):
+        with ShardStore(tmp_path) as store:
+            data = fill(store)
+        manifest = tmp_path / "manifest.json"
+        payload = json.loads(manifest.read_text())
+        victim = sorted(data)[0]
+        payload["entries"][victim]["offset"] = 10_000
+        manifest.write_text(json.dumps(payload))
+        store = ShardStore(tmp_path)
+        with pytest.warns(RuntimeWarning, match="inconsistent manifest"):
+            assert store.entry_digest(victim) is None
+        assert victim not in store
+        assert store.entry_digest(sorted(data)[1]) is not None
+
+    def test_unknown_entry_is_none(self, tmp_path):
+        assert ShardStore(tmp_path).entry_digest("f" * 32) is None
 
 
 class TestCompact:
