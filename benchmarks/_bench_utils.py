@@ -6,7 +6,7 @@ fidelity that keeps the whole harness under a few minutes.
 
 :func:`record_bench` appends one *run* of raw timing samples to the
 versioned :class:`repro.compare.BenchRecord` suite in
-``BENCH_simsys.json`` at the repository root, so the performance
+``BENCH_repro.json`` at the repository root, so the performance
 trajectory is tracked across PRs with enough structure for the
 Kalibera–Jones effect-size comparisons behind ``repro compare``
 (see docs/COMPARE.md).
@@ -23,7 +23,7 @@ from typing import Iterable, Mapping
 FULL = os.environ.get("REPRO_BENCH_FULL", "") not in ("", "0", "false")
 
 #: Machine-readable benchmark results, merged across runs (repo root).
-BENCH_JSON = Path(__file__).resolve().parent.parent / "BENCH_simsys.json"
+BENCH_JSON = Path(__file__).resolve().parent.parent / "BENCH_repro.json"
 
 
 def fidelity(full_n: int, quick_n: int) -> int:

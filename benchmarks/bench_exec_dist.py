@@ -9,7 +9,7 @@ coordinator itself costs per task (frame encode, socket round trip,
 scheduler tick) rather than how well waiting overlaps.
 
 Recorded as :class:`repro.compare.BenchRecord` runs in
-``BENCH_simsys.json``:
+``BENCH_repro.json``:
 
 * ``exec_dist_campaign`` — wall time per engine for the waiting
   campaign (``engine`` is ``serial`` / ``dist``);

@@ -14,7 +14,7 @@ contracts at once:
   performs zero new measurements (verified by the metrics-hook counter).
 
 Each engine's campaign wall time is recorded as a
-:class:`repro.compare.BenchRecord` run in ``BENCH_simsys.json``, so the
+:class:`repro.compare.BenchRecord` run in ``BENCH_repro.json``, so the
 execution engine sits in the same ``repro compare`` trajectory as the
 simulator kernels.
 """

@@ -8,7 +8,7 @@ no recorded campaign.  Each one:
 * writes the entry's text summary to ``benchmarks/results/<name>.txt``,
   byte for byte the ``.txt`` artifact ``repro render <name>`` writes at
   the same fidelity;
-* appends the round times to ``BENCH_simsys.json`` as a
+* appends the round times to ``BENCH_repro.json`` as a
   ``figure_build`` record.
 
 The default quick fidelity builds with each entry's ``quick_params``;

@@ -6,7 +6,7 @@ must skip the builder entirely, so its cost is file-stat plus path
 construction — orders of magnitude below the cold build.  This bench
 times both paths for a pair of registry figures (a cheap one and a
 simulation-heavy one) and records the samples into
-``BENCH_simsys.json`` so ``repro compare`` flags a cache regression
+``BENCH_repro.json`` so ``repro compare`` flags a cache regression
 (e.g. a key accidentally depending on wall-clock) as a slowdown.
 
 A third record, ``report_campaign_request``, times a warm
@@ -14,6 +14,12 @@ A third record, ``report_campaign_request``, times a warm
 whose datasets spilled to its shard store: every such request keys the
 figure on the campaign's content (``campaign_digest``), so this is the
 cost a dashboard pays per re-served campaign figure.
+
+A fourth record, ``campaign_rerun``, times ``Campaign.run(overwrite=True)``
+on a cache-warm campaign whose task results and datasets spill to its
+shard store: every task is a cache hit answered by a memory-mapped
+column, so this is the cost of re-assembling and re-recording the
+datasets — the rerun the paper's repeat-and-report workflow makes most.
 
 Override knobs: ``REPRO_BENCH_REGISTRY_OUT`` (alternate suite file).
 Full fidelity (``REPRO_BENCH_FULL=1``) renders at paper sample sizes;
@@ -30,7 +36,8 @@ import time
 import numpy as np
 from _bench_utils import FULL, record_bench
 
-from repro.core import Campaign, MeasurementSet
+from repro.core import Campaign, Experiment, Factor, FactorialDesign, MeasurementSet
+from repro.exec import ExecHooks
 from repro.report import render_table
 from repro.report.registry import FigureService
 from repro.serve import handle_request
@@ -44,6 +51,9 @@ SEED = 2026
 CAMPAIGN_DATASETS = 20
 CAMPAIGN_VALUES = 20_000
 CAMPAIGN_SPILL_ROWS = 1_000
+#: Spill threshold behind ``campaign_rerun``: every task and dataset spills.
+RERUN_SPILL_ROWS = 10_000
+RERUN_REPS = 10
 
 
 def bench_registry():
@@ -145,6 +155,54 @@ def bench_campaign_request():
     )
 
 
+def rerun_measure(point, rep, rng):
+    """One task: ``CAMPAIGN_VALUES`` lognormal samples."""
+    return rng.lognormal(mean=1.0, sigma=0.3, size=CAMPAIGN_VALUES)
+
+
+def bench_campaign_rerun():
+    """Time cache-warm reruns of a spilled campaign."""
+    workdir = tempfile.mkdtemp(prefix="repro-bench-campaign-rerun-")
+    experiment = Experiment(
+        name="rerun",
+        design=FactorialDesign((Factor("point", tuple(range(CAMPAIGN_DATASETS))),)),
+        measure=rerun_measure,
+        unit="us",
+        seed=SEED,
+    )
+    try:
+        camp = Campaign.create(os.path.join(workdir, "camp"), name="bench")
+        camp.run(experiment, spill_rows=RERUN_SPILL_ROWS)
+        samples = []
+        for _ in range(RERUN_REPS):
+            hooks = ExecHooks()
+            start = time.perf_counter()
+            camp.run(experiment, hooks=hooks, overwrite=True,
+                     spill_rows=RERUN_SPILL_ROWS)
+            samples.append(time.perf_counter() - start)
+            assert hooks.cached == CAMPAIGN_DATASETS and hooks.completed == 0
+        record_bench(
+            "campaign_rerun",
+            {
+                "datasets": CAMPAIGN_DATASETS,
+                "values": CAMPAIGN_VALUES,
+                "spill_rows": RERUN_SPILL_ROWS,
+            },
+            samples,
+            path=OUT_PATH,
+        )
+    finally:
+        shutil.rmtree(workdir, ignore_errors=True)
+    median_ms = sorted(samples)[len(samples) // 2] * 1e3
+    print(
+        render_table(
+            ["rerun", "warm median (ms)"],
+            [["Campaign.run(overwrite=True)", f"{median_ms:.2f}"]],
+        )
+    )
+
+
 if __name__ == "__main__":
     bench_registry()
     bench_campaign_request()
+    bench_campaign_rerun()

@@ -4,7 +4,7 @@ Times the round-batched numpy kernels of :class:`~repro.simsys.SimComm`
 against the scalar :class:`~repro.simsys.reference.ReferenceComm` oracle
 and records the raw per-iteration timings as
 :class:`repro.compare.BenchRecord` runs (``kernel=vectorized`` and
-``kernel=reference``) in ``BENCH_simsys.json`` at the repo root
+``kernel=reference``) in ``BENCH_repro.json`` at the repo root
 (machine-readable, merged across runs) plus a human-readable table in
 ``benchmarks/results/``.
 
@@ -95,7 +95,7 @@ def run_suite(process_counts, n: int, ops=OPS, *, runs: int = 1,
 
     Each of the *runs* repetitions appends one run of ``ITERATIONS`` raw
     timings per kernel to the suite file (``out`` or the repo-root
-    ``BENCH_simsys.json``); *scale_wall* multiplies recorded timings to
+    ``BENCH_repro.json``); *scale_wall* multiplies recorded timings to
     inject a known regression.  The returned rows summarize the mean
     walls for the human-readable table and the smoke gates.
     """
@@ -208,7 +208,7 @@ def main(argv=None) -> int:
     parser.add_argument(
         "--out", metavar="PATH",
         help="write the BenchRecord suite to PATH instead of the repo-root "
-             "BENCH_simsys.json",
+             "BENCH_repro.json",
     )
     parser.add_argument(
         "--no-gate", action="store_true",
@@ -227,7 +227,7 @@ def main(argv=None) -> int:
         failures = check_gates(rows, require_5x_at_1024=not args.quick)
     for msg in failures:
         print(f"FAIL: {msg}", file=sys.stderr)
-    target = args.out or "BENCH_simsys.json"
+    target = args.out or "BENCH_repro.json"
     print(f"results merged into {target} ({len(rows)} configurations x "
           f"{args.runs} run(s))")
     return 1 if failures else 0

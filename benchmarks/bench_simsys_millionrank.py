@@ -7,7 +7,7 @@ staying under a fixed ``tracemalloc`` cap — peak memory is O(tile), not
 O(P·n) or O(P²) — while remaining bit-identical to the scalar
 :class:`~repro.simsys.reference.ReferenceComm` oracle at small P.
 
-Three things are measured and recorded into ``BENCH_simsys.json``:
+Three things are measured and recorded into ``BENCH_repro.json``:
 
 * per-collective wall time and throughput (ranks/s) at the headline P,
   with the tracemalloc peak in the metadata;

@@ -15,7 +15,7 @@ scales to the documented 320 MB campaign against the 256 MB cap.
 Override either knob with ``REPRO_BENCH_STORE_TOTAL_MB`` /
 ``REPRO_BENCH_STORE_CAP_MB`` (the CI store-smoke job pins its own).
 
-Each phase's wall time lands in ``BENCH_simsys.json`` as a
+Each phase's wall time lands in ``BENCH_repro.json`` as a
 :class:`repro.compare.BenchRecord` run, so store throughput sits in the
 same ``repro compare`` trajectory as the simulator kernels.
 """
@@ -36,7 +36,7 @@ from repro.store import ShardStore
 
 TOTAL_MB = int(os.environ.get("REPRO_BENCH_STORE_TOTAL_MB", fidelity(320, 48)))
 CAP_MB = int(os.environ.get("REPRO_BENCH_STORE_CAP_MB", fidelity(256, 24)))
-#: Alternate suite file for the phase records (default BENCH_simsys.json);
+#: Alternate suite file for the phase records (default BENCH_repro.json);
 #: the CI store-smoke job records two independent suites and compares them.
 OUT_PATH = os.environ.get("REPRO_BENCH_STORE_OUT") or None
 N_COLUMNS = 16

@@ -28,7 +28,12 @@ import numpy as np
 
 from ..errors import ExecutionError, ReproError, ValidationError
 from ..exec import ExecHooks, Executor, ResultCache, SerialExecutor
-from ..exec.engine import make_tasks, run_measurement_tasks
+from ..exec.engine import (
+    TaskResult,
+    make_tasks,
+    point_values,
+    run_measurement_tasks,
+)
 from ..obs import Provenance, Tracer
 from ..simsys.schedules import KERNEL_VERSION
 from .design import FactorialDesign
@@ -393,7 +398,7 @@ class Experiment:
                         **attrs,
                     )
 
-        buckets: dict[PointKey, list[float]] = {}
+        point_results: dict[PointKey, list[TaskResult]] = {}
         failures: dict[PointKey, list[tuple[int, str]]] = {}
         cached_counts: dict[PointKey, int] = {}
         attempts: dict[PointKey, int] = {}
@@ -404,18 +409,17 @@ class Experiment:
             key = _point_key(point)
             res = results[index_of[(key, rep)]]
             order.append(key)
-            bucket = buckets.setdefault(key, [])
-            if res.ok:
-                bucket.extend(float(v) for v in res.values)
-            else:
+            point_results.setdefault(key, []).append(res)
+            if not res.ok:
                 failures.setdefault(key, []).append((rep, res.error or "failed"))
             if res.cached:
                 cached_counts[key] = cached_counts.get(key, 0) + 1
             attempts[key] = attempts.get(key, 0) + res.attempts
+        buckets = {key: point_values(rs) for key, rs in point_results.items()}
 
         if on_failure == "raise":
             for key, fails in failures.items():
-                if not buckets.get(key):
+                if not buckets[key].size:
                     # Every replication of this point failed: surface the
                     # original error when the engine preserved one.
                     for res in results:
@@ -435,7 +439,7 @@ class Experiment:
                 failed_reps=tuple(failures.get(key, ())),
                 cached_reps=cached_counts.get(key, 0),
                 total_attempts=attempts.get(key, 0),
-                has_values=bool(vals),
+                has_values=vals.size > 0,
             )
         degradation = {
             s: sum(1 for e in envelopes.values() if e.state == s)
@@ -466,7 +470,7 @@ class Experiment:
 
         datasets = {}
         for key, vals in buckets.items():
-            if not vals:
+            if not vals.size:
                 # on_failure="annotate": the point is represented only by
                 # its (failed) envelope — an empty dataset would poison
                 # the statistics layer.
@@ -490,7 +494,7 @@ class Experiment:
             if exec_md:
                 md["exec"] = exec_md
             datasets[key] = MeasurementSet(
-                values=np.asarray(vals),
+                values=vals,
                 unit=self.unit,
                 name=f"{self.name} @ {dict(key)!r}",
                 metadata=md,

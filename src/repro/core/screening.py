@@ -24,7 +24,7 @@ import numpy as np
 from .._validation import check_int
 from ..errors import DesignError, ExecutionError, ReproError
 from ..exec import ExecHooks, Executor, ResultCache
-from ..exec.engine import make_tasks, run_measurement_tasks
+from ..exec.engine import make_tasks, point_values, run_measurement_tasks
 from ..simsys.schedules import KERNEL_VERSION
 
 __all__ = [
@@ -195,12 +195,8 @@ def run_screening(
     )
     row_values = []
     for r, row in enumerate(settings):
-        vals: list[float] = []
-        for rep in range(replications):
-            res = results[r * replications + rep]
-            if res.ok:
-                vals.extend(float(v) for v in res.values)
-        if not vals:
+        vals = point_values(results[r * replications : (r + 1) * replications])
+        if not vals.size:
             for rep in range(replications):
                 res = results[r * replications + rep]
                 if isinstance(res.exception, ReproError):
@@ -212,7 +208,7 @@ def run_screening(
             raise ExecutionError(
                 f"screening row {row!r} produced no values; failures: {errors}"
             )
-        row_values.append(np.asarray(vals))
+        row_values.append(vals)
     responses = np.array([float(summary(v)) for v in row_values])
     return ScreeningResult(
         design=design,

@@ -228,7 +228,7 @@ class ResultCache:
         else:
             payload = {
                 "fingerprint": fingerprint,
-                "values": [float(v) for v in x],
+                "values": x.tolist(),
                 "metadata": _canonical(dict(metadata or {})),
             }
         return write_atomic(entry, json.dumps(payload))

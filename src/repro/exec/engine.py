@@ -29,7 +29,7 @@ import inspect
 import time
 from collections import deque
 from dataclasses import dataclass, field, replace as _dc_replace
-from typing import Any, Callable, Mapping, Sequence
+from typing import Any, Callable, Iterable, Mapping, Sequence
 
 import numpy as np
 
@@ -48,6 +48,7 @@ __all__ = [
     "Outcome",
     "make_tasks",
     "run_measurement_tasks",
+    "point_values",
 ]
 
 
@@ -302,6 +303,21 @@ class TaskResult:
     error: str | None = None
     exception: BaseException | None = None
     metadata: dict[str, Any] = field(default_factory=dict)
+
+
+def point_values(results: Iterable[TaskResult]) -> np.ndarray:
+    """The float64 values of one design point, in the order of *results*.
+
+    Each ok result's values are raveled and joined by one
+    ``np.concatenate`` — no per-value Python loop, so a point assembled
+    from spilled cache hits never indexes a memmap one value at a time.
+    ``concatenate`` copies, so the point never aliases a cache memmap.
+    Failed results contribute nothing; a point with none ok has size 0.
+    """
+    parts = [
+        np.asarray(r.values, dtype=np.float64).ravel() for r in results if r.ok
+    ]
+    return np.concatenate(parts) if parts else np.empty(0, dtype=np.float64)
 
 
 def _accepts_rng(measure: Callable[..., Any]) -> bool:

@@ -115,8 +115,10 @@ def measurements_to_json(
     :func:`measurements_from_json`.
 
     *namespace* scopes the spill key (see :func:`dataset_fingerprint`).
-    Re-recording removes both the namespaced key and the legacy name-only
-    key, migrating pre-namespace stores in place.
+    Re-recording removes the legacy name-only key, migrating
+    pre-namespace stores in place, and replaces the namespaced entry
+    unless it already holds exactly these values: an unchanged rerun
+    appends nothing to the store.
     """
     payload = {
         "name": ms.name,
@@ -128,15 +130,19 @@ def measurements_to_json(
     }
     if store is not None and spill_rows is not None and ms.n >= spill_rows:
         fp = dataset_fingerprint(ms.name, namespace=namespace)
+        # Re-recording (overwrite=True): an entry that already holds these
+        # exact values stays, so an unchanged rerun appends nothing; any
+        # other stale column is unlisted first, its bytes reclaimed by
+        # `repro store compact`.
+        keep = store.holds(fp, ms.values)
         for stale in {fp, dataset_fingerprint(ms.name)}:
-            if stale in store:
-                # Re-recording (overwrite=True): unlist the stale column
-                # first; its bytes are reclaimed by `repro store compact`.
+            if stale in store and not (keep and stale == fp):
                 store.remove(stale)
-        meta = {"dataset": ms.name}
-        if namespace:
-            meta["namespace"] = namespace
-        store.append(fp, ms.values, meta)
+        if not keep:
+            meta = {"dataset": ms.name}
+            if namespace:
+                meta["namespace"] = namespace
+            store.append(fp, ms.values, meta)
         payload["store"] = {"fingerprint": fp, "rows": ms.n}
     else:
         payload["values"] = ms.values.tolist()
@@ -242,12 +248,21 @@ def _jsonable(value: Any) -> Any:
         f = float(value)
         return f if math.isfinite(f) else NONFINITE_JSON
     if isinstance(value, np.ndarray):
+        if value.dtype.kind in "biu" or (
+            value.dtype.kind == "f" and np.isfinite(value).all()
+        ):
+            # tolist() already yields the Python bools, ints and finite
+            # floats the per-element walk would produce.
+            return value.tolist()
         return _deep_jsonable(value.tolist())
     return value
 
 
 def _deep_jsonable(value: Any) -> Any:
     """Recursively convert numpy scalars/arrays inside containers."""
+    if type(value) is float:
+        # The commonest leaf, tested before the slow Mapping ABC check.
+        return value if math.isfinite(value) else NONFINITE_JSON
     if isinstance(value, Mapping):
         return {str(k): _deep_jsonable(v) for k, v in value.items()}
     if isinstance(value, (list, tuple)):

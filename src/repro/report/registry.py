@@ -102,7 +102,7 @@ class FigureEntry:
 
 
 def _f(values: Any) -> list[float]:
-    return [float(v) for v in np.asarray(values).ravel()]
+    return np.asarray(values, dtype=np.float64).ravel().tolist()
 
 
 def _text(title: str, rows: Iterable[str]) -> str:

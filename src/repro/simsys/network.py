@@ -26,9 +26,10 @@ layer, not here.
 
 from __future__ import annotations
 
+import hashlib
 from collections import OrderedDict
 from dataclasses import dataclass
-from functools import lru_cache
+from functools import cached_property, lru_cache
 
 import networkx as nx
 import numpy as np
@@ -58,7 +59,7 @@ DEFAULT_HOP_MATRIX_BUDGET = 256 * 2**20
 
 
 class _HopMatrixCache:
-    """Byte-budgeted LRU of dense hop matrices, keyed by topology.
+    """Byte-budgeted LRU of dense hop matrices, keyed by topology content.
 
     Dense ``(N, N)`` matrices are only a convenience for small topologies;
     this cache makes their lifetime explicit: built on first use, evicted
@@ -173,11 +174,32 @@ class Topology:
             )
         n = len(items)
         return _HOP_CACHE.get(
-            self.graph,
+            self._hop_key,
             lambda: _build_hop_matrix(self.graph, items),
             self.name,
             n * n * 8,
         )
+
+    @cached_property
+    def _hop_key(self) -> str:
+        """Content digest of what the hop matrix depends on: the graph's
+        nodes and edges and the attachment.  Rebuilding a machine (say,
+        once per figure render) hits the matrix already built, and the
+        cache keeps no graph alive."""
+        directed = self.graph.is_directed()
+        edges = sorted(
+            (repr(u), repr(v)) if directed else tuple(sorted((repr(u), repr(v))))
+            for u, v in self.graph.edges
+        )
+        h = hashlib.blake2b(digest_size=16)
+        for part in (
+            directed,
+            sorted(map(repr, self.graph.nodes)),
+            edges,
+            sorted(self.attachment.items()),
+        ):
+            h.update(repr(part).encode())
+        return h.hexdigest()
 
     def rank_level_census(
         self, node_of_rank: np.ndarray

@@ -275,7 +275,7 @@ class KLLSketch:
             "k": self.k,
             "seed": self._seed,
             "n": self.n,
-            "levels": [[float(v) for v in lvl] for lvl in self._levels],
+            "levels": [lvl.tolist() for lvl in self._levels],
         }
 
     @classmethod

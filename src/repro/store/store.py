@@ -418,6 +418,19 @@ class ShardStore:
             return entry["digest"]
         return _values_digest(self.iter_chunks(fingerprint))
 
+    def holds(self, fingerprint: str, values: Iterable[float] | np.ndarray) -> bool:
+        """Is *fingerprint* listed with exactly *values*?
+
+        Compares the row count and the BLAKE2b-16 digest :meth:`append`
+        recorded (see :meth:`entry_digest`) against the digest of
+        *values*, so an unchanged re-record can keep the entry instead of
+        re-appending identical bytes.
+        """
+        x = np.ascontiguousarray(values, dtype=np.float64)
+        return self.rows(fingerprint) == x.size and self.entry_digest(
+            fingerprint
+        ) == _values_digest([x])
+
     def rows(self, fingerprint: str) -> int | None:
         entry = self._entries.get(fingerprint)
         return None if entry is None else int(entry["rows"])

@@ -268,3 +268,148 @@ class TestFailureEnvelopes:
         parsed = json.loads(json.dumps(payload))
         assert {e["state"] for e in parsed} == {"ok"}
         assert sorted(e["point"]["p"] for e in parsed) == [1, 2]
+
+
+# -- point assembly: values move as float64 arrays -----------------------
+
+
+def _per_value_points(results):
+    """Reference: the per-value Python loop points were assembled with
+    before values moved as arrays (``float(v)`` per value, then one
+    ``np.asarray`` of the list)."""
+    vals: list[float] = []
+    for res in results:
+        if res.ok:
+            vals.extend(float(v) for v in res.values)
+    return np.asarray(vals)
+
+
+def ndarray_measure(point, rep, rng):
+    return rng.lognormal(size=5)
+
+
+def float32_measure(point, rep, rng):
+    return rng.normal(size=5).astype(np.float32)
+
+
+def int_list_measure(point, rep, rng):
+    return [int(v) for v in rng.integers(-(2**53), 2**53, size=5)]
+
+
+def list_measure(point, rep, rng):
+    return [float(v) for v in rng.normal(scale=1e-300, size=5)]
+
+
+def spill_measure(point, rep, rng):
+    return rng.lognormal(size=150)
+
+
+def _value_bytes(result):
+    return {
+        key: (ms.values.dtype.str, ms.values.tobytes())
+        for key, ms in result.datasets.items()
+    }
+
+
+class TestPointValuesByteIdentity:
+    """``Experiment.run`` builds each point from arrays, never per value,
+    and the bytes equal those of the per-value loop."""
+
+    def _exp(self, measure, reps=3):
+        return Experiment(
+            name="bytes",
+            design=FactorialDesign((Factor("p", (1, 2, 3)),), replications=reps),
+            measure=measure,
+            seed=11,
+        )
+
+    @pytest.mark.parametrize(
+        "measure",
+        [ndarray_measure, float32_measure, int_list_measure, list_measure],
+        ids=["ndarray", "float32", "int-list", "list"],
+    )
+    def test_matches_the_per_value_loop(self, measure, monkeypatch):
+        import repro.core.experiment as experiment_mod
+
+        new = self._exp(measure).run()
+        monkeypatch.setattr(experiment_mod, "point_values", _per_value_points)
+        old = self._exp(measure).run()
+        assert _value_bytes(new) == _value_bytes(old)
+        assert all(ms.values.dtype == np.float64 for ms in new.datasets.values())
+
+    def test_spilled_cache_hit_matches_the_per_value_loop(self, tmp_path, monkeypatch):
+        import repro.core.experiment as experiment_mod
+        from repro.core import Campaign
+        from repro.exec import ExecHooks
+
+        camp = Campaign.create(tmp_path / "camp", name="bytes")
+        cold = camp.run(self._exp(spill_measure), spill_rows=100)
+        hooks = ExecHooks()
+        new = camp.run(
+            self._exp(spill_measure), hooks=hooks, overwrite=True, spill_rows=100
+        )
+        assert hooks.cached == 9 and hooks.completed == 0
+        monkeypatch.setattr(experiment_mod, "point_values", _per_value_points)
+        old = camp.run(self._exp(spill_measure), overwrite=True, spill_rows=100)
+        assert _value_bytes(new) == _value_bytes(old) == _value_bytes(cold)
+        for ms in new.datasets.values():
+            assert type(ms.values) is np.ndarray  # not a cache memmap
+
+    def test_point_values_of_mixed_results(self, tmp_path):
+        from repro.exec.engine import TaskResult, point_values
+        from repro.store import ShardStore
+
+        store = ShardStore(tmp_path / "store")
+        store.append("a" * 32, np.linspace(0.5, 2.5, 7))
+        mapped, _ = store.get("a" * 32)
+        assert isinstance(mapped, np.memmap)
+        results = [
+            TaskResult(task=None, values=mapped, ok=True),
+            TaskResult(task=None, values=np.arange(3, dtype=np.float32) / 3, ok=True),
+            TaskResult(task=None, values=None, ok=False, error="boom"),
+            TaskResult(task=None, values=[4, 5, -6], ok=True),
+            TaskResult(task=None, values=[0.1, 1e-310], ok=True),
+        ]
+        got = point_values(results)
+        want = _per_value_points(results)
+        assert got.dtype == want.dtype == np.float64
+        assert got.tobytes() == want.tobytes()
+        assert type(got) is np.ndarray and not np.shares_memory(got, mapped)
+        assert point_values([results[2]]).size == 0
+
+    def test_annotate_point_without_values_is_dropped(self):
+        from repro.exec import SerialExecutor
+
+        exp = Experiment(
+            name="bytes",
+            design=FactorialDesign((Factor("p", (1, 2)),), replications=2),
+            measure=point_failing_measure,
+            seed=3,
+        )
+        res = exp.run(executor=SerialExecutor(retries=0), on_failure="annotate")
+        keys = {dict(k)["p"]: k for k in res.envelopes}
+        assert keys[2] not in res.datasets
+        assert res.envelopes[keys[2]].state == "failed"
+        assert res.envelopes[keys[2]].reps_ok == 0
+        assert res.datasets[keys[1]].n == 6
+
+    def test_spilled_rerun_indexes_each_memmap_once(self, tmp_path, monkeypatch):
+        """A cache-hit rerun slices each task's column once; it never
+        walks a memmap value by value."""
+        from repro.core import Campaign
+        from repro.exec import ExecHooks
+
+        camp = Campaign.create(tmp_path / "camp", name="bytes")
+        camp.run(self._exp(spill_measure), spill_rows=100)
+        calls = []
+        getitem = np.memmap.__getitem__
+
+        def counting(self, index):
+            calls.append(index)
+            return getitem(self, index)
+
+        monkeypatch.setattr(np.memmap, "__getitem__", counting)
+        hooks = ExecHooks()
+        camp.run(self._exp(spill_measure), hooks=hooks, overwrite=True, spill_rows=100)
+        assert hooks.cached == 9
+        assert 0 < len(calls) <= hooks.cached

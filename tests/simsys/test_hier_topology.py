@@ -8,6 +8,8 @@ the rank-level census (the aggregated alltoall's input) to brute force.
 
 from __future__ import annotations
 
+import dataclasses
+
 import numpy as np
 import pytest
 
@@ -130,6 +132,34 @@ class TestHopMatrixCacheBudget:
             assert m.shape == (128, 128)
         finally:
             set_hop_matrix_budget(old)
+
+    def test_rebuilt_topology_shares_its_matrix_and_frees_its_graph(self):
+        import gc
+        import weakref
+
+        from repro.simsys.network import _HOP_CACHE
+
+        idx = np.arange(16)
+        first = dragonfly(2, 4, 2)
+        m1 = first.pairwise_hops(idx[:, None], idx[None, :])
+        entries = _HOP_CACHE.stats["entries"]
+        graph = weakref.ref(first.graph)
+        del first
+        gc.collect()
+        assert graph() is None  # the cache holds no graph alive
+        again = dragonfly(2, 4, 2)
+        m2 = again.pairwise_hops(idx[:, None], idx[None, :])
+        assert _HOP_CACHE.stats["entries"] == entries  # rebuilt: a cache hit
+        assert np.array_equal(m1, m2)
+        # Same graph, other attachment: a matrix of its own.
+        moved = dataclasses.replace(
+            again, attachment={n: again.attachment[15 - n] for n in range(16)}
+        )
+        m3 = moved.pairwise_hops(idx[:, None], idx[None, :])
+        assert np.array_equal(m3, m2[::-1, ::-1])
+        for a in range(16):
+            for b in range(16):
+                assert m3[a, b] == moved.hops(a, b)
 
     def test_hierarchical_topology_never_needs_the_cache(self):
         # A ~125k-node dragonfly: the dense matrix would be ~125 GB.

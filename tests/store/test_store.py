@@ -223,6 +223,22 @@ class TestEntryDigest:
         for fp in sorted(data)[1:]:
             assert store.entry_digest(fp) == before[fp] == chunk_digest(store, fp)
 
+    def test_holds_compares_rows_and_digest(self, tmp_path, monkeypatch):
+        with ShardStore(tmp_path, shard_rows=100) as store:
+            data = fill(store)
+        store = ShardStore(tmp_path, shard_rows=100)
+
+        def boom(*args, **kwargs):
+            raise AssertionError("holds read value bytes")
+
+        monkeypatch.setattr(ShardStore, "iter_chunks", boom)
+        for fp, values in data.items():
+            assert store.holds(fp, values)
+            assert store.holds(fp, list(values))
+            assert not store.holds(fp, values[:-1])
+            assert not store.holds(fp, values + 1.0)
+        assert not store.holds("f" * 32, next(iter(data.values())))
+
     def test_recorded_digest_reads_no_values(self, tmp_path, monkeypatch):
         with ShardStore(tmp_path) as store:
             data = fill(store)
