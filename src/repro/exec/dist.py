@@ -4,10 +4,11 @@
 every guarantee the local executors already provide (the conformance
 contract in ``tests/exec/conformance.py`` and docs/EXEC.md):
 
-* an asyncio **coordinator** owns the task queue, per-attempt timeouts,
-  and worker lifecycles, and records every attempt through the engine's
-  attempt ledger (:class:`repro.exec.engine._Ledger`) — the same retry,
-  backoff, and hook accounting as :class:`~repro.exec.SerialExecutor`;
+* an asyncio **coordinator** does the socket I/O — accept, handshake,
+  frames — and spawns and kills worker processes; the engine's attempt
+  ledger (:class:`repro.exec.engine._Ledger`) makes every decision:
+  what runs where, retries and backoff, per-attempt timeouts, respawns,
+  the same ledger :class:`~repro.exec.SerialExecutor` drives;
 * N rank-addressed **workers** connect over TCP, speak the versioned
   frame protocol of :mod:`repro.exec.protocol`, and execute one task at
   a time — processes the coordinator spawns itself (``spawn="fork"`` /
@@ -24,9 +25,7 @@ contract in ``tests/exec/conformance.py`` and docs/EXEC.md):
   counters travel the same way as per-task deltas
   (:meth:`~repro.obs.MetricsRegistry.merge_counter_deltas`);
 * a lost worker — crash, kill, partition, per-attempt timeout — fails
-  only the attempt it was running: the task requeues with backoff, other
-  workers' in-flight tasks are untouched, and locally spawned workers
-  are replaced from a bounded respawn budget.
+  only the attempt it was running.
 
 :class:`ProcessExecutor` is this backend's local preset: forked workers
 on localhost, one per core by default.
@@ -50,7 +49,8 @@ from .._validation import check_int, check_positive
 from ..errors import ExecutionError, ValidationError
 from ..obs.metrics import DIST_METRICS
 from ..obs.tracing import capture_file_spans, emit_span_dict
-from .engine import Executor, Outcome, _Ledger, _now
+from . import engine
+from .engine import Executor, Outcome, _Ledger
 from .hooks import ExecHooks
 from .protocol import (
     ERROR,
@@ -97,30 +97,16 @@ def _connect_with_retry(host: str, port: int, timeout: float) -> socket.socket:
 def _execute_payload(payload: dict[str, Any], rank: int) -> dict[str, Any]:
     """Run one TASK payload; returns the RESULT payload (not yet sent)."""
     fn, item = payload["work"]
-    spans: list[tuple[str, dict[str, Any]]] = []
+    result = {"id": payload["id"], "attempt": payload["attempt"], "rank": rank,
+              "ok": False, "value": None, "error": None, "exc": None, "spans": []}
     start = time.perf_counter()
-    value: Any = None
-    ok = False
-    error: str | None = None
-    exc: BaseException | None = None
-    with capture_file_spans(spans):
+    with capture_file_spans(result["spans"]):
         try:
-            value = fn(item)
-            ok = True
-        except Exception as caught:  # noqa: BLE001 - task error boundary
-            error = f"{type(caught).__name__}: {caught}"
-            exc = caught
-    return {
-        "id": payload["id"],
-        "attempt": payload["attempt"],
-        "rank": rank,
-        "ok": ok,
-        "value": value,
-        "error": error,
-        "exc": exc,
-        "wall": time.perf_counter() - start,
-        "spans": spans,
-    }
+            result.update(value=fn(item), ok=True)
+        except Exception as exc:  # noqa: BLE001 - task error boundary
+            result.update(error=f"{type(exc).__name__}: {exc}", exc=exc)
+    result["wall"] = time.perf_counter() - start
+    return result
 
 
 def _safe_result_frame(payload: dict[str, Any]) -> bytes:
@@ -216,11 +202,9 @@ def worker_main(
             result = _execute_payload(payload, rank)
             if registry is not None:
                 current = registry.counter_values()
-                deltas = {
-                    name: value - last_counters.get(name, 0.0)
-                    for name, value in current.items()
-                    if value - last_counters.get(name, 0.0) > 0.0
-                }
+                deltas = {name: value - last_counters.get(name, 0.0)
+                          for name, value in current.items()
+                          if value > last_counters.get(name, 0.0)}
                 last_counters = current
                 if deltas:
                     result["counters"] = deltas
@@ -260,8 +244,6 @@ class _WorkerConn:
     reader: asyncio.StreamReader
     writer: asyncio.StreamWriter
     pid: int
-    busy: tuple[int, int] | None = None  # (index, attempt)
-    started_at: float = 0.0
     said_goodbye: bool = False
 
     def close(self) -> None:
@@ -269,7 +251,13 @@ class _WorkerConn:
 
 
 class _Run:
-    """Per-``run()`` coordinator state: queue, connections, outcomes."""
+    """Per-``run()`` coordinator state: the socket side of one run.
+
+    Every scheduling decision (what runs where, retries, timeouts,
+    respawns, exhaustion) is the attempt ledger's; this class accepts
+    and handshakes connections, moves frames, spawns and kills processes
+    when the ledger says so, and keeps the ``repro_dist_*`` counters.
+    """
 
     def __init__(self, executor: "DistExecutor", worker_fn: Callable[[Any], Any],
                  items: Sequence[Any], names: list[str], hooks: ExecHooks) -> None:
@@ -277,24 +265,15 @@ class _Run:
         self.worker_fn = worker_fn
         self.items = items
         self.hooks = hooks
-        self.ledger = _Ledger(executor, names, hooks)
-        self.inflight: dict[int, _WorkerConn] = {}
-        self.idle: list[_WorkerConn] = []
-        self.workers: list[_WorkerConn] = []
+        pool = executor.workers if executor.spawn != "external" else 0  # respawnable
+        self.ledger = _Ledger(executor, names, hooks, timeout=executor.timeout, pool=pool)
+        #: Open worker connections (handshake done, not yet dropped).
+        self.conns: list[_WorkerConn] = []
         self.events: asyncio.Queue[tuple[str, Any, Any]] = asyncio.Queue()
         self.reader_tasks: list[asyncio.Task] = []
         self.next_rank = 0
         self.ever_connected = False
         self.draining = False
-        # External workers cannot be respawned; spawned ones are replaced
-        # from a budget of consecutive losses that every result refills.
-        spawned = executor.spawn != "external"
-        self.max_respawns = executor.workers * (1 + executor.retries) if spawned else 0
-        self.respawn_budget = self.max_respawns
-        #: Spawned workers that have not finished their handshake yet.
-        self.joining = executor.workers if spawned else 0
-
-    # -- metric helpers --------------------------------------------------
 
     def _count(self, name: str) -> None:
         if self.hooks.metrics is not None:
@@ -319,6 +298,10 @@ class _Run:
                 # Not spawned for this run: a foreign local process, or a
                 # straggler from an earlier run left in the listen backlog.
                 raise ProtocolError("handshake refused: wrong or missing run token")
+            try:
+                pid, rank = int(hello.get("pid", 0)), int(hello.get("rank", -1))
+            except (TypeError, ValueError):
+                raise ProtocolError("HELLO pid and rank must be integers") from None
         except ProtocolError as exc:
             # Version skew, garbage, or no token: refuse in JSON (readable
             # by any protocol version) and close.
@@ -332,25 +315,20 @@ class _Run:
         except (ConnectionError, asyncio.TimeoutError):
             writer.close()
             return
-        pid = int(hello.get("pid", 0))
-        rank = int(hello.get("rank", -1))
         if rank < 0:
             rank = self.next_rank
         self.next_rank = max(self.next_rank, rank + 1)
         w = _WorkerConn(rank, reader, writer, pid)
-        cfg: dict[str, Any] = {
-            "rank": rank,
-            "protocol": PROTOCOL_VERSION,
-            "forward_metrics": self.hooks.metrics is not None,
-        }
         try:
-            writer.write(encode_frame(WELCOME, cfg))
+            writer.write(encode_frame(WELCOME, {
+                "rank": rank, "protocol": PROTOCOL_VERSION,
+                "forward_metrics": self.hooks.metrics is not None,
+            }))
             await writer.drain()
         except (ConnectionError, OSError):
             writer.close()
             return
-        self.workers.append(w)
-        self.joining = max(self.joining - 1, 0)
+        self.conns.append(w)
         self.ever_connected = True
         self._count("repro_dist_workers_connected_total")
         if self.draining:
@@ -400,78 +378,66 @@ class _Run:
                 asyncio.ensure_future(self.handle_connection(conn))
             )
 
-    # -- scheduling ------------------------------------------------------
-
-    def _drop_worker(self, w: _WorkerConn, status: str) -> None:
-        """A worker is gone: fail its attempt, requeue, maybe respawn.
-
-        *status* completes ``worker rank N ...`` in the attempt's error.
-        The pool is exhausted only when no budget *and* no worker is left
-        (a replacement still joining will pick up the queue).
-        """
-        if w not in self.workers:
-            return  # already dropped (timeout path races the reader's EOF)
-        self._count("repro_dist_workers_lost_total")
-        if w in self.idle:
-            self.idle.remove(w)
-        self.workers.remove(w)
+    def _close(self, w: _WorkerConn) -> bool:
+        """Close *w*'s connection; False if it was closed already."""
+        if w not in self.conns:
+            return False
+        self.conns.remove(w)
         w.close()
-        if w.busy is not None:
-            i, attempt = w.busy
-            w.busy = None
-            self.inflight.pop(i, None)
-            self._count("repro_dist_tasks_reassigned_total")
-            self.ledger.failed(i, attempt, f"worker rank {w.rank} {status}",
-                               elapsed=max(_now() - w.started_at, 0.0))
-        if not (self.ledger.pending or self.inflight):
-            return
-        if self.respawn_budget > 0 and len(self.workers) + self.joining < self.ex.workers:
-            self.respawn_budget -= 1
-            self.joining += 1
-            self.ex._spawn_worker(self.next_rank)
-            self.next_rank += 1
-        elif not self.workers and not self.joining:
-            self.ledger.fail_pending(
-                "worker pool exhausted (all workers lost, respawn budget spent)"
-            )
+        self._count("repro_dist_workers_lost_total")
+        return True
 
-    async def _assign(self, w: _WorkerConn, i: int, attempt: int) -> None:
+    def _act(self, decisions: list[tuple[str, Any]]) -> None:
+        """Carry out what the ledger decided about lost or timed-out workers."""
+        for kind, arg in decisions:
+            if kind == "requeue":
+                self._count("repro_dist_tasks_reassigned_total")
+            elif kind == "sever" and self._close(arg):
+                proc = self.ex._spawned(arg.pid)  # may be wedged: kill it
+                if proc is not None:
+                    proc.kill()
+            elif kind == "spawn":
+                self.ex._spawn_worker(self.next_rank)
+                self.next_rank += 1
+
+    def _drop(self, w: _WorkerConn, status: str) -> None:
+        """*w*'s connection is gone (unless a timeout severed it first);
+        *status* completes the ``worker rank N ...`` error."""
+        if self._close(w):
+            self._act(self.ledger.lost(w, f"worker rank {w.rank} {status}", engine._now()))
+
+    async def _send(self, w: _WorkerConn, i: int, attempt: int) -> None:
         payload = {
             "id": i,
             "attempt": attempt,
             "label": self.ledger.names[i],
             "work": (self.worker_fn, self.items[i]),
         }
-        self.ledger.submitted(i)
         try:
             frame = encode_frame(TASK, payload)
         except Exception as exc:  # noqa: BLE001 - pickling/oversize boundary
             # An untransportable task would fail identically on every
             # attempt; fail it now instead of burning the retry budget.
-            self.idle.append(w)
-            self.ledger.failed(
-                i, attempt, f"task not transportable: {type(exc).__name__}: {exc}",
-                exc, final=True,
+            self.ledger.result(
+                w, i, attempt, engine._now(), elapsed=0.0, final=True, exc=exc,
+                error=f"task not transportable: {type(exc).__name__}: {exc}",
             )
             return
-        w.busy = (i, attempt)
-        w.started_at = _now()
-        self.inflight[i] = w
         try:
             w.writer.write(frame)
             await w.writer.drain()
         except (ConnectionError, OSError) as exc:
-            self._drop_worker(w, f"lost: send failed: {exc}")
+            self._drop(w, f"lost: send failed: {exc}")
 
     def _apply_result(self, w: _WorkerConn, payload: dict[str, Any]) -> None:
-        i = int(payload["id"])
-        attempt = int(payload["attempt"])
-        if w.busy != (i, attempt):
-            return  # stale frame from an attempt already timed out
-        self.respawn_budget = self.max_respawns
-        w.busy = None
-        self.inflight.pop(i, None)
-        self.idle.append(w)
+        ok = payload["ok"]
+        if not self.ledger.result(
+            w, int(payload["id"]), int(payload["attempt"]), engine._now(),
+            value=payload["value"] if ok else None,
+            error=None if ok else str(payload.get("error")),
+            exc=payload.get("exc"), elapsed=float(payload.get("wall", 0.0)),
+        ):
+            return  # stale frame from an attempt already charged
         for sink_path, span in payload.get("spans") or ():
             emit_span_dict(sink_path, span)
         counters = payload.get("counters")
@@ -479,49 +445,20 @@ class _Run:
             from ..obs.metrics import SIMSYS_METRICS
 
             self.hooks.metrics.merge_counter_deltas(counters, SIMSYS_METRICS)
-        elapsed = float(payload.get("wall", 0.0))
-        if payload["ok"]:
-            self.ledger.succeeded(i, attempt, payload["value"], elapsed)
-        else:
-            self.ledger.failed(i, attempt, str(payload.get("error")),
-                               payload.get("exc"), elapsed)
-
-    def _check_timeouts(self) -> None:
-        if self.ex.timeout is None:
-            return
-        now = _now()
-        stuck = [
-            w for w in self.workers
-            if w.busy is not None and now - w.started_at > self.ex.timeout
-        ]
-        for w in stuck:
-            i, attempt = w.busy
-            w.busy = None
-            self.inflight.pop(i, None)
-            self.ledger.failed(i, attempt,
-                               f"task exceeded timeout of {self.ex.timeout:g} s",
-                               elapsed=now - w.started_at)
-            # The worker may be wedged in user code: sever and replace it.
-            self._drop_worker(w, "per-attempt timeout")
-            proc = self.ex._spawned(w.pid)
-            if proc is not None:
-                proc.kill()
 
     async def scheduler(self) -> None:
-        started = _now()
+        started = time.monotonic()
         ledger = self.ledger
-        while ledger.pending or self.inflight:
-            while ledger.pending and self.idle:
-                entry = ledger.pop_ready()
-                if entry is None:
-                    break
-                await self._assign(self.idle.pop(), *entry)
+        while not ledger.done:
+            for w, i, attempt in ledger.dispatch(engine._now()):
+                await self._send(w, i, attempt)
             try:
-                if ledger.pending and self.idle and not self.inflight:
+                if ledger.idle and not ledger.inflight:
                     # Nothing in flight can report back, so sleep through
                     # the backoff on the ledger's (fakeable) clock, let the
                     # readers queue what arrived meanwhile, then poll.
-                    ledger.wait_backoff(self.ex._TICK)
+                    engine._sleep(min(max(ledger.wake_at() - engine._now(), 0.0),
+                                      self.ex._TICK))
                     await asyncio.sleep(0)
                     kind, w, payload = self.events.get_nowait()
                 else:
@@ -531,13 +468,13 @@ class _Run:
             except (asyncio.TimeoutError, asyncio.QueueEmpty):
                 kind = None
             if kind == "connected":
-                self.idle.append(w)
+                ledger.connect(w)
             elif kind == "result":
                 self._apply_result(w, payload)
             elif kind == "lost":
-                self._drop_worker(w, payload)
-            self._check_timeouts()
-            if not self.ever_connected and _now() - started > self.ex.connect_timeout:
+                self._drop(w, payload)
+            self._act(ledger.tick(engine._now()))
+            if not self.ever_connected and time.monotonic() - started > self.ex.connect_timeout:
                 raise ExecutionError(
                     f"no workers connected to "
                     f"{self.ex.address[0]}:{self.ex.address[1]} within "
@@ -554,13 +491,13 @@ class _Run:
     async def drain(self) -> None:
         """Clean shutdown: SHUTDOWN every worker, await GOODBYEs briefly."""
         self.draining = True
-        for w in list(self.workers):
+        for w in list(self.conns):
             await self._shutdown(w)
         if self.reader_tasks:
             _, late = await asyncio.wait(self.reader_tasks, timeout=_DRAIN_TIMEOUT)
             for task in late:
                 task.cancel()
-        for w in self.workers:
+        for w in self.conns:
             w.close()
 
     async def execute(self) -> list[Outcome]:
@@ -612,16 +549,16 @@ class DistExecutor(Executor):
         a cold ``repro worker`` costs seconds, and N of them compete
         for the same cores.
 
-    A lost worker costs one attempt of the one task it was running —
-    crash-looping tasks are bounded by ``retries`` and crash-looping
-    *workers* by a respawn budget of ``workers * (1 + retries)``
-    *consecutive* losses (every result refills it); queued tasks fail
-    only once it is spent and no worker is left.  The attempt's error
-    names the cause: ``worker rank N crashed (exit code
-    C): ...`` when a spawned worker's process exited, ``worker rank N
-    lost: ...`` when only the connection went away.  Socket-level
-    chaos (kills, partitions, slow links) comes from wrapping this
-    executor in :class:`repro.chaos.ChaosExecutor`.
+    A lost worker costs one attempt of the one task it was running.  The
+    attempt ledger (:class:`repro.exec.engine._Ledger`) decides every
+    retry, timeout, and respawn: crash-looping tasks are bounded by
+    ``retries``, crash-looping *workers* by a respawn budget of
+    ``workers * (1 + retries)`` *consecutive* losses, and queued tasks
+    fail only once it is spent and no worker is left.  The error names
+    the cause: ``worker rank N crashed (exit code C): ...`` when a
+    spawned worker's process exited, ``worker rank N lost: ...`` when
+    only the connection went away.  Socket-level chaos comes from
+    wrapping this executor in :class:`repro.chaos.ChaosExecutor`.
     """
 
     _TICK = 0.02  # seconds between scheduler wake-ups
@@ -757,7 +694,7 @@ class DistExecutor(Executor):
                     self._spawn_worker(rank)
             outcomes = asyncio.run(run.execute())
         finally:
-            self._reap_workers(clean={w.pid for w in run.workers if w.said_goodbye})
+            self._reap_workers(clean={w.pid for w in run.conns if w.said_goodbye})
         return outcomes
 
 

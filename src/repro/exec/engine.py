@@ -11,8 +11,9 @@ an engine, not a for-loop.  Every executor shares one contract:
   (or one dead worker) is recorded rather than fatal;
   :class:`~repro.exec.ProcessExecutor` is its local, forked-worker form.
 
-Both record every attempt through one attempt ledger (:class:`_Ledger`),
-so retry accounting, backoff, and hook events cannot drift between them.
+One attempt ledger (:class:`_Ledger`) makes every dispatch, retry,
+timeout, and respawn decision for both, so retry accounting, backoff,
+and hook events cannot drift between them.
 
 Determinism is *not* the executor's job: every task carries a
 pre-spawned :class:`numpy.random.SeedSequence`
@@ -69,23 +70,6 @@ def _sleep(seconds: float) -> None:
     time.sleep(seconds)
 
 
-def _pop_ready(
-    pending: deque[tuple[int, int, float]], now: float
-) -> tuple[int, int] | None:
-    """Pop the first *ready* pending entry, scanning past backoffs.
-
-    The ledger pushes each retry back at the head of the queue with a
-    backoff deadline, so the head can sit in a long backoff while entries
-    behind it are ready now.  Scanning (rather than only inspecting
-    ``pending[0]``) keeps one long-backoff task from stalling ready work.
-    """
-    for pos, (i, attempt, ready_at) in enumerate(pending):
-        if ready_at <= now:
-            del pending[pos]
-            return i, attempt
-    return None
-
-
 @dataclass
 class Outcome:
     """What happened to one item handed to an executor.
@@ -123,12 +107,6 @@ class Executor:
         self.backoff = check_nonneg(backoff, "backoff")
         self.max_backoff = check_nonneg(max_backoff, "max_backoff")
 
-    def _delay(self, attempt: int) -> float:
-        """Backoff before re-running a task that failed *attempt* times."""
-        if self.backoff == 0.0:
-            return 0.0
-        return min(self.backoff * (2.0 ** max(attempt - 1, 0)), self.max_backoff)
-
     def run(
         self,
         worker: Callable[[Any], Any],
@@ -152,66 +130,160 @@ class Executor:
 
 
 class _Ledger:
-    """The attempt ledger: the one place every scheduler records attempts.
+    """The attempt ledger: one run's attempts as a pure state machine.
 
-    It owns the queue of ``(index, attempt, ready_at)`` entries, fires
-    ``submitted`` once per task, writes each attempt's result onto its
-    :class:`Outcome`, and decides retry-or-final with the executor's
-    backoff.  A retry goes back to the queue's *head*: the serial loop
-    retries in place, the dist coordinator reruns it ahead of fresh work.
+    Both schedulers feed it events stamped with their own ``now`` — a
+    worker connected, idle workers ask for work (:meth:`dispatch`), a
+    result, a worker lost, a clock tick — and act on the decisions it
+    returns: run ``(i, attempt)`` on a worker or wait until
+    :meth:`wake_at`, ``("sever", w)``, ``("spawn", None)``.  It reads no
+    clock and touches no socket or process.  What it decides itself it
+    reports as ``("ok" | "requeue" | "fail", i)``: a failed attempt
+    requeues at the queue's head after the executor's backoff while
+    ``retries`` last, and ``submitted`` fires once per task.
+
+    It owns the one in-flight table, ``{index: (worker, attempt,
+    started_at)}``: a result not in flight on its worker is stale, and an
+    attempt fails at ``started_at + timeout``.  A lost worker of the
+    ``pool`` the scheduler spawned is replaced from a budget of ``pool *
+    (1 + retries)`` consecutive losses, refilled by every result; with
+    the budget spent and no worker connected or joining, every queued
+    task fails ("worker pool exhausted").
     """
 
-    def __init__(self, executor: Executor, names: list[str], hooks: ExecHooks) -> None:
+    def __init__(self, executor: Executor, names: list[str], hooks: ExecHooks,
+                 *, timeout: float | None = None, pool: int = 0) -> None:
         self.executor = executor
         self.names = names
         self.hooks = hooks
+        self.timeout = timeout
+        self.pool = pool
         self.outcomes = [Outcome(index=i) for i in range(len(names))]
-        self.pending = deque((i, 1, 0.0) for i in range(len(names)))
+        self.pending = deque((i, 1, 0.0) for i in range(len(names)))  # (i, attempt, ready_at)
+        self.inflight: dict[int, tuple[Any, int, float]] = {}
+        self.idle: list[Any] = []
+        self.live: set[Any] = set()
+        self.joining = pool  # spawned, not connected yet
+        self.max_respawns = self.respawns = pool * (1 + executor.retries)
         self._submitted: set[int] = set()
 
-    def pop_ready(self) -> tuple[int, int] | None:
-        return _pop_ready(self.pending, _now())
+    @property
+    def done(self) -> bool:
+        return not (self.pending or self.inflight)
 
-    def wait_backoff(self, cap: float) -> None:
-        """Sleep toward the earliest queued deadline, for at most *cap* s."""
-        due = min(entry[2] for entry in self.pending)
-        _sleep(min(max(due - _now(), 0.0), cap))
+    def wake_at(self) -> float | None:
+        """The earliest backoff deadline in the queue (None when empty)."""
+        return min((ready_at for _, _, ready_at in self.pending), default=None)
 
-    def submitted(self, i: int) -> None:
-        """Record that task *i* went out: once, however often it reruns."""
-        if i not in self._submitted:
-            self._submitted.add(i)
-            self.hooks.record("submitted", self.names[i])
+    def connect(self, w: Any) -> None:
+        self.joining = max(self.joining - 1, 0)
+        self.live.add(w)
+        self.idle.append(w)
 
-    def succeeded(self, i: int, attempt: int, value: Any, elapsed: float) -> None:
+    def dispatch(self, now: float) -> list[tuple[Any, int, int]]:
+        """Give each idle worker the first *ready* queued entry: the scan
+        goes past a head still in backoff, so it never stalls ready work."""
+        runs = []
+        while self.idle:
+            ready = next((pos for pos, (_, _, ready_at) in enumerate(self.pending)
+                          if ready_at <= now), None)
+            if ready is None:
+                break
+            i, attempt, _ = self.pending[ready]
+            del self.pending[ready]
+            w = self.idle.pop()
+            self._submit(i)
+            self.inflight[i] = (w, attempt, now)
+            runs.append((w, i, attempt))
+        return runs
+
+    def result(self, w: Any, i: int, attempt: int, now: float, *, value: Any = None,
+               error: str | None = None, exc: BaseException | None = None,
+               elapsed: float | None = None, final: bool = False) -> list[tuple[str, Any]]:
+        """*w* reports ``(i, attempt)``, a success unless *error* is set.
+        *elapsed* defaults to the time since dispatch; ``final`` skips the
+        retry of a fault no rerun can fix."""
+        if self.inflight.get(i, (None, None))[:2] != (w, attempt):
+            return []  # stale: timed out, or its worker was lost
+        _, _, started = self.inflight.pop(i)
+        self.idle.append(w)
+        self.respawns = self.max_respawns
+        elapsed = now - started if elapsed is None else elapsed
+        if error is not None:
+            return [self._charge(i, attempt, error, exc, elapsed, None if final else now)]
         out = self.outcomes[i]
         out.attempts = attempt
         out.wall_time += elapsed
         out.value, out.ok, out.error, out.exception = value, True, None, None
         self.hooks.record("completed", self.names[i], seconds=out.wall_time)
+        return [("ok", i)]
 
-    def failed(self, i: int, attempt: int, error: str,
-               exc: BaseException | None = None, elapsed: float = 0.0,
-               *, final: bool = False) -> None:
-        """Charge a failed attempt; requeue it while the retry budget lasts
-        (``final`` skips the retry for faults no rerun can fix)."""
+    def lost(self, w: Any, error: str, now: float) -> list[tuple[str, Any]]:
+        """Worker *w* went away: its attempt, if any, fails with *error*."""
+        if w not in self.live:
+            return []  # severed already
+        running = [(i, a, s) for i, (o, a, s) in self.inflight.items() if o is w]
+        for i, attempt, started in running:
+            del self.inflight[i]
+        return [self._charge(i, a, error, None, now - s, now)
+                for i, a, s in running] + self._leave(w)
+
+    def tick(self, now: float) -> list[tuple[str, Any]]:
+        """Fail each attempt in flight at ``started_at + timeout``, and
+        sever its worker: it may be wedged in user code."""
+        decisions: list[tuple[str, Any]] = []
+        for i, (w, attempt, started) in list(self.inflight.items()):
+            if self.timeout is not None and now >= started + self.timeout:
+                del self.inflight[i]
+                decisions.append(self._charge(
+                    i, attempt, f"task exceeded timeout of {self.timeout:g} s",
+                    None, now - started, now,
+                ))
+                decisions += [("sever", w), *self._leave(w)]
+        return decisions
+
+    def _submit(self, i: int) -> None:
+        if i not in self._submitted:
+            self._submitted.add(i)
+            self.hooks.record("submitted", self.names[i])
+
+    def _charge(self, i: int, attempt: int, error: str, exc: BaseException | None,
+                elapsed: float, now: float | None) -> tuple[str, int]:
+        """Write a failed attempt; requeue it while retries last, unless
+        *now* is None."""
         out = self.outcomes[i]
         out.attempts = attempt
         out.wall_time += elapsed
         out.ok, out.error, out.exception = False, error, exc
-        if not final and attempt <= self.executor.retries:
+        ex = self.executor
+        if now is not None and attempt <= ex.retries:
             self.hooks.record("retried", self.names[i])
-            ready_at = _now() + self.executor._delay(attempt)
-            self.pending.appendleft((i, attempt + 1, ready_at))
-        else:
-            self.hooks.record("failed", self.names[i])
+            delay = min(ex.backoff * 2.0 ** (attempt - 1), ex.max_backoff)
+            self.pending.appendleft((i, attempt + 1, now + delay))
+            return ("requeue", i)
+        self.hooks.record("failed", self.names[i])
+        return ("fail", i)
 
-    def fail_pending(self, error: str) -> None:
-        """Fail every queued task for good: the scheduler cannot go on."""
+    def _leave(self, w: Any) -> list[tuple[str, Any]]:
+        """*w* left: replace it, or fail the queue if the pool is exhausted."""
+        self.live.discard(w)
+        if w in self.idle:
+            self.idle.remove(w)
+        if self.done:
+            return []
+        if self.respawns > 0 and len(self.live) + self.joining < self.pool:
+            self.respawns -= 1
+            self.joining += 1
+            return [("spawn", None)]
+        if self.live or self.joining:
+            return []
+        error = "worker pool exhausted (all workers lost, respawn budget spent)"
+        decisions = []
         while self.pending:
             i, attempt, _ = self.pending.popleft()
-            self.submitted(i)
-            self.failed(i, attempt - 1, error, final=True)
+            self._submit(i)
+            decisions.append(self._charge(i, attempt - 1, error, None, 0.0, None))
+        return decisions
 
 
 class SerialExecutor(Executor):
@@ -226,23 +298,20 @@ class SerialExecutor(Executor):
         hooks: ExecHooks | None = None,
     ) -> list[Outcome]:
         ledger = _Ledger(self, self._labels(items, labels), hooks or ExecHooks())
-        while ledger.pending:
-            # A failed task's retry is back at the head: it reruns in
-            # place once its backoff has passed.
-            i, attempt, ready_at = ledger.pending.popleft()
-            wait = ready_at - _now()
-            if wait > 0:
-                _sleep(wait)
-            ledger.submitted(i)
-            start = _now()
+        ledger.connect(0)  # the one worker: this thread
+        while not ledger.done:
+            runs = ledger.dispatch(_now())
+            if not runs:
+                _sleep(max(ledger.wake_at() - _now(), 0.0))
+                continue
+            ((_, i, attempt),) = runs
             try:
                 value = worker(items[i])
             except Exception as exc:  # noqa: BLE001 - fault boundary
-                ledger.failed(
-                    i, attempt, f"{type(exc).__name__}: {exc}", exc, _now() - start
-                )
+                ledger.result(0, i, attempt, _now(),
+                              error=f"{type(exc).__name__}: {exc}", exc=exc)
             else:
-                ledger.succeeded(i, attempt, value, _now() - start)
+                ledger.result(0, i, attempt, _now(), value=value)
         return ledger.outcomes
 
 
@@ -448,13 +517,7 @@ def run_measurement_tasks(
                 values, metadata = hit
                 hooks.record("cached", task.label)
                 results[i] = TaskResult(
-                    task=task,
-                    values=values,
-                    ok=True,
-                    cached=True,
-                    attempts=0,
-                    wall_time=0.0,
-                    metadata=metadata,
+                    task=task, values=values, ok=True, cached=True, metadata=metadata
                 )
                 continue
         misses.append(i)
@@ -483,7 +546,6 @@ def run_measurement_tasks(
                 task=task,
                 values=outcome.value if outcome.ok else None,
                 ok=outcome.ok,
-                cached=False,
                 attempts=outcome.attempts,
                 wall_time=outcome.wall_time,
                 error=outcome.error,

@@ -29,7 +29,7 @@ from __future__ import annotations
 import hashlib
 from collections import OrderedDict
 from dataclasses import dataclass
-from functools import cached_property, lru_cache
+from functools import cached_property
 
 import networkx as nx
 import numpy as np
@@ -152,7 +152,7 @@ class Topology:
         a, b = self.attachment[src], self.attachment[dst]
         if a == b:
             return 0
-        return _shortest_path_len(id(self), self.graph, a, b)
+        return _shortest_path_len(self._hop_key, self.graph, a, b)
 
     def pairwise_hops(self, src_nodes: np.ndarray, dst_nodes: np.ndarray) -> np.ndarray:
         """Hop counts for arrays of compute-node pairs (vectorized).
@@ -232,10 +232,22 @@ class Topology:
         return same_node, hop_values, counts
 
 
-# Cache keyed by topology identity: graphs are immutable once built.
-@lru_cache(maxsize=200_000)
-def _shortest_path_len(topo_id: int, graph: nx.Graph, a, b) -> int:
-    return int(nx.shortest_path_length(graph, a, b))
+#: Scalar router hop counts, LRU, keyed on ``(Topology._hop_key, a, b)``:
+#: a content digest, so a rebuilt machine hits and no graph is kept alive.
+_PAIR_CACHE: OrderedDict[tuple[str, object, object], int] = OrderedDict()
+_PAIR_CACHE_SIZE = 200_000
+
+
+def _shortest_path_len(key: str, graph: nx.Graph, a, b) -> int:
+    entry = (key, a, b)
+    hops = _PAIR_CACHE.get(entry)
+    if hops is None:
+        hops = _PAIR_CACHE[entry] = int(nx.shortest_path_length(graph, a, b))
+        if len(_PAIR_CACHE) > _PAIR_CACHE_SIZE:
+            _PAIR_CACHE.popitem(last=False)
+    else:
+        _PAIR_CACHE.move_to_end(entry)
+    return hops
 
 
 def _build_hop_matrix(graph: nx.Graph, attachment_items: tuple) -> np.ndarray:

@@ -14,7 +14,7 @@ import time
 import pytest
 
 from repro.chaos import ChaosExecutor, FaultPlan, FaultProfile
-from repro.exec import DistExecutor, ExecHooks, ProcessExecutor
+from repro.exec import DistExecutor, ExecHooks, ProcessExecutor, worker_main
 from repro.exec.protocol import ERROR, HELLO, PROTOCOL_VERSION, TASK, encode_frame, recv_frame
 from repro.obs import MetricsRegistry
 
@@ -94,6 +94,30 @@ class TestForeignPeers:
         assert ftype == ERROR and "run token" in reply["error"]
         assert [o.value for o in outcomes] == [2, 4, 6]
         assert all(o.ok and o.attempts == 1 for o in outcomes)
+
+
+    def test_hello_with_non_integer_pid_is_refused(self):
+        """A malformed HELLO is refused with ERROR and closed, like a bad
+        token, instead of killing its connection task."""
+        import multiprocessing
+
+        with DistExecutor(workers=1, spawn="external", retries=0) as executor:
+            peer = _foreign_peer(executor, HELLO, {"pid": "not-a-pid",
+                                                   "protocol": PROTOCOL_VERSION})
+            worker = multiprocessing.get_context("fork").Process(
+                target=worker_main, args=executor.address, daemon=True
+            )
+            worker.start()
+            try:
+                outcomes = executor.run(_double, [1, 2, 3])
+                ftype, reply = recv_frame(peer)
+                assert peer.recv(1) == b""  # and closed
+            finally:
+                peer.close()
+                worker.join(10.0)
+        assert ftype == ERROR and "must be integers" in reply["error"]
+        assert [o.value for o in outcomes] == [2, 4, 6]
+        assert worker.exitcode == 0
 
 
 class TestLossReporting:

@@ -314,19 +314,22 @@ class TestTimeoutIsolation:
 
 class TestSchedulerFairness:
     def test_pop_ready_scans_past_backoff_head(self):
-        """The queue primitive itself: a head entry still in backoff must
+        """The ledger's one pop rule: a head entry still in backoff must
         not hide ready entries queued behind it."""
-        from collections import deque
+        from repro.exec.engine import _Ledger
 
-        from repro.exec.engine import _pop_ready
-
-        pending = deque([(0, 2, 10.0), (1, 2, 1.0), (2, 1, 0.0)])
-        assert _pop_ready(pending, now=1.5) == (1, 2)
-        assert _pop_ready(pending, now=1.5) == (2, 1)
-        assert _pop_ready(pending, now=1.5) is None
-        assert list(pending) == [(0, 2, 10.0)]
-        assert _pop_ready(pending, now=10.0) == (0, 2)
-        assert _pop_ready(deque(), now=0.0) is None
+        ledger = _Ledger(SerialExecutor(retries=2, backoff=10.0, max_backoff=20.0),
+                         ["a", "b", "c"], ExecHooks())
+        ledger.connect("w")
+        assert ledger.dispatch(0.0) == [("w", 0, 1)]
+        ledger.result("w", 0, 1, 0.0, error="boom")  # a's retry: ready at 10
+        assert ledger.dispatch(1.5) == [("w", 1, 1)]  # scans past it
+        ledger.result("w", 1, 1, 1.5, error="boom")  # b's retry: ready at 11.5
+        assert ledger.dispatch(1.5) == [("w", 2, 1)]
+        ledger.result("w", 2, 1, 1.5, value="ok")
+        assert ledger.dispatch(1.5) == []
+        assert ledger.wake_at() == 10.0
+        assert ledger.dispatch(10.0) == [("w", 0, 2)]
 
     def test_long_backoff_head_does_not_stall_ready_retries(
         self, tmp_path, fake_clock

@@ -161,6 +161,25 @@ class TestHopMatrixCacheBudget:
             for b in range(16):
                 assert m3[a, b] == moved.hops(a, b)
 
+    def test_scalar_hops_free_the_graph_and_hit_when_rebuilt(self, monkeypatch):
+        import gc
+        import weakref
+
+        from repro.simsys import network
+
+        first = dragonfly(2, 4, 2)
+        expected = first.hops(0, 9)
+        graph = weakref.ref(first.graph)
+        del first
+        gc.collect()
+        assert graph() is None  # the pair cache holds no graph alive
+        searches = []
+        real = network.nx.shortest_path_length
+        monkeypatch.setattr(network.nx, "shortest_path_length",
+                            lambda *a: searches.append(a) or real(*a))
+        assert dragonfly(2, 4, 2).hops(0, 9) == expected
+        assert searches == []  # rebuilt: a cache hit, no new search
+
     def test_hierarchical_topology_never_needs_the_cache(self):
         # A ~125k-node dragonfly: the dense matrix would be ~125 GB.
         hier = hier_dragonfly(1954, 16, 4)
