@@ -13,7 +13,10 @@ A third record, ``report_campaign_request``, times a warm
 ``handle_request`` GET of ``campaign_trajectory.json`` on a campaign
 whose datasets spilled to its shard store: every such request keys the
 figure on the campaign's content (``campaign_digest``), so this is the
-cost a dashboard pays per re-served campaign figure.
+cost a dashboard pays per re-served campaign figure.  It runs twice: on
+20 datasets of 20k values spilled to the store, and on the shape of
+perfbench's ``fanout`` campaign, 96 unspilled datasets of 8 values,
+where keying used to read every dataset file.
 
 A fourth record, ``campaign_rerun``, times ``Campaign.run(overwrite=True)``
 on a cache-warm campaign whose task results and datasets spill to its
@@ -51,6 +54,11 @@ SEED = 2026
 CAMPAIGN_DATASETS = 20
 CAMPAIGN_VALUES = 20_000
 CAMPAIGN_SPILL_ROWS = 1_000
+#: ``(datasets, values, spill_rows)`` of each ``report_campaign_request``.
+CAMPAIGN_SHAPES = (
+    (CAMPAIGN_DATASETS, CAMPAIGN_VALUES, CAMPAIGN_SPILL_ROWS),
+    (96, 8, None),
+)
 #: Spill threshold behind ``campaign_rerun``: every task and dataset spills.
 RERUN_SPILL_ROWS = 10_000
 RERUN_REPS = 10
@@ -106,20 +114,20 @@ def bench_registry():
     )
 
 
-def bench_campaign_request():
-    """Time warm GETs of the campaign figure on a spilled campaign."""
+def bench_campaign_request(datasets, values, spill_rows):
+    """Time warm GETs of the campaign figure on one campaign shape."""
     workdir = tempfile.mkdtemp(prefix="repro-bench-campaign-request-")
     try:
         camp = Campaign.create(os.path.join(workdir, "camp"), name="bench")
         rng = np.random.default_rng(SEED)
-        for i in range(CAMPAIGN_DATASETS):
+        for i in range(datasets):
             camp.record(
                 MeasurementSet(
-                    values=rng.lognormal(mean=1.0, sigma=0.3, size=CAMPAIGN_VALUES),
+                    values=rng.lognormal(mean=1.0, sigma=0.3, size=values),
                     unit="us",
                     name=f"dataset-{i:02d}",
                 ),
-                spill_rows=CAMPAIGN_SPILL_ROWS,
+                spill_rows=spill_rows,
             )
         service = FigureService(
             os.path.join(workdir, "cache"), campaign=camp, quick=not FULL
@@ -136,8 +144,8 @@ def bench_campaign_request():
         record_bench(
             "report_campaign_request",
             {
-                "datasets": CAMPAIGN_DATASETS,
-                "values": CAMPAIGN_VALUES,
+                "datasets": datasets,
+                "values": values,
                 "fidelity": "full" if FULL else "quick",
             },
             samples,
@@ -150,7 +158,8 @@ def bench_campaign_request():
     print(
         render_table(
             ["request", "warm median (ms)"],
-            [["GET campaign_trajectory.json", f"{median_ms:.2f}"]],
+            [[f"GET campaign_trajectory.json ({datasets} x {values})",
+              f"{median_ms:.2f}"]],
         )
     )
 
@@ -204,5 +213,6 @@ def bench_campaign_rerun():
 
 if __name__ == "__main__":
     bench_registry()
-    bench_campaign_request()
+    for shape in CAMPAIGN_SHAPES:
+        bench_campaign_request(*shape)
     bench_campaign_rerun()

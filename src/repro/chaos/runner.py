@@ -210,101 +210,108 @@ def run_chaos(
         seed=seed,
     )
 
+    made: list[ProcessExecutor] = []
+
     def make_executor() -> Any:
         if workers > 1 or profile.kills_workers:
-            return ProcessExecutor(
+            made.append(ProcessExecutor(
                 max_workers=workers, timeout=profile.hang_s * 10, retries=2
-            )
+            ))
+            return made[-1]
         return SerialExecutor(retries=2)
 
-    baseline = None
     try:
-        # Phase A: task and socket faults under annotate mode.
-        baseline = experiment.run(
-            executor=SerialExecutor(retries=0), on_failure="raise", tracer=tracer
-        )
-        chaos_exec = ChaosExecutor(make_executor(), plan, out_dir / "state-a")
-        cache = ChaosResultCache(out_dir / "cache", plan, metrics)
-        chaotic = experiment.run(
-            executor=chaos_exec,
-            cache=cache,
-            hooks=hooks,
-            tracer=tracer,
-            on_failure="annotate",
-        )
-        planted = chaos_exec.injected
-        report.injected.update(
-            crashes=planted["crash"], hangs=planted["hang"],
-            net_kills=planted["kill"], net_partitions=planted["partition"],
-            net_slow_links=planted["slow"],
-        )
-        for envelope in chaotic.envelopes.values():
-            report.states[envelope.state] = report.states.get(envelope.state, 0) + 1
-            if envelope.state != "ok":
-                report.envelopes.append(envelope.to_dict())
-        lost = [
-            dict(key)
-            for key in baseline.datasets
-            if key not in chaotic.datasets and key not in chaotic.envelopes
-        ]
-        report.check(
-            "no unannotated lost design points",
-            not lost,
-            f"lost without envelope: {lost}" if lost else
-            f"{len(chaotic.envelopes)} point(s) enveloped",
-        )
-        same, detail = _identical(baseline, chaotic)
-        report.check("recovered values bit-identical to fault-free run", same, detail)
-        report.check(
-            "task faults were injected",
-            report.injected["crashes"] + report.injected["hangs"] > 0,
-            f"{report.injected['crashes']} crash(es), "
-            f"{report.injected['hangs']} hang(s)",
-        )
-        if profile.net_kill_p + profile.net_partition_p + profile.net_slow_p > 0.0:
-            net = (planted["kill"], planted["partition"], planted["slow"])
-            report.check(
-                "socket faults were injected", sum(net) > 0,
-                "{} kill(s), {} partition(s), {} slow link(s)".format(*net),
+        baseline = None
+        try:
+            # Phase A: task and socket faults under annotate mode.
+            baseline = experiment.run(
+                executor=SerialExecutor(retries=0), on_failure="raise", tracer=tracer
             )
-    except Exception:  # noqa: BLE001 - the gate's whole point
-        report.escapes.append(traceback.format_exc())
-
-    try:
-        # Phase B: warm-cache corruption, detection, and re-measurement.
-        if baseline is not None:
-            cache_b = ChaosResultCache(out_dir / "cache", plan, metrics)
-            rerun = experiment.run(
-                executor=ChaosExecutor(make_executor(), plan, out_dir / "state-b"),
-                cache=cache_b,
+            chaos_exec = ChaosExecutor(make_executor(), plan, out_dir / "state-a")
+            cache = ChaosResultCache(out_dir / "cache", plan, metrics)
+            chaotic = experiment.run(
+                executor=chaos_exec,
+                cache=cache,
                 hooks=hooks,
+                tracer=tracer,
                 on_failure="annotate",
             )
-            injected = len(cache_b.injected_corruptions)
-            report.injected["cache_corruptions"] = injected
-            report.check(
-                "cache corruptions were injected",
-                injected > 0,
-                f"{injected} entr(ies) rotted on read",
+            planted = chaos_exec.injected
+            report.injected.update(
+                crashes=planted["crash"], hangs=planted["hang"],
+                net_kills=planted["kill"], net_partitions=planted["partition"],
+                net_slow_links=planted["slow"],
             )
+            for envelope in chaotic.envelopes.values():
+                report.states[envelope.state] = report.states.get(envelope.state, 0) + 1
+                if envelope.state != "ok":
+                    report.envelopes.append(envelope.to_dict())
+            lost = [
+                dict(key)
+                for key in baseline.datasets
+                if key not in chaotic.datasets and key not in chaotic.envelopes
+            ]
             report.check(
-                "every corrupt entry detected and quarantined",
-                cache_b.corrupt_entries >= injected,
-                f"detected {cache_b.corrupt_entries} of {injected}",
+                "no unannotated lost design points",
+                not lost,
+                f"lost without envelope: {lost}" if lost else
+                f"{len(chaotic.envelopes)} point(s) enveloped",
             )
-            same, detail = _identical(baseline, rerun)
+            same, detail = _identical(baseline, chaotic)
+            report.check("recovered values bit-identical to fault-free run", same, detail)
             report.check(
-                "re-measured values bit-identical after corruption", same, detail
+                "task faults were injected",
+                report.injected["crashes"] + report.injected["hangs"] > 0,
+                f"{report.injected['crashes']} crash(es), "
+                f"{report.injected['hangs']} hang(s)",
             )
-    except Exception:  # noqa: BLE001
-        report.escapes.append(traceback.format_exc())
+            if profile.net_kill_p + profile.net_partition_p + profile.net_slow_p > 0.0:
+                net = (planted["kill"], planted["partition"], planted["slow"])
+                report.check(
+                    "socket faults were injected", sum(net) > 0,
+                    "{} kill(s), {} partition(s), {} slow link(s)".format(*net),
+                )
+        except Exception:  # noqa: BLE001 - the gate's whole point
+            report.escapes.append(traceback.format_exc())
 
-    try:
-        # Phase C: clock discontinuity — clamp, warn, flag.
-        _run_clock_phase(plan, report)
-    except Exception:  # noqa: BLE001
-        report.escapes.append(traceback.format_exc())
+        try:
+            # Phase B: warm-cache corruption, detection, and re-measurement.
+            if baseline is not None:
+                cache_b = ChaosResultCache(out_dir / "cache", plan, metrics)
+                rerun = experiment.run(
+                    executor=ChaosExecutor(make_executor(), plan, out_dir / "state-b"),
+                    cache=cache_b,
+                    hooks=hooks,
+                    on_failure="annotate",
+                )
+                injected = len(cache_b.injected_corruptions)
+                report.injected["cache_corruptions"] = injected
+                report.check(
+                    "cache corruptions were injected",
+                    injected > 0,
+                    f"{injected} entr(ies) rotted on read",
+                )
+                report.check(
+                    "every corrupt entry detected and quarantined",
+                    cache_b.corrupt_entries >= injected,
+                    f"detected {cache_b.corrupt_entries} of {injected}",
+                )
+                same, detail = _identical(baseline, rerun)
+                report.check(
+                    "re-measured values bit-identical after corruption", same, detail
+                )
+        except Exception:  # noqa: BLE001
+            report.escapes.append(traceback.format_exc())
 
+        try:
+            # Phase C: clock discontinuity — clamp, warn, flag.
+            _run_clock_phase(plan, report)
+        except Exception:  # noqa: BLE001
+            report.escapes.append(traceback.format_exc())
+    finally:
+        # Close listen sockets and reap workers now, not at garbage collection.
+        for executor in made:
+            executor.close()
     return report
 
 

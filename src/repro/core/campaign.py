@@ -15,10 +15,19 @@ the environment description.  Typical life cycle::
     camp = Campaign.open(path)           # weeks later
     old = camp.load("64B ping-pong")     # identical values, unit, metadata
     camp.compare("64B ping-pong", new_ms)  # did the machine change?
+
+The index (``campaign.json``) lists each dataset's ``name``, ``file``,
+``n``, ``unit`` and ``digest``: the BLAKE2b-16 of the bytes written to
+the dataset file.  :meth:`Campaign.load` checks a file against it, so a
+dataset file edited in place raises :class:`~repro.errors.IntegrityError`
+instead of loading silently, and figure content keys come from the index
+alone (:func:`repro.report.registry.campaign_digest`).  Entries recorded
+before the index kept digests (no ``digest`` field) load unchecked.
 """
 
 from __future__ import annotations
 
+import hashlib
 import json
 import re
 from contextlib import nullcontext
@@ -26,7 +35,7 @@ from dataclasses import dataclass, field
 from pathlib import Path
 
 from .._atomic import write_atomic
-from ..errors import ValidationError
+from ..errors import IntegrityError, ValidationError
 from ..exec import ExecHooks, Executor, ResultCache
 from ..stats.compare import GroupComparison, compare_groups
 from .environment import EnvironmentSpec
@@ -45,6 +54,10 @@ def _slug(name: str) -> str:
     return slug
 
 
+def _digest(data: bytes) -> str:
+    return hashlib.blake2b(data, digest_size=16).hexdigest()
+
+
 @dataclass
 class Campaign:
     """A directory-backed store of measurement datasets."""
@@ -52,6 +65,10 @@ class Campaign:
     path: Path
     name: str
     environment_fields: dict = field(default_factory=dict)
+    #: The last index bytes read or written and their parsed datasets.
+    _parsed: tuple[bytes, list[dict]] | None = field(
+        default=None, init=False, repr=False, compare=False
+    )
 
     # -- lifecycle -------------------------------------------------------
 
@@ -89,12 +106,15 @@ class Campaign:
         index = path / _INDEX
         if not index.exists():
             raise ValidationError(f"no campaign at {path}")
-        payload = json.loads(index.read_text())
-        return cls(
+        raw = index.read_bytes()
+        payload = json.loads(raw)
+        camp = cls(
             path=path,
             name=payload["name"],
             environment_fields=payload.get("environment", {}),
         )
+        camp._parsed = (raw, payload.get("datasets", []))
+        return camp
 
     def _write_index(self, datasets: list[dict]) -> None:
         payload = {
@@ -102,10 +122,24 @@ class Campaign:
             "environment": self.environment_fields,
             "datasets": datasets,
         }
-        write_atomic(self.path / _INDEX, json.dumps(payload, indent=2))
+        text = json.dumps(payload, indent=2)
+        write_atomic(self.path / _INDEX, text)
+        self._parsed = (text.encode(), list(datasets))
+
+    def _index(self) -> tuple[bytes, list[dict]]:
+        """The index bytes and their dataset entries, as a fresh list
+        (of shared entries: callers replace entries, never mutate them).
+
+        The file is read on every call; its parse is reused only while
+        the bytes equal the last ones read or written.
+        """
+        raw = (self.path / _INDEX).read_bytes()
+        if self._parsed is None or self._parsed[0] != raw:
+            self._parsed = (raw, json.loads(raw).get("datasets", []))
+        return raw, list(self._parsed[1])
 
     def _read_datasets(self) -> list[dict]:
-        return json.loads((self.path / _INDEX).read_text()).get("datasets", [])
+        return self._index()[1]
 
     # -- data ------------------------------------------------------------
 
@@ -118,8 +152,6 @@ class Campaign:
         same-named datasets into one shared store stay distinct (see
         :func:`repro.report.export.dataset_fingerprint`).
         """
-        import hashlib
-
         return hashlib.blake2b(
             f"campaign:{self.name}".encode(), digest_size=8
         ).hexdigest()
@@ -155,12 +187,18 @@ class Campaign:
         entered (the caller writes the index)."""
         from ..report.export import measurements_to_json
 
-        target = self.path / f"{_slug(ms.name)}.json"
-        existing = [d for d in datasets if d["name"] == ms.name]
-        if existing and not overwrite:
+        file = f"{_slug(ms.name)}.json"
+        others = [d for d in datasets if d["name"] != ms.name]
+        if len(others) < len(datasets) and not overwrite:
             raise ValidationError(
                 f"dataset {ms.name!r} already recorded; pass overwrite=True "
                 "to replace it (the old values will be lost)"
+            )
+        clash = [d["name"] for d in others if d["file"] == file]
+        if clash:
+            raise ValidationError(
+                f"datasets {ms.name!r} and {clash[0]!r} would share the file "
+                f"{file}; rename one of them"
             )
         # One store (so one shard) per spilled dataset, sealed before the
         # dataset file names it.
@@ -171,12 +209,12 @@ class Campaign:
                 spill_rows=spill_rows,
                 namespace=self.dataset_namespace,
             )
-        target.write_text(text)
-        datasets = [d for d in datasets if d["name"] != ms.name]
-        datasets.append({"name": ms.name, "file": target.name, "n": ms.n,
-                         "unit": ms.unit})
-        datasets.sort(key=lambda d: d["name"])
-        return datasets
+        data = text.encode()
+        (self.path / file).write_bytes(data)
+        others.append({"name": ms.name, "file": file, "n": ms.n,
+                       "unit": ms.unit, "digest": _digest(data)})
+        others.sort(key=lambda d: d["name"])
+        return others
 
     def names(self) -> list[str]:
         """Names of all recorded datasets."""
@@ -188,14 +226,24 @@ class Campaign:
         Spilled datasets load lazily from the campaign's shard store:
         the values array is a read-only memory map, so loading a
         larger-than-RAM dataset is cheap until its bytes are touched.
+
+        A dataset file whose bytes no longer match the digest the index
+        recorded raises :class:`~repro.errors.IntegrityError` naming it.
         """
         from ..report.export import measurements_from_json
 
         for d in self._read_datasets():
             if d["name"] == name:
-                text = (self.path / d["file"]).read_text()
+                path = self.path / d["file"]
+                data = path.read_bytes()
+                if "digest" in d and _digest(data) != d["digest"]:
+                    raise IntegrityError(
+                        f"dataset file {path} does not match the digest "
+                        f"recorded for {name!r}: it was changed after it was "
+                        "written; record the dataset again with overwrite=True"
+                    )
                 store = self.store() if self.has_store() else None
-                return measurements_from_json(text, store=store)
+                return measurements_from_json(data.decode(), store=store)
         raise ValidationError(
             f"no dataset {name!r} in campaign {self.name!r}; have {self.names()}"
         )

@@ -16,6 +16,7 @@ __all__ = [
     "DesignError",
     "SimulationError",
     "ExecutionError",
+    "IntegrityError",
     "RuleViolation",
     "SurveyError",
     "CoverageWarning",
@@ -69,6 +70,12 @@ class ExecutionError(ReproError, RuntimeError):
     """A campaign task failed permanently (retries exhausted) or the
     engine was asked to assemble results from a point with no surviving
     measurements."""
+
+
+class IntegrityError(ReproError, RuntimeError):
+    """A recorded file no longer matches the digest recorded when it was
+    written: it was edited or damaged in place.  Not a bad argument, so
+    not a :class:`ValidationError` — a server answers it with a 500."""
 
 
 class RuleViolation(ReproError):

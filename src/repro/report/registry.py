@@ -839,26 +839,30 @@ def _file_digest(path: Path, h: "hashlib._Hash") -> None:
 def campaign_digest(campaign: Any) -> str:
     """A digest of everything a campaign figure can depend on.
 
-    Covers the index, every dataset JSON file (which embeds provenance
-    and, for spilled sets, the store stub), and the content digest of
-    every listed shard-store entry — so appending a dataset, overwriting
-    one, or losing a shard changes the digest, while a byte-identical
-    campaign always produces the same one.  Entry digests are the ones
-    the store recorded at append (:meth:`repro.store.ShardStore.entry_digest`),
-    so no spilled value is read; in-place bit rot of a shard is
-    :meth:`~repro.store.ShardStore.verify`'s to catch.
+    Covers the index, every dataset file (which embeds provenance and,
+    for spilled sets, the store stub), and the content digest of every
+    listed shard-store entry — so appending a dataset, overwriting one,
+    or losing a shard changes the digest, while a byte-identical campaign
+    always produces the same one.  No dataset file or spilled value is
+    read: the index records each dataset file's digest at write (checked
+    by :meth:`repro.core.Campaign.load`), and the store each entry's at
+    append (:meth:`repro.store.ShardStore.entry_digests`, one size check
+    per shard).  In-place edits are caught where the bytes are read:
+    ``Campaign.load`` for dataset files, ``ShardStore.verify`` for shard
+    bit rot.  An index entry without a recorded digest (written before
+    the index kept them) is hashed from its file as it always was, so a
+    legacy campaign keeps its key.
     """
     h = hashlib.blake2b(digest_size=16)
-    index = campaign.path / "campaign.json"
-    _file_digest(index, h)
-    for d in sorted(campaign._read_datasets(), key=lambda d: d["name"]):
-        h.update(d["name"].encode())
-        _file_digest(campaign.path / d["file"], h)
+    index, datasets = campaign._index()
+    h.update(index)
+    for d in sorted(datasets, key=lambda d: d["name"]):
+        if "digest" not in d:
+            h.update(d["name"].encode())
+            _file_digest(campaign.path / d["file"], h)
     if campaign.has_store():
-        store = campaign.store()
-        for fp in store.fingerprints():
+        for fp, digest in campaign.store().entry_digests().items():
             h.update(fp.encode())
-            digest = store.entry_digest(fp)
             h.update((digest or "quarantined").encode())
     return h.hexdigest()
 

@@ -28,6 +28,7 @@ from __future__ import annotations
 
 import ast
 import hashlib
+import os
 from pathlib import Path
 
 import numpy as np
@@ -160,14 +161,15 @@ def check_size(path: str | Path, rows: int) -> None:
 
     Raises :class:`ValidationError` on a short file — the truncation
     signature the store turns into a quarantine — and ``OSError`` when
-    the file is missing.
+    the file is missing.  Takes a ``str`` path as is: no ``Path`` is
+    built, so checking every shard of a large store stays one stat each.
     """
-    path = Path(path)
     expected = HEADER_SIZE + rows * _DTYPE.itemsize
-    actual = path.stat().st_size
+    actual = os.stat(path).st_size
     if actual < expected:
         raise ValidationError(
-            f"{path.name}: truncated shard ({actual} bytes < {expected} expected)"
+            f"{os.path.basename(path)}: truncated shard "
+            f"({actual} bytes < {expected} expected)"
         )
 
 

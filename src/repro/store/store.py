@@ -25,6 +25,7 @@ from __future__ import annotations
 
 import hashlib
 import json
+import os
 from dataclasses import dataclass, field
 from pathlib import Path
 from typing import Any, Iterable, Iterator, Mapping
@@ -405,18 +406,38 @@ class ShardStore:
         :meth:`verify` catches it.  Entries written before digests were
         recorded are hashed in bounded chunks.
         """
-        listed = self._listed(fingerprint)
-        if listed is None:
-            return None
-        entry, shard = listed
-        try:
-            check_size(self.path / shard.file, shard.rows)
-        except (ValidationError, OSError) as exc:
-            self._quarantine_shard(shard.file, str(exc))
-            return None
-        if "digest" in entry:
-            return entry["digest"]
-        return _values_digest(self.iter_chunks(fingerprint))
+        return self.entry_digests([fingerprint])[fingerprint]
+
+    def entry_digests(
+        self, fingerprints: Iterable[str] | None = None
+    ) -> dict[str, str | None]:
+        """:meth:`entry_digest` of each of *fingerprints* (default: every
+        listed entry), checking each shard's size once, not once per entry.
+        """
+        if fingerprints is None:
+            fingerprints = self.fingerprints()
+        root = str(self.path)
+        checked: set[str] = set()
+        digests: dict[str, str | None] = {}
+        for fp in fingerprints:
+            digests[fp] = None
+            listed = self._listed(fp)
+            if listed is None:
+                continue
+            entry, shard = listed
+            if shard.file not in checked:
+                try:
+                    check_size(os.path.join(root, shard.file), shard.rows)
+                except (ValidationError, OSError) as exc:
+                    # Also unlists the shard's other entries: they key as None.
+                    self._quarantine_shard(shard.file, str(exc))
+                    continue
+                checked.add(shard.file)
+            if "digest" in entry:
+                digests[fp] = entry["digest"]
+            else:
+                digests[fp] = _values_digest(self.iter_chunks(fp))
+        return digests
 
     def holds(self, fingerprint: str, values: Iterable[float] | np.ndarray) -> bool:
         """Is *fingerprint* listed with exactly *values*?

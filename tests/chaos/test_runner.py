@@ -94,6 +94,7 @@ class TestRunChaos:
         assert len(payload["checks"]) == 9
         assert "OK" in report.describe()
 
+    @pytest.mark.filterwarnings("error::ResourceWarning")
     @pytest.mark.parametrize("workers", [1, 2])
     def test_dist_gate_plants_socket_faults(self, tmp_path, workers):
         # Kills and partitions need worker processes, so the gate runs
@@ -105,6 +106,21 @@ class TestRunChaos:
         assert report.injected["net_slow_links"] >= 1
         assert set(report.states) <= {"ok", "recovered"}
         assert "socket faults were injected" in {c.name for c in report.checks}
+
+    def test_gate_closes_the_executors_it_makes(self, tmp_path, monkeypatch):
+        import repro.chaos.runner as runner
+
+        made = []
+
+        class Recorded(runner.ProcessExecutor):
+            def __init__(self, *args, **kwargs):
+                super().__init__(*args, **kwargs)
+                made.append(self)
+
+        monkeypatch.setattr(runner, "ProcessExecutor", Recorded)
+        assert run_chaos("dist", out_dir=tmp_path, seed=12).ok
+        assert len(made) == 2
+        assert all(ex._listen_sock.fileno() == -1 for ex in made)
 
     def test_none_profile_fails_the_gate_without_escaping(self, tmp_path):
         report = run_chaos("none", out_dir=tmp_path, seed=0)

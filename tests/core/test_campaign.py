@@ -73,6 +73,44 @@ class TestCampaignData:
         assert path.exists()
         assert camp.load("HPL @ 64 nodes (N=314k)").n == 200
 
+    def test_names_sharing_a_file_are_refused(self, tmp_path, rng):
+        camp = Campaign.create(tmp_path / "c", name="x")
+        first = make_ms(rng, name="a b")
+        camp.record(first)
+        with pytest.raises(ValidationError, match="'a_b' and 'a b'"):
+            camp.record(make_ms(rng, name="a_b", shift=5.0))
+        assert camp.names() == ["a b"]
+        assert np.array_equal(camp.load("a b").values, first.values)
+
+    def test_index_parsed_once_until_it_changes(self, tmp_path, rng, monkeypatch):
+        import json
+
+        import repro.core.campaign as campaign_mod
+
+        camp = Campaign.create(tmp_path / "c", name="x")
+        for i in range(3):
+            camp.record(make_ms(rng, name=f"d{i}"))
+        parsed = []
+
+        class CountingJson:
+            dumps = staticmethod(json.dumps)
+
+            @staticmethod
+            def loads(raw):
+                parsed.append(raw)
+                return json.loads(raw)
+
+        monkeypatch.setattr(campaign_mod, "json", CountingJson)
+        reader = Campaign.open(camp.path)
+        for name in reader.names():
+            reader.load(name)
+        assert len(parsed) == 1
+        reader.names().clear()
+        assert reader.names() == ["d0", "d1", "d2"]
+        camp.record(make_ms(rng, name="d3"))
+        assert reader.names() == ["d0", "d1", "d2", "d3"]
+        assert len(parsed) == 2
+
     def test_unusable_name_rejected(self, tmp_path, rng):
         camp = Campaign.create(tmp_path / "c", name="s")
         with pytest.raises(ValidationError):

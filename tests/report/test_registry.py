@@ -301,6 +301,43 @@ def _spilled_run(path) -> Campaign:
     return camp
 
 
+def _fanout_campaign(path, n: int = 96) -> Campaign:
+    """A campaign of *n* small, unspilled datasets (perfbench ``fanout``)."""
+    camp = Campaign.create(path, name="fanout")
+    for i in range(n):
+        camp.record(
+            MeasurementSet(values=np.arange(8.0) + i, unit="us", name=f"d{i:03d}")
+        )
+    return camp
+
+
+def _strip_index_digests(camp: Campaign) -> None:
+    index = camp.path / "campaign.json"
+    payload = json.loads(index.read_text())
+    for d in payload["datasets"]:
+        del d["digest"]
+    index.write_text(json.dumps(payload, indent=2))
+
+
+def _legacy_key(camp: Campaign) -> str:
+    """The key formula of campaigns whose index records no file digests."""
+    import hashlib
+
+    h = hashlib.blake2b(digest_size=16)
+    index = camp.path / "campaign.json"
+    h.update(index.read_bytes())
+    for d in sorted(json.loads(index.read_text())["datasets"],
+                    key=lambda d: d["name"]):
+        h.update(d["name"].encode())
+        h.update((camp.path / d["file"]).read_bytes())
+    if camp.has_store():
+        store = camp.store()
+        for fp in store.fingerprints():
+            h.update(fp.encode())
+            h.update((store.entry_digest(fp) or "quarantined").encode())
+    return h.hexdigest()
+
+
 class TestCampaignDigest:
     """Campaign figure keys come from the digests the store recorded."""
 
@@ -388,6 +425,90 @@ class TestCampaignDigest:
         shards = json.loads(manifest.read_text())["shards"]
         assert len(shards) == 2
         assert all(s["sealed"] for s in shards.values())
+
+    def test_warm_requests_open_no_dataset_file(self, tmp_path, monkeypatch):
+        import builtins
+        import io
+
+        from repro.serve import handle_request
+
+        camp = _fanout_campaign(tmp_path / "camp")
+        svc = FigureService(tmp_path / "cache", campaign=camp)
+        path = "/figures/campaign_trajectory.vl.json"
+        assert handle_request(svc, "GET", path).status == 200
+        opened = []
+        real_open = io.open
+
+        def counting_open(file, *args, **kwargs):
+            opened.append(str(file))
+            return real_open(file, *args, **kwargs)
+
+        monkeypatch.setattr(io, "open", counting_open)
+        monkeypatch.setattr(builtins, "open", counting_open)
+        warm = handle_request(svc, "GET", path)
+        catalog = handle_request(svc, "GET", "/figures")
+        monkeypatch.undo()
+        assert warm.status == 200 and warm.headers["X-Repro-Cached"] == "1"
+        assert catalog.status == 200
+        in_campaign = [f for f in opened if f.startswith(str(camp.path))]
+        assert in_campaign == [str(camp.path / "campaign.json")] * 2
+
+    def test_stripped_digests_key_from_files(self, campaign):
+        _strip_index_digests(campaign)
+        before = campaign_digest(campaign)
+        assert before == _legacy_key(campaign)
+        dataset = campaign.path / "latency.json"
+        dataset.write_bytes(dataset.read_bytes() + b"\n")
+        assert campaign_digest(campaign) != before
+        assert campaign.load("latency").n == 300
+
+    def test_overwrite_changes_exactly_one_digest(self, tmp_path):
+        camp = _fanout_campaign(tmp_path / "camp", n=4)
+
+        def digests():
+            index = json.loads((camp.path / "campaign.json").read_text())
+            return {d["name"]: d["digest"] for d in index["datasets"]}
+
+        before, key = digests(), campaign_digest(camp)
+        camp.record(
+            MeasurementSet(values=np.full(8, 9.0), unit="us", name="d002"),
+            overwrite=True,
+        )
+        after = digests()
+        assert [n for n in before if before[n] != after[n]] == ["d002"]
+        assert campaign_digest(camp) != key
+
+    def test_dataset_edited_in_place_fails_loudly(self, tmp_path, campaign):
+        from repro.errors import IntegrityError
+        from repro.serve import handle_request
+
+        dataset = campaign.path / "bandwidth.json"
+        dataset.write_bytes(dataset.read_bytes().replace(b'"us"', b'"ms"'))
+        with pytest.raises(IntegrityError, match="bandwidth.json"):
+            campaign.load("bandwidth")
+        svc = FigureService(tmp_path / "cold", campaign=campaign)
+        cold = handle_request(svc, "GET", "/figures/campaign_trajectory.json")
+        assert cold.status == 500
+        assert b"bandwidth.json" in cold.body
+
+    def test_each_shard_size_checked_once(self, tmp_path, monkeypatch):
+        import repro.store.store as store_mod
+
+        camp = _spilled_run(tmp_path / "camp")
+        checked = []
+        real = store_mod.check_size
+
+        def counting(path, rows):
+            checked.append(path)
+            return real(path, rows)
+
+        monkeypatch.setattr(store_mod, "check_size", counting)
+        campaign_digest(camp)
+        store = camp.store()
+        assert len(store) > len(store.shards())
+        assert sorted(checked) == sorted(
+            str(store.path / s["file"]) for s in store.shards()
+        )
 
 
 class TestDescribe:
