@@ -1,7 +1,9 @@
-"""Table 1 and every paper and scenario figure, built through the registry.
+"""Every registry entry that needs no recorded campaign, built and timed.
 
-One bench per entry of :data:`repro.report.registry.FIGURES` that needs
-no recorded campaign.  Each one:
+That is Table 1, the paper and operations figures, and the ablation and
+extension studies: one bench per entry of
+:data:`repro.report.registry.FIGURES` without ``needs_campaign``.  Each
+one:
 
 * times the entry's build with pytest-benchmark, ``ROUNDS`` rounds for
   every figure;
@@ -13,8 +15,10 @@ no recorded campaign.  Each one:
 
 The default quick fidelity builds with each entry's ``quick_params``;
 ``REPRO_BENCH_FULL=1`` builds with its full ``params`` (the numbers
-EXPERIMENTS.md quotes).  The text formats and any assertion about the
-numbers live in the registry and ``tests/report/``, not here.
+EXPERIMENTS.md quotes).  Studies and Table 1 have no quick overrides,
+so both fidelities write the same text.  The text formats and any
+assertion about the numbers live in the registry and ``tests/report/``,
+not here.
 """
 
 from __future__ import annotations

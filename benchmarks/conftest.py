@@ -1,11 +1,11 @@
 """Shared infrastructure for the benchmark harness.
 
-``bench_figures`` rebuilds Table 1 and every paper figure through the
-figure registry; the other ``bench_*`` modules each run one ablation,
-extension or performance study.  They time the computational kernel with
-pytest-benchmark *and* write the regenerated rows/series to
-``benchmarks/results/<name>.txt`` so the output survives pytest's stdout
-capture (EXPERIMENTS.md quotes these files).
+``bench_figures`` rebuilds Table 1, every paper and operations figure
+and every ablation and extension study through the figure registry; the
+other ``bench_*`` modules each run one performance study.  They time the
+computational kernel with pytest-benchmark *and* write the regenerated
+rows/series to ``benchmarks/results/<name>.txt`` so the output survives
+pytest's stdout capture (EXPERIMENTS.md quotes these files).
 
 Sample sizes default to a reduced "CI" fidelity so the whole harness runs
 in minutes; set ``REPRO_BENCH_FULL=1`` for the paper's full sample sizes

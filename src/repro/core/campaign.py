@@ -122,7 +122,9 @@ class Campaign:
             "environment": self.environment_fields,
             "datasets": datasets,
         }
-        text = json.dumps(payload, indent=2)
+        # Compact: an indent would put json.dumps on its pure-Python
+        # encoder, and the index is rewritten on every record.
+        text = json.dumps(payload, separators=(",", ":"))
         write_atomic(self.path / _INDEX, text)
         self._parsed = (text.encode(), list(datasets))
 

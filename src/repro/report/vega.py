@@ -47,6 +47,7 @@ __all__ = [
     "vl_qq_chart",
     "vl_band_line_chart",
     "vl_box_chart",
+    "vl_table",
     "vl_to_json",
     "vl_html",
 ]
@@ -105,11 +106,14 @@ def vl_config() -> dict[str, Any]:
 def vl_spec(
     *,
     title: str,
-    width: int = 560,
-    height: int = 300,
+    width: int | Mapping[str, int] = 560,
+    height: int | Mapping[str, int] = 300,
     **body: Any,
 ) -> dict[str, Any]:
-    """Assemble a complete single-view (or layered) spec around *body*."""
+    """Assemble a complete single-view (or layered) spec around *body*.
+
+    A ``{"step": n}`` width or height sizes a discrete axis per band.
+    """
     spec: dict[str, Any] = {
         "$schema": VL_SCHEMA,
         "title": title,
@@ -448,6 +452,45 @@ def vl_box_chart(
                 },
             },
         ],
+    )
+
+
+def vl_table(
+    columns: Sequence[str],
+    rows: Sequence[Sequence[str]],
+    *,
+    title: str,
+) -> dict[str, Any]:
+    """A table of text cells: one text mark per cell on a column × row grid.
+
+    *rows* hold the cells as printed; columns keep their given order,
+    with the labels on top.  Long-form values (one per cell) need no
+    fold transform, so the spec is the table's data and nothing more.
+    """
+    for row in rows:
+        if len(row) != len(columns):
+            raise ValidationError(
+                f"row width {len(row)} does not match {len(columns)} columns"
+            )
+    values = [
+        {"row": i, "column": col, "text": cell}
+        for i, row in enumerate(rows)
+        for col, cell in zip(columns, row)
+    ]
+    return vl_spec(
+        title=title,
+        width={"step": 150},
+        height={"step": 22},
+        data={"values": values},
+        mark={"type": "text", "align": "left", "color": INK},
+        encoding={
+            "x": {"field": "column", "type": "ordinal", "sort": list(columns),
+                  "title": None,
+                  "axis": {"orient": "top", "labelAngle": 0, "domain": False,
+                           "ticks": False, "labelColor": INK}},
+            "y": {"field": "row", "type": "ordinal", "axis": None},
+            "text": {"field": "text", "type": "nominal"},
+        },
     )
 
 

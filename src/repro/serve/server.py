@@ -52,7 +52,7 @@ class Response:
 
     @classmethod
     def json(cls, payload: Any, *, status: int = 200, **headers: str) -> "Response":
-        body = json.dumps(payload, indent=2, allow_nan=False).encode("utf-8")
+        body = json.dumps(payload, separators=(",", ":"), allow_nan=False).encode("utf-8")
         return cls(status=status, body=body, headers=headers)
 
     @classmethod
@@ -231,17 +231,30 @@ class FigureServer:
         return f"http://{self.host}:{self.port}"
 
     async def serve_forever(self) -> None:
+        """Serve until :meth:`close`, then return.
+
+        Closing cancels the socket server's own serving future; that
+        cancellation ends the serving, not this task, so it is not
+        re-raised.  A cancellation of this task still propagates.
+        """
         if self._server is None:
             await self.start()
-        assert self._server is not None
-        async with self._server:
-            await self._server.serve_forever()
+        server = self._server
+        assert server is not None
+        try:
+            async with server:
+                await server.serve_forever()
+        except asyncio.CancelledError:
+            # Task.cancelling() (Python 3.11+) counts cancels of this task.
+            cancelling = getattr(asyncio.current_task(), "cancelling", None)
+            if self._server is server or (cancelling and cancelling()):
+                raise
 
     async def close(self) -> None:
-        if self._server is not None:
-            self._server.close()
-            await self._server.wait_closed()
-            self._server = None
+        server, self._server = self._server, None
+        if server is not None:
+            server.close()
+            await server.wait_closed()
 
     async def _handle_conn(
         self, reader: asyncio.StreamReader, writer: asyncio.StreamWriter

@@ -3,7 +3,7 @@
 * ``_deep_jsonable`` sends finite numeric arrays straight through
   ``tolist()``; its output must equal the per-element walk it replaced,
   non-finite values (``null``), ints and bools included.
-* ``registry._f`` casts to float64, so int input still serialises as
+* ``paper._f`` casts to float64, so int input still serialises as
   ``1.0``.
 * Re-recording a spilled dataset with unchanged values keeps its store
   entry: an unchanged campaign rerun appends nothing to the store.
@@ -28,7 +28,7 @@ from repro.report.export import (
     measurements_from_json,
     measurements_to_json,
 )
-from repro.report.registry import _f
+from repro.report.paper import _f
 from repro.store import ShardStore
 
 

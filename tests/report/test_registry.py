@@ -523,3 +523,22 @@ class TestDescribe:
         body, fig = service.payload("fig1_hpl", "vl.json")
         assert body == rendered["fig1_hpl"].path("vl.json").read_bytes()
         assert fig.cached
+
+    def test_catalog_keys_each_simulated_entry_once(
+        self, tmp_path, campaign, monkeypatch
+    ):
+        import repro.report.registry as registry
+        from repro.serve import handle_request
+
+        keyed = []
+        original = registry.content_key
+
+        def counting(entry, **kwargs):
+            keyed.append(entry.name)
+            return original(entry, **kwargs)
+
+        monkeypatch.setattr(registry, "content_key", counting)
+        svc = FigureService(tmp_path / "cache", campaign=campaign)
+        for _ in range(2):
+            assert handle_request(svc, "GET", "/figures").status == 200
+        assert sorted(keyed) == sorted(SIMULATED + CAMPAIGN * 2)

@@ -199,10 +199,12 @@ class TestSocketIntegration:
         server = FigureServer(service, port=0, metrics=metrics)
         loop, thread = _serve_in_thread(server)
         yield server
-        loop.call_soon_threadsafe(
-            lambda: [t.cancel() for t in asyncio.all_tasks(loop)]
-        )
+        # Closing ends serve_forever, which ends the thread's
+        # run_until_complete; then the loop can be closed.
+        asyncio.run_coroutine_threadsafe(server.close(), loop).result(timeout=5)
         thread.join(timeout=5)
+        assert not thread.is_alive()
+        loop.close()
 
     def test_health_over_a_real_socket(self, live):
         with urllib.request.urlopen(f"{live.url}/health", timeout=10) as resp:
