@@ -7,18 +7,19 @@ one:
 
 * times the entry's build with pytest-benchmark, ``ROUNDS`` rounds for
   every figure;
-* writes the entry's text summary to ``benchmarks/results/<name>.txt``,
-  byte for byte the ``.txt`` artifact ``repro render <name>`` writes at
-  the same fidelity;
+* writes the entry's text summary, byte for byte the ``.txt`` artifact
+  ``repro render <name>`` writes at the same fidelity;
 * appends the round times to ``BENCH_repro.json`` as a
   ``figure_build`` record.
 
-The default quick fidelity builds with each entry's ``quick_params``;
-``REPRO_BENCH_FULL=1`` builds with its full ``params`` (the numbers
-EXPERIMENTS.md quotes).  Studies and Table 1 have no quick overrides,
-so both fidelities write the same text.  The text formats and any
-assertion about the numbers live in the registry and ``tests/report/``,
-not here.
+``REPRO_BENCH_FULL=1`` builds with each entry's full ``params`` and
+writes the text to the committed ``benchmarks/results/<name>.txt`` (the
+numbers EXPERIMENTS.md quotes).  The default quick fidelity builds with
+each entry's ``quick_params`` and writes the text under pytest's
+``tmp_path``, so a quick run leaves the committed full-fidelity results
+as they are (CI checks this with ``git diff --exit-code``).  The text
+formats and any assertion about the numbers live in the registry and
+``tests/report/``, not here.
 """
 
 from __future__ import annotations
@@ -40,7 +41,8 @@ def test_figure_build(name, benchmark, results_dir, tmp_path):
         entry.build, kwargs={**params, "seed": 0}, rounds=ROUNDS, iterations=1,
     )
     text = FORMATS["txt"].write(entry, fig, {})
-    (results_dir / f"{name}.txt").write_text(text, encoding="utf-8")
+    out_dir = results_dir if FULL else tmp_path
+    (out_dir / f"{name}.txt").write_text(text, encoding="utf-8")
     record_bench(
         "figure_build",
         {"figure": name, "fidelity": "full" if FULL else "quick"},

@@ -6,6 +6,7 @@ other ``bench_*`` modules each run one performance study.  They time the
 computational kernel with pytest-benchmark *and* write the regenerated
 rows/series to ``benchmarks/results/<name>.txt`` so the output survives
 pytest's stdout capture (EXPERIMENTS.md quotes these files).
+``bench_figures`` writes there only at full fidelity.
 
 Sample sizes default to a reduced "CI" fidelity so the whole harness runs
 in minutes; set ``REPRO_BENCH_FULL=1`` for the paper's full sample sizes

@@ -40,7 +40,7 @@ def package_versions() -> dict[str, str]:
         "python": platform.python_version(),
         "platform": platform.platform(),
     }
-    for mod_name in ("numpy", "scipy", "networkx"):
+    for mod_name in ("numpy", "scipy"):
         mod = sys.modules.get(mod_name)
         if mod is None:
             try:

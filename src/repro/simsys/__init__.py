@@ -35,16 +35,12 @@ from .machine import (
 )
 from .network import (
     Topology,
-    HierarchicalTopology,
-    HierDragonfly,
-    HierFatTree,
+    Dragonfly,
+    FatTree,
     dragonfly,
     fat_tree,
     single_switch,
-    hier_dragonfly,
-    hier_fat_tree,
     NetworkModel,
-    set_hop_matrix_budget,
 )
 from .events import EventQueue
 from .schedules import (
@@ -102,16 +98,12 @@ __all__ = [
     "MACHINES",
     "get_machine",
     "Topology",
-    "HierarchicalTopology",
-    "HierDragonfly",
-    "HierFatTree",
+    "Dragonfly",
+    "FatTree",
     "dragonfly",
     "fat_tree",
     "single_switch",
-    "hier_dragonfly",
-    "hier_fat_tree",
     "NetworkModel",
-    "set_hop_matrix_budget",
     "EventQueue",
     "SimComm",
     "SkewModel",

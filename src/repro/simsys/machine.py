@@ -24,15 +24,7 @@ from dataclasses import dataclass, replace
 
 from .._validation import check_int, check_positive
 from ..errors import ValidationError
-from .network import (
-    NetworkModel,
-    Topology,
-    dragonfly,
-    fat_tree,
-    hier_dragonfly,
-    hier_fat_tree,
-    single_switch,
-)
+from .network import Dragonfly, NetworkModel, dragonfly, fat_tree, single_switch
 from .noise import (
     CompositeNoise,
     ExponentialSpikes,
@@ -53,18 +45,20 @@ __all__ = [
     "get_machine",
 ]
 
-#: Aries-like group shape used when auto-sizing hierarchical dragonflies:
-#: 16 routers x 4 nodes = 64 nodes per group.
+#: Aries-like group shape of every dragonfly here: 16 routers x 4 nodes =
+#: 64 nodes per group.  The XC30/XC40 machines stock six groups.
 _ARIES_ROUTERS_PER_GROUP = 16
 _ARIES_NODES_PER_ROUTER = 4
+_ARIES_STOCK_GROUPS = 6
 
 
-def _sized_hier_dragonfly(n_nodes: int):
-    """A hierarchical dragonfly with Aries group shape covering *n_nodes*."""
+def _sized_dragonfly(n_nodes: int, min_groups: int = 2) -> Dragonfly:
+    """An Aries-shaped dragonfly of at least *min_groups* groups covering
+    *n_nodes*."""
+    n_nodes = check_int(n_nodes, "n_nodes", minimum=1)
     per_group = _ARIES_ROUTERS_PER_GROUP * _ARIES_NODES_PER_ROUTER
-    groups = max(2, -(-n_nodes // per_group))
-    return hier_dragonfly(
-        groups=groups,
+    return dragonfly(
+        groups=max(min_groups, -(-n_nodes // per_group)),
         routers_per_group=_ARIES_ROUTERS_PER_GROUP,
         nodes_per_router=_ARIES_NODES_PER_ROUTER,
     )
@@ -153,14 +147,12 @@ class MachineSpec:
         return replace(self, n_nodes=n_nodes)
 
 
-def piz_daint(n_nodes: int = 64, *, hierarchical: bool = False) -> MachineSpec:
+def piz_daint(n_nodes: int = 64) -> MachineSpec:
     """Piz Daint (Cray XC30 + K20X), calibrated to the paper's Section 4.1.2.
 
     64-node peak: 64 × (0.166 CPU + 1.311 GPU) Tflop/s ≈ 94.5 Tflop/s,
-    matching the paper's HPL peak.  ``hierarchical=True`` swaps the graph
-    dragonfly for the closed-form :class:`~repro.simsys.network.HierDragonfly`
-    (identical hop counts at the stock 384-node shape, auto-sized beyond it)
-    — required for large ``n_nodes``.
+    matching the paper's HPL peak.  The Aries dragonfly has the stock six
+    groups (384 nodes) and grows by whole groups beyond that.
     """
     node = NodeSpec(
         name="XC30 compute node",
@@ -173,15 +165,8 @@ def piz_daint(n_nodes: int = 64, *, hierarchical: bool = False) -> MachineSpec:
         mem_bandwidth=51.2e9,
         accelerator="NVIDIA Tesla K20X (6 GiB GDDR5)",
     )
-    if hierarchical:
-        if n_nodes <= 6 * 16 * 4:
-            topo = hier_dragonfly(groups=6, routers_per_group=16, nodes_per_router=4)
-        else:
-            topo = _sized_hier_dragonfly(n_nodes)
-    else:
-        topo = dragonfly(groups=6, routers_per_group=16, nodes_per_router=4)
     net = NetworkModel(
-        topology=topo,
+        topology=_sized_dragonfly(n_nodes, _ARIES_STOCK_GROUPS),
         base_latency=1.10e-6,
         per_hop_latency=0.10e-6,
         bandwidth=10.0e9,
@@ -211,12 +196,12 @@ def piz_daint(n_nodes: int = 64, *, hierarchical: bool = False) -> MachineSpec:
     )
 
 
-def piz_dora(n_nodes: int = 64, *, hierarchical: bool = False) -> MachineSpec:
+def piz_dora(n_nodes: int = 64) -> MachineSpec:
     """Piz Dora (Cray XC40), calibrated to the 64 B ping-pong anchors.
 
     Target distribution (Figures 2/3/7c): floor ≈ 1.57 µs, median ≈ 1.72 µs,
-    mean ≈ 1.77 µs, max ≈ 7.2 µs — moderate log-normal tail.
-    ``hierarchical=True`` as in :func:`piz_daint`.
+    mean ≈ 1.77 µs, max ≈ 7.2 µs — moderate log-normal tail.  The
+    dragonfly is sized as in :func:`piz_daint`.
     """
     node = NodeSpec(
         name="XC40 compute node",
@@ -228,15 +213,8 @@ def piz_dora(n_nodes: int = 64, *, hierarchical: bool = False) -> MachineSpec:
         mem_bytes=64 * 2**30,
         mem_bandwidth=136.0e9,
     )
-    if hierarchical:
-        if n_nodes <= 6 * 16 * 4:
-            topo = hier_dragonfly(groups=6, routers_per_group=16, nodes_per_router=4)
-        else:
-            topo = _sized_hier_dragonfly(n_nodes)
-    else:
-        topo = dragonfly(groups=6, routers_per_group=16, nodes_per_router=4)
     net = NetworkModel(
-        topology=topo,
+        topology=_sized_dragonfly(n_nodes, _ARIES_STOCK_GROUPS),
         base_latency=1.555e-6,
         per_hop_latency=0.08e-6,
         bandwidth=11.0e9,
@@ -266,13 +244,13 @@ def piz_dora(n_nodes: int = 64, *, hierarchical: bool = False) -> MachineSpec:
     )
 
 
-def pilatus(n_nodes: int = 44, *, hierarchical: bool = False) -> MachineSpec:
+def pilatus(n_nodes: int = 44) -> MachineSpec:
     """Pilatus (InfiniBand FDR fat tree, MVAPICH2).
 
     Target distribution (Figure 3): lower floor ≈ 1.48 µs but a longer,
     fatter tail (max ≈ 11.6 µs) — lower base latency, noisier transport.
-    ``hierarchical=True`` swaps in the closed-form fat tree (identical hop
-    counts; auto-sized leaves beyond the stock 48 nodes).
+    The fat tree has the stock four 12-node leaves (48 nodes) and grows by
+    whole leaves beyond that.
     """
     node = NodeSpec(
         name="Pilatus compute node",
@@ -284,13 +262,11 @@ def pilatus(n_nodes: int = 44, *, hierarchical: bool = False) -> MachineSpec:
         mem_bytes=64 * 2**30,
         mem_bandwidth=102.4e9,
     )
-    if hierarchical:
-        leaves = max(4, -(-n_nodes // 12))
-        topo = hier_fat_tree(leaf_switches=leaves, nodes_per_leaf=12, spine_switches=2)
-    else:
-        topo = fat_tree(leaf_switches=4, nodes_per_leaf=12, spine_switches=2)
+    n_nodes = check_int(n_nodes, "n_nodes", minimum=1)
     net = NetworkModel(
-        topology=topo,
+        topology=fat_tree(
+            leaf_switches=max(4, -(-n_nodes // 12)), nodes_per_leaf=12, spine_switches=2
+        ),
         base_latency=1.465e-6,
         per_hop_latency=0.07e-6,
         bandwidth=6.8e9,
@@ -357,8 +333,8 @@ def testbed(n_nodes: int = 4, *, deterministic: bool = False) -> MachineSpec:
 def xc_scale(n_nodes: int = 1024, *, deterministic: bool = True) -> MachineSpec:
     """A scale-study Cray-XC-like machine on a closed-form dragonfly.
 
-    The machine for million-rank simulation: hierarchical Aries-shaped
-    dragonfly auto-sized to *n_nodes* (O(1) hop counts, no dense matrix),
+    The machine for million-rank simulation: Aries-shaped dragonfly
+    auto-sized to *n_nodes* (O(1) hop counts, no dense matrix),
     8-core nodes, deterministic by default so results are bit-reproducible
     and the sparse/aggregated kernels stay exact.  ``n_nodes=125_000``
     gives :math:`10^6` ranks with one rank per core.
@@ -376,7 +352,7 @@ def xc_scale(n_nodes: int = 1024, *, deterministic: bool = True) -> MachineSpec:
         mem_bandwidth=51.2e9,
     )
     net = NetworkModel(
-        topology=_sized_hier_dragonfly(n_nodes),
+        topology=_sized_dragonfly(n_nodes),
         base_latency=1.10e-6,
         per_hop_latency=0.10e-6,
         bandwidth=10.0e9,
@@ -386,7 +362,7 @@ def xc_scale(n_nodes: int = 1024, *, deterministic: bool = True) -> MachineSpec:
     )
     return MachineSpec(
         name="xc_scale",
-        description="Cray-XC-like scale model, hierarchical dragonfly (simulated)",
+        description="Cray-XC-like scale model, Aries dragonfly (simulated)",
         n_nodes=n_nodes,
         node=node,
         network=net,

@@ -5,19 +5,12 @@ The paper's systems use Cray's Aries interconnect in a *dragonfly* topology
 Section 4.1.2 insists that the network "topology, latency, and bandwidth"
 be documented because they enable back-of-the-envelope reasoning.
 
-Two families of topology model coexist, selected by scale:
-
-* **graph-backed** (:class:`Topology`): the actual switch graph (networkx)
-  with hop counts from breadth-first search.  Pairwise lookups go through a
-  dense ``(N, N)`` hop matrix that is built *lazily* and kept in a
-  byte-budgeted LRU cache (:func:`set_hop_matrix_budget`) so a stray
-  large-``N`` construction fails loudly instead of silently exhausting
-  memory.  This is the small-``P`` reference path.
-* **hierarchical** (:class:`HierDragonfly`, :class:`HierFatTree`): closed
-  forms over per-level rank coordinates (node → router → group for the
-  dragonfly; node → leaf for the fat tree).  Hop counts are computed in
-  O(1) per pair straight from coordinates — no graph, no matrix — which is
-  what makes ``P = 10^6`` feasible (see docs/PERFORMANCE.md).
+Every topology here is such a back-of-the-envelope model: a closed form
+over per-level node coordinates (node → router → group for the
+dragonfly; node → leaf for the fat tree).  Hop counts come in O(1) per
+pair straight from coordinates — no switch graph, no ``(N, N)`` matrix —
+so one model serves a 4-node testbed and ``P = 10^6`` alike (see
+docs/PERFORMANCE.md).
 
 Message cost follows the postal/Hockney model
 ``t(m) = α + hops·α_hop + m/β`` with per-message noise added by the MPI
@@ -26,12 +19,8 @@ layer, not here.
 
 from __future__ import annotations
 
-import hashlib
-from collections import OrderedDict
 from dataclasses import dataclass
-from functools import cached_property
 
-import networkx as nx
 import numpy as np
 
 from .._validation import check_int, check_nonneg, check_positive
@@ -39,244 +28,16 @@ from ..errors import SimulationError, ValidationError
 
 __all__ = [
     "Topology",
-    "HierarchicalTopology",
-    "HierDragonfly",
-    "HierFatTree",
+    "Dragonfly",
+    "FatTree",
     "dragonfly",
     "fat_tree",
     "single_switch",
-    "hier_dragonfly",
-    "hier_fat_tree",
     "NetworkModel",
-    "set_hop_matrix_budget",
-    "DEFAULT_HOP_MATRIX_BUDGET",
 ]
 
-#: Default byte budget for cached dense hop matrices (all topologies
-#: together).  A single matrix larger than the budget is refused outright —
-#: at that scale the hierarchical models are the supported path.
-DEFAULT_HOP_MATRIX_BUDGET = 256 * 2**20
 
-
-class _HopMatrixCache:
-    """Byte-budgeted LRU of dense hop matrices, keyed by topology content.
-
-    Dense ``(N, N)`` matrices are only a convenience for small topologies;
-    this cache makes their lifetime explicit: built on first use, evicted
-    least-recently-used once the total byte budget is exceeded, and refused
-    (with a pointer at the hierarchical models) when a single matrix alone
-    would blow the budget.
-    """
-
-    def __init__(self, max_bytes: int) -> None:
-        self.max_bytes = int(max_bytes)
-        self._entries: OrderedDict[object, np.ndarray] = OrderedDict()
-        self._bytes = 0
-
-    def get(self, key: object, builder, name: str, nbytes: int) -> np.ndarray:
-        if key in self._entries:
-            self._entries.move_to_end(key)
-            return self._entries[key]
-        if nbytes > self.max_bytes:
-            raise SimulationError(
-                f"dense hop matrix for topology {name!r} needs {nbytes} bytes, "
-                f"over the {self.max_bytes}-byte cache budget; use a "
-                "hierarchical topology (hier_dragonfly / hier_fat_tree) for "
-                "large node counts, or raise set_hop_matrix_budget()"
-            )
-        matrix = builder()
-        self._entries[key] = matrix
-        self._bytes += matrix.nbytes
-        while self._bytes > self.max_bytes and len(self._entries) > 1:
-            _, evicted = self._entries.popitem(last=False)
-            self._bytes -= evicted.nbytes
-        return matrix
-
-    def resize(self, max_bytes: int) -> None:
-        self.max_bytes = int(max_bytes)
-        while self._bytes > self.max_bytes and self._entries:
-            _, evicted = self._entries.popitem(last=False)
-            self._bytes -= evicted.nbytes
-
-    @property
-    def stats(self) -> dict:
-        return {
-            "entries": len(self._entries),
-            "bytes": self._bytes,
-            "max_bytes": self.max_bytes,
-        }
-
-
-_HOP_CACHE = _HopMatrixCache(DEFAULT_HOP_MATRIX_BUDGET)
-
-
-def set_hop_matrix_budget(max_bytes: int) -> int:
-    """Set the dense hop-matrix cache budget (bytes); returns the old one.
-
-    Shrinking the budget evicts least-recently-used matrices immediately.
-    """
-    max_bytes = check_int(max_bytes, "max_bytes", minimum=0)
-    old = _HOP_CACHE.max_bytes
-    _HOP_CACHE.resize(max_bytes)
-    return old
-
-
-@dataclass(frozen=True)
 class Topology:
-    """A network graph whose nodes carry attached compute-node ids.
-
-    ``graph`` vertices are switches/routers; the mapping
-    ``attachment[compute_node] -> router vertex`` places compute nodes.
-    """
-
-    name: str
-    graph: nx.Graph
-    attachment: dict[int, object]
-
-    @property
-    def n_compute_nodes(self) -> int:
-        """Number of attachable compute nodes."""
-        return len(self.attachment)
-
-    def hops(self, src: int, dst: int) -> int:
-        """Router-to-router hop count between two compute nodes.
-
-        Two nodes on the same router are 0 router hops apart (they still
-        pay the base NIC latency).  Results are cached per topology.
-        """
-        if src not in self.attachment or dst not in self.attachment:
-            raise SimulationError(
-                f"node {src if src not in self.attachment else dst} not attached "
-                f"to topology {self.name!r}"
-            )
-        a, b = self.attachment[src], self.attachment[dst]
-        if a == b:
-            return 0
-        return _shortest_path_len(self._hop_key, self.graph, a, b)
-
-    def pairwise_hops(self, src_nodes: np.ndarray, dst_nodes: np.ndarray) -> np.ndarray:
-        """Hop counts for arrays of compute-node pairs (vectorized).
-
-        The level-wise lookup API: graph-backed topologies answer through
-        the lazily built, budget-capped dense matrix; hierarchical
-        topologies override this with closed-form coordinate arithmetic.
-        """
-        matrix = self._dense_hop_matrix()
-        return matrix[np.asarray(src_nodes), np.asarray(dst_nodes)]
-
-    def _dense_hop_matrix(self) -> np.ndarray:
-        """The cached, budget-capped dense ``(N, N)`` hop matrix."""
-        items = tuple(sorted(self.attachment.items()))
-        if any(node != i for i, (node, _) in enumerate(items)):
-            raise SimulationError(
-                f"topology {self.name!r} attaches non-contiguous node ids; "
-                "the dense hop matrix needs nodes 0..N-1"
-            )
-        n = len(items)
-        return _HOP_CACHE.get(
-            self._hop_key,
-            lambda: _build_hop_matrix(self.graph, items),
-            self.name,
-            n * n * 8,
-        )
-
-    @cached_property
-    def _hop_key(self) -> str:
-        """Content digest of what the hop matrix depends on: the graph's
-        nodes and edges and the attachment.  Rebuilding a machine (say,
-        once per figure render) hits the matrix already built, and the
-        cache keeps no graph alive."""
-        directed = self.graph.is_directed()
-        edges = sorted(
-            (repr(u), repr(v)) if directed else tuple(sorted((repr(u), repr(v))))
-            for u, v in self.graph.edges
-        )
-        h = hashlib.blake2b(digest_size=16)
-        for part in (
-            directed,
-            sorted(map(repr, self.graph.nodes)),
-            edges,
-            sorted(self.attachment.items()),
-        ):
-            h.update(repr(part).encode())
-        return h.hexdigest()
-
-    def rank_level_census(
-        self, node_of_rank: np.ndarray
-    ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-        """Per-rank counts of peer ranks by hop level.
-
-        Given the rank→node placement, returns ``(same_node, hop_values,
-        counts)``: ``same_node[i]`` is the number of *other* ranks on rank
-        *i*'s node, ``hop_values`` the distinct router hop counts, and
-        ``counts[i, l]`` the number of ranks on *different* nodes exactly
-        ``hop_values[l]`` hops away.  Graph-backed topologies answer via
-        the dense matrix (small ``N`` only); hierarchical topologies use
-        closed forms.  This is what the aggregated large-``P`` collectives
-        consume.
-        """
-        nodes = np.asarray(node_of_rank, dtype=np.int64)
-        matrix = self._dense_hop_matrix()
-        node_counts = np.bincount(nodes, minlength=self.n_compute_nodes)
-        same_node = node_counts[nodes] - 1
-        hops_all = matrix[nodes][:, nodes]  # small-N only, by construction
-        hop_values = np.unique(hops_all)
-        counts = np.empty((nodes.size, hop_values.size), dtype=np.int64)
-        for li, h in enumerate(hop_values):
-            counts[:, li] = (hops_all == h).sum(axis=1)
-        # Same-node pairs sit at hop 0 in the matrix; carve them (and the
-        # self-pair) out of the hop-0 column so the split is exact.
-        zero_col = int(np.searchsorted(hop_values, 0))
-        if hop_values[zero_col] == 0:
-            counts[:, zero_col] -= same_node + 1
-        return same_node, hop_values, counts
-
-
-#: Scalar router hop counts, LRU, keyed on ``(Topology._hop_key, a, b)``:
-#: a content digest, so a rebuilt machine hits and no graph is kept alive.
-_PAIR_CACHE: OrderedDict[tuple[str, object, object], int] = OrderedDict()
-_PAIR_CACHE_SIZE = 200_000
-
-
-def _shortest_path_len(key: str, graph: nx.Graph, a, b) -> int:
-    entry = (key, a, b)
-    hops = _PAIR_CACHE.get(entry)
-    if hops is None:
-        hops = _PAIR_CACHE[entry] = int(nx.shortest_path_length(graph, a, b))
-        if len(_PAIR_CACHE) > _PAIR_CACHE_SIZE:
-            _PAIR_CACHE.popitem(last=False)
-    else:
-        _PAIR_CACHE.move_to_end(entry)
-    return hops
-
-
-def _build_hop_matrix(graph: nx.Graph, attachment_items: tuple) -> np.ndarray:
-    """Expand router-level BFS distances to the compute-node pair matrix."""
-    routers: list = []
-    seen: dict = {}
-    for _, router in attachment_items:
-        if router not in seen:
-            seen[router] = len(routers)
-            routers.append(router)
-    rmat = np.zeros((len(routers), len(routers)), dtype=np.int64)
-    for i, router in enumerate(routers):
-        lengths = nx.single_source_shortest_path_length(graph, router)
-        for j, other in enumerate(routers):
-            if other not in lengths:
-                raise SimulationError(
-                    f"routers {router!r} and {other!r} are disconnected"
-                )
-            rmat[i, j] = lengths[other]
-    ridx = np.array([seen[router] for _, router in attachment_items], dtype=np.int64)
-    matrix = rmat[np.ix_(ridx, ridx)]
-    matrix.setflags(write=False)
-    return matrix
-
-
-# -- hierarchical (closed-form) topologies -----------------------------------
-
-
-class HierarchicalTopology:
     """Base for level-structured topologies with O(1) coordinate hop counts.
 
     Subclasses define the coordinate decomposition and the per-level hop
@@ -295,16 +56,31 @@ class HierarchicalTopology:
         """Element-wise hop counts between broadcastable node-index arrays."""
         raise NotImplementedError
 
-    def _check_nodes(self, *nodes: int) -> None:
-        for node in nodes:
+    def rank_level_census(
+        self, node_of_rank: np.ndarray
+    ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:  # pragma: no cover
+        """Per-rank counts of peer ranks by hop level.
+
+        Given the rank→node placement, returns ``(same_node, hop_values,
+        counts)``: ``same_node[i]`` is the number of *other* ranks on rank
+        *i*'s node, ``hop_values`` the topology's router hop levels, and
+        ``counts[i, l]`` the number of ranks on *different* nodes exactly
+        ``hop_values[l]`` hops away.  This is what the aggregated
+        large-``P`` collectives consume.
+        """
+        raise NotImplementedError
+
+    def hops(self, src: int, dst: int) -> int:
+        """Router-to-router hop count between two compute nodes.
+
+        Two nodes on the same router are 0 router hops apart (they still
+        pay the base NIC latency).
+        """
+        for node in (int(src), int(dst)):
             if not 0 <= node < self.n_compute_nodes:
                 raise SimulationError(
                     f"node {node} not attached to topology {self.name!r}"
                 )
-
-    def hops(self, src: int, dst: int) -> int:
-        """Scalar hop count between two compute nodes."""
-        self._check_nodes(int(src), int(dst))
         return int(
             self.pairwise_hops(
                 np.asarray([src], dtype=np.int64), np.asarray([dst], dtype=np.int64)
@@ -313,7 +89,7 @@ class HierarchicalTopology:
 
 
 @dataclass(frozen=True)
-class HierDragonfly(HierarchicalTopology):
+class Dragonfly(Topology):
     """Idealized dragonfly with closed-form hop counts (Cray Aries shape).
 
     Levels: node → router (``nodes_per_router`` nodes share a NIC/router)
@@ -326,10 +102,11 @@ class HierDragonfly(HierarchicalTopology):
         different group                  1 + (ra != idx) + (rb != idx)
 
     i.e. at most router → global → router = 3 hops.  For ``groups <=
-    routers_per_group`` this equals BFS distance on the graph built by
-    :func:`dragonfly` (property-tested); for larger systems it *defines*
-    the idealized minimal-route dragonfly, where Aries' multiple global
-    links per group pair keep the direct route available.
+    routers_per_group`` (every shape the machine registry builds) this
+    equals breadth-first-search distance on that router graph; the tests
+    check it against BFS all-pairs.  For larger systems it *defines* the
+    idealized minimal-route dragonfly, where Aries' multiple global links
+    per group pair keep the direct route available.
     """
 
     groups: int
@@ -344,7 +121,7 @@ class HierDragonfly(HierarchicalTopology):
     @property
     def name(self) -> str:
         return (
-            f"hier_dragonfly(g={self.groups},r={self.routers_per_group},"
+            f"dragonfly(g={self.groups},r={self.routers_per_group},"
             f"n={self.nodes_per_router})"
         )
 
@@ -420,14 +197,14 @@ class HierDragonfly(HierarchicalTopology):
 
 
 @dataclass(frozen=True)
-class HierFatTree(HierarchicalTopology):
+class FatTree(Topology):
     """Two-level folded-Clos fat tree with closed-form hop counts.
 
     Levels: node → leaf switch (``nodes_per_leaf`` nodes per leaf) → spine
-    (full bisection assumed: every leaf reaches every leaf through some
-    spine).  Same leaf → 0 hops; different leaves → leaf → spine → leaf =
-    2 hops.  ``spine_switches`` is carried for documentation parity with
-    :func:`fat_tree`; under full bisection it does not change hop counts.
+    (full bisection: every leaf connects to every spine).  Same leaf → 0
+    hops; different leaves → leaf → spine → leaf = 2 hops — the InfiniBand
+    FDR fat tree of Pilatus.  ``spine_switches`` documents the machine;
+    under full bisection it does not change hop counts.
     """
 
     leaf_switches: int
@@ -442,7 +219,7 @@ class HierFatTree(HierarchicalTopology):
     @property
     def name(self) -> str:
         return (
-            f"hier_fat_tree(l={self.leaf_switches},n={self.nodes_per_leaf},"
+            f"fat_tree(l={self.leaf_switches},n={self.nodes_per_leaf},"
             f"s={self.spine_switches})"
         )
 
@@ -482,111 +259,45 @@ class HierFatTree(HierarchicalTopology):
         return same_node, hop_values, np.stack([hop0, hop2], axis=1)
 
 
-def hier_dragonfly(
+class _SingleSwitch(FatTree):
+    """One leaf, no spine hop: every node pair is 0 router hops apart."""
+
+    @property
+    def name(self) -> str:
+        return f"single_switch(n={self.nodes_per_leaf})"
+
+
+def dragonfly(
     groups: int = 6, routers_per_group: int = 16, nodes_per_router: int = 4
-) -> HierDragonfly:
-    """Closed-form dragonfly; drop-in for :func:`dragonfly` at any scale."""
-    return HierDragonfly(
+) -> Dragonfly:
+    """A canonical dragonfly: all-to-all intra-group, all-to-all inter-group.
+
+    Each group is a clique of routers; every pair of groups is connected by
+    one global link (placed round-robin over the group's routers).  This is
+    the idealized structure of Cray Aries (one hop within a group, at most
+    router→global→router between groups).
+    """
+    return Dragonfly(
         groups=groups,
         routers_per_group=routers_per_group,
         nodes_per_router=nodes_per_router,
     )
 
 
-def hier_fat_tree(
+def fat_tree(
     leaf_switches: int = 18, nodes_per_leaf: int = 18, spine_switches: int = 9
-) -> HierFatTree:
-    """Closed-form fat tree; drop-in for :func:`fat_tree` at any scale."""
-    return HierFatTree(
+) -> FatTree:
+    """A two-level folded-Clos (fat tree): leaves all connect to all spines."""
+    return FatTree(
         leaf_switches=leaf_switches,
         nodes_per_leaf=nodes_per_leaf,
         spine_switches=spine_switches,
     )
 
 
-# -- graph-backed topology factories -----------------------------------------
-
-
-def dragonfly(
-    groups: int = 6, routers_per_group: int = 16, nodes_per_router: int = 4
-) -> Topology:
-    """A canonical dragonfly: all-to-all intra-group, all-to-all inter-group.
-
-    Each group is a clique of routers; every pair of groups is connected by
-    one global link (placed round-robin over the group's routers).  This is
-    the idealized structure of Cray Aries (one-hop within a group, at most
-    router→global→router between groups).
-    """
-    groups = check_int(groups, "groups", minimum=2)
-    routers_per_group = check_int(routers_per_group, "routers_per_group", minimum=1)
-    nodes_per_router = check_int(nodes_per_router, "nodes_per_router", minimum=1)
-    g = nx.Graph()
-    for grp in range(groups):
-        routers = [(grp, r) for r in range(routers_per_group)]
-        g.add_nodes_from(routers)
-        for i in range(routers_per_group):
-            for j in range(i + 1, routers_per_group):
-                g.add_edge(routers[i], routers[j])
-    # Global links: group pair (a, b) connects router (a, idx) to (b, idx).
-    for a in range(groups):
-        for b in range(a + 1, groups):
-            idx = (a + b) % routers_per_group
-            g.add_edge((a, idx), (b, idx))
-    attachment: dict[int, object] = {}
-    node = 0
-    for grp in range(groups):
-        for r in range(routers_per_group):
-            for _ in range(nodes_per_router):
-                attachment[node] = (grp, r)
-                node += 1
-    return Topology(
-        name=f"dragonfly(g={groups},r={routers_per_group},n={nodes_per_router})",
-        graph=g,
-        attachment=attachment,
-    )
-
-
-def fat_tree(
-    leaf_switches: int = 18, nodes_per_leaf: int = 18, spine_switches: int = 9
-) -> Topology:
-    """A two-level folded-Clos (fat tree): leaves all connect to all spines.
-
-    Any two nodes on different leaves are exactly leaf→spine→leaf = 2 hops
-    apart — the InfiniBand FDR fat tree of Pilatus.
-    """
-    leaf_switches = check_int(leaf_switches, "leaf_switches", minimum=1)
-    nodes_per_leaf = check_int(nodes_per_leaf, "nodes_per_leaf", minimum=1)
-    spine_switches = check_int(spine_switches, "spine_switches", minimum=1)
-    g = nx.Graph()
-    leaves = [("leaf", i) for i in range(leaf_switches)]
-    spines = [("spine", i) for i in range(spine_switches)]
-    g.add_nodes_from(leaves)
-    g.add_nodes_from(spines)
-    for leaf in leaves:
-        for spine in spines:
-            g.add_edge(leaf, spine)
-    attachment = {
-        leaf_idx * nodes_per_leaf + k: ("leaf", leaf_idx)
-        for leaf_idx in range(leaf_switches)
-        for k in range(nodes_per_leaf)
-    }
-    return Topology(
-        name=f"fat_tree(l={leaf_switches},n={nodes_per_leaf},s={spine_switches})",
-        graph=g,
-        attachment=attachment,
-    )
-
-
-def single_switch(nodes: int) -> Topology:
+def single_switch(nodes: int) -> FatTree:
     """All nodes on one switch — the trivial testbed topology."""
-    nodes = check_int(nodes, "nodes", minimum=1)
-    g = nx.Graph()
-    g.add_node("sw")
-    return Topology(
-        name=f"single_switch(n={nodes})",
-        graph=g,
-        attachment={i: "sw" for i in range(nodes)},
-    )
+    return _SingleSwitch(leaf_switches=1, nodes_per_leaf=nodes)
 
 
 @dataclass(frozen=True)
@@ -596,8 +307,7 @@ class NetworkModel:
     Parameters
     ----------
     topology:
-        The switch graph (or hierarchical model) with compute-node
-        attachments.
+        The closed-form topology the compute nodes attach to.
     base_latency:
         One-way latency floor (s): NIC + software stack (the α term).
     per_hop_latency:
@@ -606,7 +316,7 @@ class NetworkModel:
         Link bandwidth (B/s) — the 1/β term.
     """
 
-    topology: Topology | HierarchicalTopology
+    topology: Topology
     base_latency: float
     per_hop_latency: float
     bandwidth: float

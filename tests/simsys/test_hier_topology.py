@@ -1,28 +1,25 @@
-"""Tests for hierarchical topologies and the capped hop-matrix cache.
+"""Tests for the closed-form topologies.
 
-The hierarchical models (:class:`HierDragonfly`, :class:`HierFatTree`)
-replace the dense ``(N, N)`` hop matrix with O(1) per-pair closed forms;
-these tests pin them to the graph-based topologies they abstract, and pin
-the rank-level census (the aggregated alltoall's input) to brute force.
+:class:`Dragonfly` and :class:`FatTree` compute hop counts from node
+coordinates instead of searching a switch graph; these tests pin them to
+breadth-first search over the explicit router adjacency (built here, in
+plain Python), and pin the rank-level census (the aggregated alltoall's
+input) to brute force.
 """
 
 from __future__ import annotations
 
-import dataclasses
+from collections import deque
 
 import numpy as np
 import pytest
 
-from repro.errors import SimulationError
 from repro.simsys.machine import pilatus, piz_daint, xc_scale
 from repro.simsys.network import (
-    HierDragonfly,
-    HierFatTree,
+    Dragonfly,
+    FatTree,
     dragonfly,
     fat_tree,
-    hier_dragonfly,
-    hier_fat_tree,
-    set_hop_matrix_budget,
     single_switch,
 )
 
@@ -30,39 +27,93 @@ _DF_SHAPES = [(2, 2, 1), (3, 4, 2), (4, 4, 1), (5, 7, 3), (6, 16, 4)]
 _FT_SHAPES = [(2, 3, 1), (4, 12, 2), (6, 6, 3)]
 
 
+def _dragonfly_routers(groups, routers_per_group, nodes_per_router):
+    """Router adjacency and node attachment of the canonical dragonfly:
+    one router clique per group, and one global link per group pair
+    ``(a, b)`` between routers ``(a, idx)`` and ``(b, idx)``,
+    ``idx = (a + b) mod routers_per_group``."""
+    adj = {(g, r): set() for g in range(groups) for r in range(routers_per_group)}
+    for g in range(groups):
+        for i in range(routers_per_group):
+            for j in range(i + 1, routers_per_group):
+                adj[g, i].add((g, j))
+                adj[g, j].add((g, i))
+    for a in range(groups):
+        for b in range(a + 1, groups):
+            idx = (a + b) % routers_per_group
+            adj[a, idx].add((b, idx))
+            adj[b, idx].add((a, idx))
+    attach = [
+        (g, r)
+        for g in range(groups)
+        for r in range(routers_per_group)
+        for _ in range(nodes_per_router)
+    ]
+    return adj, attach
+
+
+def _fat_tree_routers(leaf_switches, nodes_per_leaf, spine_switches):
+    """Switch adjacency and node attachment of a two-level folded Clos."""
+    leaves = [("leaf", i) for i in range(leaf_switches)]
+    spines = [("spine", i) for i in range(spine_switches)]
+    adj = {sw: set() for sw in leaves + spines}
+    for leaf in leaves:
+        for spine in spines:
+            adj[leaf].add(spine)
+            adj[spine].add(leaf)
+    attach = [leaf for leaf in leaves for _ in range(nodes_per_leaf)]
+    return adj, attach
+
+
+def _bfs_hops(adj, attach):
+    """The ``(N, N)`` node hop matrix from BFS over the switch graph."""
+    dist = {}
+    for source in adj:
+        seen = {source: 0}
+        queue = deque([source])
+        while queue:
+            u = queue.popleft()
+            for v in adj[u]:
+                if v not in seen:
+                    seen[v] = seen[u] + 1
+                    queue.append(v)
+        dist[source] = seen
+    return np.array([[dist[a][b] for b in attach] for a in attach], dtype=np.int64)
+
+
+def _all_pairs(topo):
+    N = topo.n_compute_nodes
+    src, dst = np.meshgrid(np.arange(N), np.arange(N), indexing="ij")
+    return topo.pairwise_hops(src.ravel(), dst.ravel()).reshape(N, N)
+
+
 class TestHierMatchesGraph:
     """Closed-form hops must equal BFS on the explicit router graph."""
 
     @pytest.mark.parametrize("shape", _DF_SHAPES)
     def test_dragonfly_all_pairs(self, shape):
-        g, r, npr = shape
-        graph_topo = dragonfly(g, r, npr)
-        hier = hier_dragonfly(g, r, npr)
-        assert hier.n_compute_nodes == graph_topo.n_compute_nodes
-        N = hier.n_compute_nodes
-        src, dst = np.meshgrid(np.arange(N), np.arange(N), indexing="ij")
-        dense = graph_topo.pairwise_hops(src, dst)
-        assert np.array_equal(
-            hier.pairwise_hops(src.ravel(), dst.ravel()).reshape(N, N), dense
-        )
+        topo = dragonfly(*shape)
+        adj, attach = _dragonfly_routers(*shape)
+        assert topo.n_compute_nodes == len(attach)
+        assert np.array_equal(_all_pairs(topo), _bfs_hops(adj, attach))
 
     @pytest.mark.parametrize("shape", _FT_SHAPES)
     def test_fat_tree_all_pairs(self, shape):
-        l, npl, s = shape
-        graph_topo = fat_tree(l, npl, s)
-        hier = hier_fat_tree(l, npl, s)
-        N = hier.n_compute_nodes
-        src, dst = np.meshgrid(np.arange(N), np.arange(N), indexing="ij")
-        dense = graph_topo.pairwise_hops(src, dst)
-        assert np.array_equal(
-            hier.pairwise_hops(src.ravel(), dst.ravel()).reshape(N, N), dense
-        )
+        topo = fat_tree(*shape)
+        adj, attach = _fat_tree_routers(*shape)
+        assert topo.n_compute_nodes == len(attach)
+        assert np.array_equal(_all_pairs(topo), _bfs_hops(adj, attach))
+
+    def test_single_switch_all_pairs(self):
+        topo = single_switch(8)
+        assert topo.name == "single_switch(n=8)"
+        assert np.array_equal(_all_pairs(topo), np.zeros((8, 8), dtype=np.int64))
 
     def test_scalar_hops_agree_with_array_path(self):
-        hier = hier_dragonfly(3, 4, 2)
+        topo = dragonfly(3, 4, 2)
         for a, b in [(0, 0), (0, 1), (0, 7), (5, 20), (23, 2)]:
-            assert hier.hops(a, b) == int(
-                hier.pairwise_hops(np.array([a]), np.array([b]))[0]
+            assert topo.hops(a, b) == int(
+                topo.pairwise_hops(np.array([a]), np.array([b]))[0]
             )
 
 
@@ -71,19 +122,19 @@ class TestCensus:
 
     @pytest.mark.parametrize("shape", _DF_SHAPES)
     def test_dragonfly_census_vs_brute_force(self, shape):
-        hier = hier_dragonfly(*shape)
+        topo = dragonfly(*shape)
         rng = np.random.default_rng(7)
-        P = 3 * hier.n_compute_nodes // 2
-        node_of_rank = rng.integers(0, hier.n_compute_nodes, size=P)
-        self._check(hier, node_of_rank)
+        P = 3 * topo.n_compute_nodes // 2
+        node_of_rank = rng.integers(0, topo.n_compute_nodes, size=P)
+        self._check(topo, node_of_rank)
 
     @pytest.mark.parametrize("shape", _FT_SHAPES)
     def test_fat_tree_census_vs_brute_force(self, shape):
-        hier = hier_fat_tree(*shape)
+        topo = fat_tree(*shape)
         rng = np.random.default_rng(8)
-        P = hier.n_compute_nodes
-        node_of_rank = rng.integers(0, hier.n_compute_nodes, size=P)
-        self._check(hier, node_of_rank)
+        P = topo.n_compute_nodes
+        node_of_rank = rng.integers(0, topo.n_compute_nodes, size=P)
+        self._check(topo, node_of_rank)
 
     def test_graph_topology_census_matches_too(self):
         topo = single_switch(8)
@@ -110,85 +161,6 @@ class TestCensus:
         assert np.array_equal(counts, exp_counts)
 
 
-class TestHopMatrixCacheBudget:
-    def test_over_budget_matrix_refused_with_guidance(self):
-        big = dragonfly(10, 16, 13)  # 2080 nodes -> ~34 MB matrix
-        old = set_hop_matrix_budget(1 << 20)  # 1 MiB
-        try:
-            with pytest.raises(SimulationError, match="hierarchical"):
-                big.pairwise_hops(np.array([0]), np.array([1]))
-        finally:
-            set_hop_matrix_budget(old)
-
-    def test_budget_raise_allows_build(self):
-        big = dragonfly(4, 8, 4)  # 128 nodes, 128 KiB matrix
-        idx = np.arange(128)
-        old = set_hop_matrix_budget(1 << 14)
-        try:
-            with pytest.raises(SimulationError):
-                big.pairwise_hops(idx[:, None], idx[None, :])
-            set_hop_matrix_budget(1 << 30)
-            m = big.pairwise_hops(idx[:, None], idx[None, :])
-            assert m.shape == (128, 128)
-        finally:
-            set_hop_matrix_budget(old)
-
-    def test_rebuilt_topology_shares_its_matrix_and_frees_its_graph(self):
-        import gc
-        import weakref
-
-        from repro.simsys.network import _HOP_CACHE
-
-        idx = np.arange(16)
-        first = dragonfly(2, 4, 2)
-        m1 = first.pairwise_hops(idx[:, None], idx[None, :])
-        entries = _HOP_CACHE.stats["entries"]
-        graph = weakref.ref(first.graph)
-        del first
-        gc.collect()
-        assert graph() is None  # the cache holds no graph alive
-        again = dragonfly(2, 4, 2)
-        m2 = again.pairwise_hops(idx[:, None], idx[None, :])
-        assert _HOP_CACHE.stats["entries"] == entries  # rebuilt: a cache hit
-        assert np.array_equal(m1, m2)
-        # Same graph, other attachment: a matrix of its own.
-        moved = dataclasses.replace(
-            again, attachment={n: again.attachment[15 - n] for n in range(16)}
-        )
-        m3 = moved.pairwise_hops(idx[:, None], idx[None, :])
-        assert np.array_equal(m3, m2[::-1, ::-1])
-        for a in range(16):
-            for b in range(16):
-                assert m3[a, b] == moved.hops(a, b)
-
-    def test_scalar_hops_free_the_graph_and_hit_when_rebuilt(self, monkeypatch):
-        import gc
-        import weakref
-
-        from repro.simsys import network
-
-        first = dragonfly(2, 4, 2)
-        expected = first.hops(0, 9)
-        graph = weakref.ref(first.graph)
-        del first
-        gc.collect()
-        assert graph() is None  # the pair cache holds no graph alive
-        searches = []
-        real = network.nx.shortest_path_length
-        monkeypatch.setattr(network.nx, "shortest_path_length",
-                            lambda *a: searches.append(a) or real(*a))
-        assert dragonfly(2, 4, 2).hops(0, 9) == expected
-        assert searches == []  # rebuilt: a cache hit, no new search
-
-    def test_hierarchical_topology_never_needs_the_cache(self):
-        # A ~125k-node dragonfly: the dense matrix would be ~125 GB.
-        hier = hier_dragonfly(1954, 16, 4)
-        src = np.array([0, 1, 500_000 % hier.n_compute_nodes])
-        dst = np.array([3, 125_000, 9])
-        hops = hier.pairwise_hops(src, dst)
-        assert hops.shape == (3,) and hops.max() <= 3
-
-
 class TestDeprecation:
     def test_pairwise_hops_does_not_warn(self):
         import warnings
@@ -200,32 +172,32 @@ class TestDeprecation:
 
 
 class TestHierarchicalMachines:
+    """The paper machines' topologies are the stock router graphs."""
+
     def test_piz_daint_hierarchical_matches_graph_hops(self):
-        graph_m = piz_daint(64)
-        hier_m = piz_daint(64, hierarchical=True)
-        a = graph_m.network.topology
-        b = hier_m.network.topology
-        rng = np.random.default_rng(3)
-        src = rng.integers(0, 64, size=200)
-        dst = rng.integers(0, 64, size=200)
-        assert np.array_equal(a.pairwise_hops(src, dst), b.pairwise_hops(src, dst))
+        topo = piz_daint(64).network.topology
+        assert topo.name == "dragonfly(g=6,r=16,n=4)"
+        assert np.array_equal(_all_pairs(topo), _bfs_hops(*_dragonfly_routers(6, 16, 4)))
 
     def test_pilatus_hierarchical_matches_graph_hops(self):
-        graph_m = pilatus(44)
-        hier_m = pilatus(44, hierarchical=True)
-        rng = np.random.default_rng(4)
-        src = rng.integers(0, 44, size=200)
-        dst = rng.integers(0, 44, size=200)
-        assert np.array_equal(
-            graph_m.network.topology.pairwise_hops(src, dst),
-            hier_m.network.topology.pairwise_hops(src, dst),
-        )
+        topo = pilatus(44).network.topology
+        assert topo.name == "fat_tree(l=4,n=12,s=2)"
+        assert np.array_equal(_all_pairs(topo), _bfs_hops(*_fat_tree_routers(4, 12, 2)))
 
     def test_xc_scale_reaches_a_million_ranks(self):
         m = xc_scale(125_000)
         assert m.n_nodes * m.node.cores >= 1_000_000
-        assert isinstance(m.network.topology, HierDragonfly)
+        assert isinstance(m.network.topology, Dragonfly)
+
+    def test_million_node_hops_need_no_matrix(self):
+        # A ~125k-node dragonfly: a dense hop matrix would be ~125 GB.
+        topo = dragonfly(1954, 16, 4)
+        src = np.array([0, 1, 500_000 % topo.n_compute_nodes])
+        dst = np.array([3, 125_000, 9])
+        hops = topo.pairwise_hops(src, dst)
+        assert hops.shape == (3,) and hops.max() <= 3
 
     def test_level_names_exposed(self):
-        assert "group" in hier_dragonfly(2, 2, 1).levels
-        assert isinstance(hier_fat_tree(2, 2, 1), HierFatTree)
+        assert "group" in dragonfly(2, 2, 1).levels
+        assert isinstance(fat_tree(2, 2, 1), FatTree)
+        assert isinstance(single_switch(4), FatTree)

@@ -9,6 +9,7 @@ from repro.errors import SimulationError, ValidationError
 from repro.simsys import (
     MACHINES,
     NetworkModel,
+    SimComm,
     dragonfly,
     fat_tree,
     get_machine,
@@ -39,7 +40,8 @@ class TestDragonfly:
         rng = np.random.default_rng(0)
         for _ in range(50):
             a, b = rng.integers(0, topo.n_compute_nodes, 2)
-            if topo.attachment[int(a)][0] != topo.attachment[int(b)][0]:
+            (ga, gb), _ = topo.coords(np.array([a, b]))
+            if ga != gb:
                 assert 1 <= topo.hops(int(a), int(b)) <= 3
 
     def test_unknown_node_rejected(self):
@@ -129,8 +131,31 @@ class TestMachineRegistry:
         assert m.peak_flops == pytest.approx(94.5e12 / 8, rel=0.01)
 
     def test_too_many_nodes_rejected(self):
-        with pytest.raises(ValidationError):
-            piz_daint(100_000)
+        # The factories size the topology to n_nodes; a machine resized
+        # past the nodes its topology attaches is refused.
+        with pytest.raises(ValidationError, match="only attaches 384 nodes"):
+            piz_daint(64).with_nodes(100_000)
+
+    @pytest.mark.parametrize("name", ["pilatus", "piz_daint", "piz_dora", "xc_scale"])
+    @pytest.mark.parametrize("n_nodes", [0, "64", 2.5])
+    def test_bad_node_count_rejected(self, name, n_nodes):
+        with pytest.raises(ValidationError, match="n_nodes"):
+            get_machine(name, n_nodes=n_nodes)
+
+    @pytest.mark.parametrize(
+        "make, n_nodes, shape",
+        [
+            (piz_daint, 384, dragonfly(6, 16, 4)),
+            (piz_daint, 500, dragonfly(8, 16, 4)),
+            (pilatus, 48, fat_tree(4, 12, 2)),
+            (pilatus, 100, fat_tree(9, 12, 2)),
+        ],
+    )
+    def test_paper_machines_grow_past_their_stock_shape(self, make, n_nodes, shape):
+        m = make(n_nodes)
+        assert m.network.topology == shape
+        out = SimComm(m, n_nodes, placement="one_per_node", seed=1).reduce(8, 2)
+        assert out.shape == (2, n_nodes) and np.all(np.isfinite(out))
 
     def test_testbed_deterministic_mode(self, rng):
         m = make_testbed(2, deterministic=True)

@@ -149,7 +149,7 @@ class TestAggregatedAlltoall:
         from repro.simsys.noise import NoNoise
 
         m = dataclasses.replace(
-            piz_daint(64, hierarchical=True),
+            piz_daint(64),
             network_noise=NoNoise(),
             name="piz_daint-quiet",
         )

@@ -87,8 +87,10 @@ def test_subpackage_alls_are_sorted_unique():
 
 def test_library_never_imports_reference_oracle():
     # The scalar ReferenceComm is a test oracle and benchmark baseline; no
-    # library module may pull it in.  A fresh interpreter keeps this test
-    # independent of whatever the rest of the suite already imported.
+    # library module may pull it in.  Nor may any module import networkx:
+    # the topologies are closed forms, and the package does not depend on
+    # it.  A fresh interpreter keeps this test independent of whatever the
+    # rest of the suite already imported.
     code = (
         "import importlib, pkgutil, sys, repro\n"
         "skip = {'repro.simsys.reference', 'repro.__main__'}\n"
@@ -96,6 +98,7 @@ def test_library_never_imports_reference_oracle():
         "    if info.name not in skip:\n"
         "        importlib.import_module(info.name)\n"
         "assert 'repro.simsys.reference' not in sys.modules\n"
+        "assert 'networkx' not in sys.modules\n"
     )
     src = str(Path(repro.__file__).resolve().parent.parent)
     env = {**os.environ, "PYTHONPATH": src}
