@@ -12,12 +12,13 @@ one:
 * appends the round times to ``BENCH_repro.json`` as a
   ``figure_build`` record.
 
-``REPRO_BENCH_FULL=1`` builds with each entry's full ``params`` and
-writes the text to the committed ``benchmarks/results/<name>.txt`` (the
-numbers EXPERIMENTS.md quotes).  The default quick fidelity builds with
-each entry's ``quick_params`` and writes the text under pytest's
-``tmp_path``, so a quick run leaves the committed full-fidelity results
-as they are (CI checks this with ``git diff --exit-code``).  The text
+``REPRO_BENCH_FULL=1`` builds with each entry's full ``params``, and
+``record_result`` writes the text to the committed
+``benchmarks/results/<name>.txt`` (the numbers EXPERIMENTS.md quotes).
+The default quick fidelity builds with each entry's ``quick_params``,
+and ``record_result`` writes the text under pytest's ``tmp_path``, so a
+quick run leaves the committed full-fidelity results as they are (CI
+checks this with ``git diff --exit-code``).  The text
 formats and any assertion about the numbers live in the registry and
 ``tests/report/``, not here.
 """
@@ -34,15 +35,13 @@ NAMES = sorted(name for name, entry in FIGURES.items() if not entry.needs_campai
 
 
 @pytest.mark.parametrize("name", NAMES)
-def test_figure_build(name, benchmark, results_dir, tmp_path):
+def test_figure_build(name, benchmark, record_result, tmp_path):
     entry = FIGURES[name]
     params = FigureService(tmp_path, quick=not FULL).params_for(entry)
     fig = benchmark.pedantic(
         entry.build, kwargs={**params, "seed": 0}, rounds=ROUNDS, iterations=1,
     )
-    text = FORMATS["txt"].write(entry, fig, {})
-    out_dir = results_dir if FULL else tmp_path
-    (out_dir / f"{name}.txt").write_text(text, encoding="utf-8")
+    record_result(name, FORMATS["txt"].write(entry, fig, {}))
     record_bench(
         "figure_build",
         {"figure": name, "fidelity": "full" if FULL else "quick"},

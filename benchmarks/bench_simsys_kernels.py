@@ -5,8 +5,8 @@ against the scalar :class:`~repro.simsys.reference.ReferenceComm` oracle
 and records the raw per-iteration timings as
 :class:`repro.compare.BenchRecord` runs (``kernel=vectorized`` and
 ``kernel=reference``) in ``BENCH_repro.json`` at the repo root
-(machine-readable, merged across runs) plus a human-readable table in
-``benchmarks/results/``.
+(machine-readable, merged across runs) plus a human-readable table
+through ``record_result`` (``benchmarks/results/`` at full fidelity).
 
 Two machines separate the two cost regimes (see docs/PERFORMANCE.md):
 

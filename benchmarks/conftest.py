@@ -4,9 +4,11 @@
 and every ablation and extension study through the figure registry; the
 other ``bench_*`` modules each run one performance study.  They time the
 computational kernel with pytest-benchmark *and* write the regenerated
-rows/series to ``benchmarks/results/<name>.txt`` so the output survives
-pytest's stdout capture (EXPERIMENTS.md quotes these files).
-``bench_figures`` writes there only at full fidelity.
+rows/series through :func:`record_result`, so the output survives
+pytest's stdout capture.  At full fidelity that is the committed
+``benchmarks/results/<name>.txt`` (EXPERIMENTS.md quotes these files);
+a quick run writes under pytest's ``tmp_path`` and leaves the committed
+results as they are.
 
 Sample sizes default to a reduced "CI" fidelity so the whole harness runs
 in minutes; set ``REPRO_BENCH_FULL=1`` for the paper's full sample sizes
@@ -15,29 +17,28 @@ in minutes; set ``REPRO_BENCH_FULL=1`` for the paper's full sample sizes
 
 from __future__ import annotations
 
-import os
 from pathlib import Path
 
 import pytest
 
 RESULTS_DIR = Path(__file__).parent / "results"
 
-from _bench_utils import FULL, fidelity  # noqa: F401  (re-export)
-
-
-@pytest.fixture(scope="session")
-def results_dir() -> Path:
-    RESULTS_DIR.mkdir(exist_ok=True)
-    return RESULTS_DIR
+from _bench_utils import FULL, fidelity  # noqa: F401  (fidelity: re-export)
 
 
 @pytest.fixture()
-def record_result(results_dir):
-    """Write (and echo) a named result artifact."""
+def record_result(tmp_path):
+    """Write (and echo) a named result artifact, newline-terminated.
+
+    ``REPRO_BENCH_FULL=1`` writes ``benchmarks/results/<name>.txt``; the
+    quick default writes ``<tmp_path>/<name>.txt``.
+    """
 
     def _write(name: str, text: str) -> Path:
-        path = results_dir / f"{name}.txt"
-        path.write_text(text + "\n")
+        out_dir = RESULTS_DIR if FULL else tmp_path
+        out_dir.mkdir(exist_ok=True)
+        path = out_dir / f"{name}.txt"
+        path.write_text(text if text.endswith("\n") else text + "\n", encoding="utf-8")
         print(f"\n=== {name} ===\n{text}\n")
         return path
 

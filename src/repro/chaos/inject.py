@@ -196,10 +196,9 @@ class ChaosResultCache(ResultCache):
     in production.
     """
 
-    def __init__(self, path: str | Path, plan: FaultPlan, metrics: Any | None = None):
+    def __init__(self, path: str | Path, plan: FaultPlan):
         super().__init__(path)
         self.plan = plan
-        self.metrics = metrics
         #: Entries corrupted by this instance (by fingerprint).
         self.injected_corruptions: set[str] = set()
 
@@ -222,10 +221,6 @@ class ChaosResultCache(ResultCache):
         ):
             self.injected_corruptions.add(fingerprint)
             self._mangle(entry, fingerprint)
-            if self.metrics is not None:
-                self.metrics.counter(
-                    "repro_chaos_cache_corruptions_injected_total"
-                ).inc()
         return super().get(fingerprint)
 
 

@@ -175,15 +175,14 @@ def run_chaos(
     seed: int = 0,
     workers: int = 1,
     hooks: ExecHooks | None = None,
-    metrics: Any | None = None,
     tracer: Any | None = None,
 ) -> ChaosReport:
     """Run the three-phase chaos gate; never raises for injected faults.
 
     *out_dir* receives the run's scratch state (fault markers, result
     cache) and is where :meth:`ChaosReport.write` puts the report.  Pass
-    the hooks/metrics pair from the CLI to surface ``repro_chaos_*``
-    counters.  The campaign phases run over a
+    ``hooks`` carrying a registry (``ExecHooks(metrics=...)``) to surface
+    the ``repro_chaos_*`` counters.  The campaign phases run over a
     :class:`~repro.exec.ProcessExecutor` with *workers* workers when
     *workers* > 1 or when the profile kills worker processes
     (:attr:`~repro.chaos.FaultProfile.kills_workers`), else serially.
@@ -212,6 +211,11 @@ def run_chaos(
 
     made: list[ProcessExecutor] = []
 
+    def count_rot(cache: ChaosResultCache) -> None:
+        if hooks.metrics is not None:
+            hooks.metrics.counter("repro_chaos_cache_corruptions_injected_total").inc(
+                len(cache.injected_corruptions))
+
     def make_executor() -> Any:
         if workers > 1 or profile.kills_workers:
             made.append(ProcessExecutor(
@@ -228,7 +232,7 @@ def run_chaos(
                 executor=SerialExecutor(retries=0), on_failure="raise", tracer=tracer
             )
             chaos_exec = ChaosExecutor(make_executor(), plan, out_dir / "state-a")
-            cache = ChaosResultCache(out_dir / "cache", plan, metrics)
+            cache = ChaosResultCache(out_dir / "cache", plan)
             chaotic = experiment.run(
                 executor=chaos_exec,
                 cache=cache,
@@ -236,6 +240,7 @@ def run_chaos(
                 tracer=tracer,
                 on_failure="annotate",
             )
+            count_rot(cache)
             planted = chaos_exec.injected
             report.injected.update(
                 crashes=planted["crash"], hangs=planted["hang"],
@@ -277,13 +282,14 @@ def run_chaos(
         try:
             # Phase B: warm-cache corruption, detection, and re-measurement.
             if baseline is not None:
-                cache_b = ChaosResultCache(out_dir / "cache", plan, metrics)
+                cache_b = ChaosResultCache(out_dir / "cache", plan)
                 rerun = experiment.run(
                     executor=ChaosExecutor(make_executor(), plan, out_dir / "state-b"),
                     cache=cache_b,
                     hooks=hooks,
                     on_failure="annotate",
                 )
+                count_rot(cache_b)
                 injected = len(cache_b.injected_corruptions)
                 report.injected["cache_corruptions"] = injected
                 report.check(

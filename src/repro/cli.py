@@ -70,28 +70,11 @@ def _chaos_profiles() -> dict:
     return PROFILES
 
 
-def _make_metrics_hooks(emit_metrics: str | None):
-    """(hooks, registry) — registry is None without ``--emit-metrics``."""
-    from .exec import ExecHooks
-    from .simsys.mpi import bind_kernel_metrics
-
-    hooks = ExecHooks()
-    if not emit_metrics:
-        bind_kernel_metrics(None)
-        return hooks, None
-    from .obs import MetricsRegistry
-
-    registry = MetricsRegistry()
-    registry.bind_exec_hooks(hooks)
-    # Simulation collectives report kernel cost into the same registry,
-    # whether they run here or in executor workers (counters forwarded).
-    bind_kernel_metrics(registry)
-    return hooks, registry
-
-
-def _write_metrics(registry, path: str) -> None:
-    registry.write(path)
-    print(f"metrics written to {path}", file=sys.stderr)
+def _write_metrics(registry, path: str | None) -> None:
+    """Write *registry* to ``--emit-metrics`` *path*, when one was given."""
+    if path:
+        registry.write(path)
+        print(f"metrics written to {path}", file=sys.stderr)
 
 
 def _demo_measure(point, rep, rng):
@@ -115,8 +98,8 @@ def _demo_measure(point, rep, rng):
 
 def _cmd_campaign(args: argparse.Namespace) -> int:
     from .core import Campaign, Experiment, Factor, FactorialDesign
-    from .exec import DistExecutor, ProcessExecutor, SerialExecutor
-    from .obs import JsonlSpanSink, Tracer
+    from .exec import DistExecutor, ExecHooks, ProcessExecutor, SerialExecutor
+    from .obs import JsonlSpanSink, MetricsRegistry, Tracer
 
     camp_dir = Path(args.dir)
     if (camp_dir / "campaign.json").exists():
@@ -133,7 +116,7 @@ def _cmd_campaign(args: argparse.Namespace) -> int:
         unit="s",
         seed=args.seed,
     )
-    hooks, registry = _make_metrics_hooks(args.emit_metrics)
+    hooks = ExecHooks(metrics=MetricsRegistry() if args.emit_metrics else None)
     tracer = Tracer(sink=JsonlSpanSink(camp_dir / "trace.jsonl"))
     if args.dist > 0:
         # Cold cli workers pay interpreter + package import before they
@@ -163,8 +146,7 @@ def _cmd_campaign(args: argparse.Namespace) -> int:
         print(f"dist: coordinator on {executor.address[0]}:{executor.address[1]}, "
               f"{args.dist} {args.dist_spawn} worker(s)")
     print(f"trace {tracer.trace_id} -> {camp_dir / 'trace.jsonl'}")
-    if registry is not None:
-        _write_metrics(registry, args.emit_metrics)
+    _write_metrics(hooks.metrics, args.emit_metrics)
     return 0
 
 
@@ -189,26 +171,24 @@ def _cmd_worker(args: argparse.Namespace) -> int:
 def _cmd_chaos(args: argparse.Namespace) -> int:
     """``repro chaos``: the resilience gate (see :mod:`repro.chaos`)."""
     from .chaos import run_chaos
+    from .exec import ExecHooks
+    from .obs import MetricsRegistry
     from .report import chaos_markdown, chaos_table
 
-    hooks, registry = _make_metrics_hooks(args.emit_metrics)
-    if registry is not None:
-        registry.bind_chaos_metrics()
+    hooks = ExecHooks(metrics=MetricsRegistry() if args.emit_metrics else None)
     report = run_chaos(
         args.profile,
         out_dir=args.dir,
         seed=args.seed,
         workers=args.workers,
         hooks=hooks,
-        metrics=registry,
     )
     print(chaos_table(report))
     json_path = report.write(args.out or args.dir)
     md_path = json_path.with_name("chaos_report.md")
     md_path.write_text(chaos_markdown(report))
     print(f"report written to {json_path} (+ {md_path.name})", file=sys.stderr)
-    if registry is not None:
-        _write_metrics(registry, args.emit_metrics)
+    _write_metrics(hooks.metrics, args.emit_metrics)
     if not report.ok:
         print(
             f"CHAOS GATE FAILED: {len(report.escapes)} escape(s), "
@@ -251,7 +231,8 @@ def _run_statistical_calibration(args: argparse.Namespace) -> int:
     Exit code 1 when any cell lands outside its tolerance band, so CI can
     use the command directly as a correctness gate.
     """
-    from .exec import ProcessExecutor, ResultCache
+    from .exec import ExecHooks, ProcessExecutor, ResultCache
+    from .obs import MetricsRegistry
     from .report import calibration_markdown, calibration_table
     from .validate import CalibrationStudy, get_profile
 
@@ -260,7 +241,7 @@ def _run_statistical_calibration(args: argparse.Namespace) -> int:
     if args.workers > 1:
         executor = ProcessExecutor(max_workers=args.workers)
     cache = ResultCache(args.cache) if args.cache else None
-    hooks, registry = _make_metrics_hooks(args.emit_metrics)
+    hooks = ExecHooks(metrics=MetricsRegistry() if args.emit_metrics else None)
     report = study.run(executor=executor, cache=cache, hooks=hooks)
 
     print(calibration_table(report))
@@ -269,8 +250,7 @@ def _run_statistical_calibration(args: argparse.Namespace) -> int:
         md_path = json_path.with_name("calibration_report.md")
         md_path.write_text(calibration_markdown(report))
         print(f"report written to {json_path} (+ {md_path.name})", file=sys.stderr)
-    if registry is not None:
-        _write_metrics(registry, args.emit_metrics)
+    _write_metrics(hooks.metrics, args.emit_metrics)
     flagged = report.flagged
     if flagged:
         print(
@@ -511,14 +491,10 @@ def _figure_service(args: argparse.Namespace, registry):
 def _cmd_render(args: argparse.Namespace) -> int:
     """``repro render``: materialize registry figures (see docs/REPORT.md)."""
     from .errors import ValidationError
+    from .obs import MetricsRegistry
     from .report.registry import FORMATS
 
-    registry = None
-    if args.emit_metrics:
-        from .obs import MetricsRegistry
-
-        registry = MetricsRegistry()
-        registry.bind_serve_metrics()
+    registry = MetricsRegistry() if args.emit_metrics else None
     service = _figure_service(args, registry)
     available = service.names()
     if args.list:
@@ -540,8 +516,7 @@ def _cmd_render(args: argparse.Namespace) -> int:
         for fmt in FORMATS:
             print(f"  {rendered.path(fmt)}")
         print(rendered.text(), end="")
-    if registry is not None:
-        _write_metrics(registry, args.emit_metrics)
+    _write_metrics(registry, args.emit_metrics)
     return 0
 
 
@@ -551,7 +526,6 @@ def _cmd_serve(args: argparse.Namespace) -> int:
     from .serve import run_server
 
     registry = MetricsRegistry()
-    registry.bind_serve_metrics()
     service = _figure_service(args, registry)
     tracer = None
     if args.trace:
@@ -577,8 +551,7 @@ def _cmd_serve(args: argparse.Namespace) -> int:
         tracer=tracer,
         ready=ready,
     )
-    if args.emit_metrics:
-        _write_metrics(registry, args.emit_metrics)
+    _write_metrics(registry, args.emit_metrics)
     return 0
 
 

@@ -19,11 +19,11 @@ contract in ``tests/exec/conformance.py`` and docs/EXEC.md):
   :class:`numpy.random.SeedSequence`, so results are bit-identical to
   :class:`~repro.exec.SerialExecutor` regardless of worker count, loss,
   or retry history;
-* spans raised by remote tasks are captured worker-side
-  (:func:`repro.obs.capture_file_spans`), shipped home inside result
-  frames, and replayed into the trace sink; worker-local ``repro_*``
-  counters travel the same way as per-task deltas
-  (:meth:`~repro.obs.MetricsRegistry.merge_counter_deltas`);
+* each attempt runs inside a fresh :class:`~repro.obs.Recording` that
+  collects its spans and, when the run has a registry, all of its
+  metric observations; they ride home in the result frame and are
+  merged into the run's sink and registry for the attempts the ledger
+  charges, so telemetry matches a serial run's;
 * a lost worker — crash, kill, partition, per-attempt timeout — fails
   only the attempt it was running.
 
@@ -47,8 +47,8 @@ from typing import Any, Callable, Collection, Sequence
 
 from .._validation import check_int, check_positive
 from ..errors import ExecutionError, ValidationError
-from ..obs.metrics import DIST_METRICS
-from ..obs.tracing import capture_file_spans, emit_span_dict
+from ..obs.metrics import MetricsRegistry
+from ..obs.recording import Recording
 from . import engine
 from .engine import Executor, Outcome, _Ledger
 from .hooks import ExecHooks
@@ -98,14 +98,17 @@ def _execute_payload(payload: dict[str, Any], rank: int) -> dict[str, Any]:
     """Run one TASK payload; returns the RESULT payload (not yet sent)."""
     fn, item = payload["work"]
     result = {"id": payload["id"], "attempt": payload["attempt"], "rank": rank,
-              "ok": False, "value": None, "error": None, "exc": None, "spans": []}
+              "ok": False, "value": None, "error": None, "exc": None}
+    recording = Recording(MetricsRegistry() if payload["metrics"] else None,
+                          collect=True)
     start = time.perf_counter()
-    with capture_file_spans(result["spans"]):
+    with recording.active():
         try:
             result.update(value=fn(item), ok=True)
         except Exception as exc:  # noqa: BLE001 - task error boundary
             result.update(error=f"{type(exc).__name__}: {exc}", exc=exc)
     result["wall"] = time.perf_counter() - start
+    result["telemetry"] = recording.export()
     return result
 
 
@@ -135,9 +138,9 @@ def worker_main(
     """The blocking worker loop behind ``repro worker``.
 
     Connects to the coordinator, announces itself (``HELLO``), then
-    executes ``TASK`` frames one at a time until ``SHUTDOWN``.  All run
-    configuration — assigned rank, metric forwarding — arrives in the
-    ``WELCOME`` frame, so a worker needs nothing but the
+    executes ``TASK`` frames one at a time until ``SHUTDOWN``.  Its
+    assigned rank arrives in the ``WELCOME`` frame, and whether to
+    collect metrics with each ``TASK``, so a worker needs nothing but the
     coordinator's address (and, if the coordinator spawned it, the run
     *token*, default ``$REPRO_WORKER_TOKEN``).  Returns a process exit
     code: 0 on a clean shutdown, 1 when the coordinator vanished, 3 when
@@ -175,17 +178,6 @@ def worker_main(
                   file=sys.stderr)
             return 3
         rank = int(cfg["rank"])
-        registry = None
-        last_counters: dict[str, float] = {}
-        if cfg.get("forward_metrics"):
-            # A private registry: worker-side components (the simulator
-            # kernels) count into it, and per-task deltas ride home on
-            # result frames.
-            from ..obs.metrics import MetricsRegistry
-            from ..simsys.mpi import bind_kernel_metrics
-
-            registry = MetricsRegistry()
-            bind_kernel_metrics(registry)
         done = 0
         while True:
             try:
@@ -200,14 +192,6 @@ def worker_main(
                       file=sys.stderr)
                 return 3
             result = _execute_payload(payload, rank)
-            if registry is not None:
-                current = registry.counter_values()
-                deltas = {name: value - last_counters.get(name, 0.0)
-                          for name, value in current.items()
-                          if value > last_counters.get(name, 0.0)}
-                last_counters = current
-                if deltas:
-                    result["counters"] = deltas
             try:
                 sock.sendall(_safe_result_frame(result))
             except OSError:
@@ -265,6 +249,8 @@ class _Run:
         self.worker_fn = worker_fn
         self.items = items
         self.hooks = hooks
+        #: The run's own sink and registry, where workers' telemetry lands.
+        self.recording = Recording(hooks.metrics)
         pool = executor.workers if executor.spawn != "external" else 0  # respawnable
         self.ledger = _Ledger(executor, names, hooks, timeout=executor.timeout, pool=pool)
         #: Open worker connections (handshake done, not yet dropped).
@@ -277,7 +263,7 @@ class _Run:
 
     def _count(self, name: str) -> None:
         if self.hooks.metrics is not None:
-            self.hooks.metrics.counter(name, DIST_METRICS.get(name, "")).inc()
+            self.hooks.metrics.counter(name).inc()
 
     # -- connection handling ---------------------------------------------
 
@@ -320,10 +306,7 @@ class _Run:
         self.next_rank = max(self.next_rank, rank + 1)
         w = _WorkerConn(rank, reader, writer, pid)
         try:
-            writer.write(encode_frame(WELCOME, {
-                "rank": rank, "protocol": PROTOCOL_VERSION,
-                "forward_metrics": self.hooks.metrics is not None,
-            }))
+            writer.write(encode_frame(WELCOME, {"rank": rank, "protocol": PROTOCOL_VERSION}))
             await writer.drain()
         except (ConnectionError, OSError):
             writer.close()
@@ -412,6 +395,7 @@ class _Run:
             "attempt": attempt,
             "label": self.ledger.names[i],
             "work": (self.worker_fn, self.items[i]),
+            "metrics": self.hooks.metrics is not None,
         }
         try:
             frame = encode_frame(TASK, payload)
@@ -438,13 +422,7 @@ class _Run:
             exc=payload.get("exc"), elapsed=float(payload.get("wall", 0.0)),
         ):
             return  # stale frame from an attempt already charged
-        for sink_path, span in payload.get("spans") or ():
-            emit_span_dict(sink_path, span)
-        counters = payload.get("counters")
-        if counters and self.hooks.metrics is not None:
-            from ..obs.metrics import SIMSYS_METRICS
-
-            self.hooks.metrics.merge_counter_deltas(counters, SIMSYS_METRICS)
+        self.recording.merge(payload["telemetry"])
 
     async def scheduler(self) -> None:
         started = time.monotonic()
@@ -682,8 +660,6 @@ class DistExecutor(Executor):
             return []
         if self._listen_sock.fileno() < 0:
             raise ExecutionError("DistExecutor is closed")
-        if hooks.metrics is not None:
-            hooks.metrics.bind_dist_metrics()
         # External workers cannot learn a secret minted here; they are
         # trusted the way the network they connect over is.
         self._token = None if self.spawn == "external" else secrets.token_hex(16)
@@ -701,8 +677,8 @@ class DistExecutor(Executor):
 class ProcessExecutor(DistExecutor):
     """Local parallel execution: a :class:`DistExecutor` with forked workers.
 
-    The same scheduler, failure model, and worker metric forwarding as
-    the dist backend, on localhost.  Work crosses to the workers by
+    The same scheduler, failure model, and per-attempt telemetry as the
+    dist backend, on localhost.  Work crosses to the workers by
     pickling: the worker callable and every item must be picklable
     (module-level functions, not lambdas or closures).
 

@@ -36,7 +36,8 @@ import numpy as np
 
 from .._validation import check_int, check_nonneg
 from ..errors import DesignError, ValidationError
-from ..obs.tracing import JsonlSpanSink, Tracer, file_span
+from ..obs.recording import Recording, file_span
+from ..obs.tracing import JsonlSpanSink, Tracer
 from .cache import ResultCache, task_fingerprint
 from .hooks import ExecHooks
 from .seeding import spawn_task_seeds, task_seed_id
@@ -287,7 +288,12 @@ class _Ledger:
 
 
 class SerialExecutor(Executor):
-    """In-process, in-order execution — the reference and debugging engine."""
+    """In-process, in-order execution — the reference and debugging engine.
+
+    Every attempt runs inside the run's own :class:`~repro.obs.Recording`:
+    spans raised in it go straight to their sink, metric observations
+    straight into ``hooks.metrics``.
+    """
 
     def run(
         self,
@@ -297,7 +303,9 @@ class SerialExecutor(Executor):
         labels: Sequence[str] | None = None,
         hooks: ExecHooks | None = None,
     ) -> list[Outcome]:
-        ledger = _Ledger(self, self._labels(items, labels), hooks or ExecHooks())
+        hooks = hooks or ExecHooks()
+        ledger = _Ledger(self, self._labels(items, labels), hooks)
+        recording = Recording(hooks.metrics)
         ledger.connect(0)  # the one worker: this thread
         while not ledger.done:
             runs = ledger.dispatch(_now())
@@ -306,7 +314,8 @@ class SerialExecutor(Executor):
                 continue
             ((_, i, attempt),) = runs
             try:
-                value = worker(items[i])
+                with recording.active():
+                    value = worker(items[i])
             except Exception as exc:  # noqa: BLE001 - fault boundary
                 ledger.result(0, i, attempt, _now(),
                               error=f"{type(exc).__name__}: {exc}", exc=exc)

@@ -7,11 +7,13 @@ design point is the expensive one" are answerable without instrumenting
 user code.  All updates happen in the parent process (the engine reports
 events as it harvests results), so no locking is needed.
 
-Attach a :class:`repro.obs.MetricsRegistry` (most conveniently via
-:meth:`~repro.obs.MetricsRegistry.bind_exec_hooks`) and every counter bump
-is bridged into the registry's ``repro_tasks_*_total`` counters, the
-``repro_task_latency_seconds`` histogram, and the
-``repro_cache_hit_ratio`` gauge — exportable as JSON or Prometheus text.
+Attach a :class:`repro.obs.MetricsRegistry` (``ExecHooks(metrics=...)``)
+and every counter bump is bridged into the registry's
+``repro_tasks_*_total`` counters, the ``repro_task_latency_seconds``
+histogram, and the ``repro_cache_hit_ratio`` gauge — exportable as JSON
+or Prometheus text.  It is the one registry of the run: the executors
+also record the metrics of code running inside each task (the simulator
+kernels) into it, whichever process ran the task.
 """
 
 from __future__ import annotations
@@ -47,7 +49,8 @@ class ExecHooks:
     metrics:
         Optional :class:`repro.obs.MetricsRegistry`; when set, every
         event is mirrored into the registry's engine metrics
-        (:data:`repro.obs.EXEC_METRICS`).
+        (see :data:`repro.obs.METRICS`), and every task attempt records
+        its own metric observations there.
     """
 
     submitted: int = 0

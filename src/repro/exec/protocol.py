@@ -72,7 +72,7 @@ __all__ = [
 ]
 
 #: Bump on any change to frame layout or payload schema.
-PROTOCOL_VERSION = 1
+PROTOCOL_VERSION = 2
 
 MAGIC = b"RW"
 
@@ -84,7 +84,7 @@ _HEADER = struct.Struct(">2sBBI")
 
 # Frame types.
 HELLO = 1  # worker -> coordinator: rank, pid, host, protocol version
-WELCOME = 2  # coordinator -> worker: assigned rank + run configuration
+WELCOME = 2  # coordinator -> worker: assigned rank
 TASK = 3  # coordinator -> worker: one work item (pickled)
 RESULT = 4  # worker -> coordinator: one outcome (pickled)
 SHUTDOWN = 5  # coordinator -> worker: drain and exit

@@ -1,15 +1,16 @@
 """Observability for measurement campaigns (:mod:`repro.obs`).
 
-Three layers, all dependency-free and engine-agnostic:
+Four layers, all dependency-free and engine-agnostic:
 
 * :mod:`repro.obs.tracing` — spans (name, attrs, wall/CPU time, parent)
   emitted around campaign → experiment → design-point →
-  measurement-batch, with a process-safe JSONL sink so
-  :class:`~repro.exec.ProcessExecutor` workers contribute to the same
-  trace;
-* :mod:`repro.obs.metrics` — counters/gauges/histograms bridged from
-  :class:`~repro.exec.ExecHooks`, exportable as JSON and Prometheus
+  measurement-batch, with a process-safe JSONL sink;
+* :mod:`repro.obs.metrics` — counters/gauges/histograms, one table of
+  metric families (:data:`METRICS`), exportable as JSON and Prometheus
   text format;
+* :mod:`repro.obs.recording` — the :class:`Recording` every executor
+  wraps around every task attempt, so spans and metrics raised inside a
+  task reach the run's sink and registry the same way from any process;
 * :mod:`repro.obs.provenance` — :class:`Provenance` manifests (host
   environment, package versions, master seed, methodology, cache and
   execution statistics) attached to every measured dataset and embedded
@@ -17,28 +18,16 @@ Three layers, all dependency-free and engine-agnostic:
 """
 
 from .metrics import (
-    CHAOS_METRICS,
-    DIST_METRICS,
     Counter,
     DEFAULT_BUCKETS,
-    EXEC_METRICS,
     Gauge,
     Histogram,
+    METRICS,
     MetricsRegistry,
-    SERVE_METRICS,
-    SIMSYS_METRICS,
 )
 from .provenance import PROVENANCE_VERSION, Provenance, package_versions
-from .tracing import (
-    JsonlSpanSink,
-    Span,
-    Tracer,
-    capture_file_spans,
-    emit_span_dict,
-    file_span,
-    read_trace,
-    render_span_tree,
-)
+from .recording import Recording, current_recording, file_span
+from .tracing import JsonlSpanSink, Span, Tracer, read_trace, render_span_tree
 
 __all__ = [
     "Counter",
@@ -46,20 +35,16 @@ __all__ = [
     "Histogram",
     "MetricsRegistry",
     "DEFAULT_BUCKETS",
-    "EXEC_METRICS",
-    "SIMSYS_METRICS",
-    "CHAOS_METRICS",
-    "DIST_METRICS",
-    "SERVE_METRICS",
+    "METRICS",
     "Provenance",
     "PROVENANCE_VERSION",
     "package_versions",
     "Span",
     "Tracer",
     "JsonlSpanSink",
+    "Recording",
+    "current_recording",
     "file_span",
-    "capture_file_spans",
-    "emit_span_dict",
     "read_trace",
     "render_span_tree",
 ]

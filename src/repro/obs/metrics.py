@@ -6,15 +6,18 @@ is that telemetry substrate: a small, dependency-free metrics registry
 whose contents export as JSON (for provenance manifests and dashboards)
 and as the Prometheus text exposition format (for scrapers).
 
-The engine-facing metric names are fixed (see :data:`EXEC_METRICS`):
-``repro_tasks_*_total`` counters mirror the :class:`repro.exec.ExecHooks`
-counters, ``repro_task_latency_seconds`` is a histogram of per-task wall
-time, ``repro_cache_hit_ratio`` and ``repro_measurements_per_second`` are
-gauges.  :meth:`MetricsRegistry.bind_exec_hooks` installs the bridge.
+Every metric name repro records is fixed in one table, :data:`METRICS`
+(kind, help text and histogram buckets), and ``MetricsRegistry()``
+registers the whole table.  A registry reaches the code that records
+into it one way per side: ``ExecHooks(metrics=registry)`` on the
+execution side (the engine, the dist coordinator, chaos, and — through
+the active :class:`~repro.obs.Recording` — code running inside a task,
+such as the simulator kernels), and ``metrics=registry`` on the serve
+side.
 
-All updates take the registry lock, so hooks fired from multiple threads
-(or several sequential engine invocations sharing one registry) stay
-consistent.
+Registration takes the registry lock, so components on several threads
+(or several sequential engine invocations sharing one registry) get the
+same metric objects.
 """
 
 from __future__ import annotations
@@ -33,12 +36,7 @@ __all__ = [
     "Histogram",
     "MetricsRegistry",
     "DEFAULT_BUCKETS",
-    "EXEC_METRICS",
-    "SIMSYS_METRICS",
-    "CHAOS_METRICS",
-    "DIST_METRICS",
-    "SERVE_METRICS",
-    "SIMSYS_KERNEL_BUCKETS",
+    "METRICS",
 ]
 
 _NAME_RE = re.compile(r"^[a-zA-Z_:][a-zA-Z0-9_:]*$")
@@ -48,64 +46,92 @@ DEFAULT_BUCKETS: tuple[float, ...] = (
     0.005, 0.01, 0.025, 0.05, 0.1, 0.25, 0.5, 1.0, 2.5, 5.0, 10.0,
 )
 
-#: The engine's metric names and help strings, in export order.
-EXEC_METRICS: dict[str, str] = {
-    "repro_tasks_submitted_total": "Tasks handed to an executor (cache hits excluded).",
-    "repro_tasks_completed_total": "Tasks that finished successfully on an executor.",
-    "repro_tasks_cached_total": "Tasks answered from the result cache without measuring.",
-    "repro_tasks_retried_total": "Individual retry attempts.",
-    "repro_tasks_failed_total": "Tasks that exhausted their retries.",
-    "repro_task_latency_seconds": "Wall-clock seconds per executed task.",
-    "repro_cache_hit_ratio": "Cached tasks over all tasks seen so far.",
-    "repro_cache_corrupt_total": "Corrupt cache entries detected on read and quarantined.",
-    "repro_measurements_per_second": "Measured values per second of task wall time.",
-}
-
-#: Fault-injection and graceful-degradation metric names (recorded by
-#: :mod:`repro.chaos` and by ``Experiment.run`` envelope accounting).
-CHAOS_METRICS: dict[str, str] = {
-    "repro_chaos_crashes_injected_total": "Worker crashes planted by a fault plan.",
-    "repro_chaos_hangs_injected_total": "Worker hangs planted by a fault plan.",
-    "repro_chaos_cache_corruptions_injected_total": "Cache entries corrupted by a fault plan.",
-    "repro_chaos_points_recovered_total": "Design points needing retries that still produced full data.",
-    "repro_chaos_points_degraded_total": "Design points that lost replications but kept values.",
-    "repro_chaos_points_failed_total": "Design points annotated as failed (no surviving values).",
-    "repro_chaos_net_kills_injected_total": "Workers killed mid-task by a fault plan.",
-    "repro_chaos_net_partitions_injected_total": "Worker connections severed by a fault plan.",
-    "repro_chaos_net_slow_links_injected_total": "Worker result sends delayed by a fault plan.",
-}
-
-#: Distributed-backend metric names (recorded by ``repro.exec.dist``).
-DIST_METRICS: dict[str, str] = {
-    "repro_dist_workers_connected_total": "Workers that completed the dist handshake.",
-    "repro_dist_workers_lost_total": "Worker connections lost mid-run (crash, partition, timeout).",
-    "repro_dist_tasks_reassigned_total": "Task attempts requeued because their worker was lost.",
-}
-
-#: Report-server metric names (recorded by :mod:`repro.serve` and the
-#: figure service in :mod:`repro.report.registry`).
-SERVE_METRICS: dict[str, str] = {
-    "repro_serve_requests_total": "HTTP requests handled by the figure server.",
-    "repro_serve_errors_total": "Requests answered with a 4xx/5xx status.",
-    "repro_serve_not_modified_total": "Requests answered 304 via If-None-Match.",
-    "repro_serve_cache_hits_total": "Figure renders served from the content-addressed cache.",
-    "repro_serve_renders_total": "Figure renders that executed a builder.",
-    "repro_serve_request_seconds": "Wall-clock seconds per handled request.",
-}
-
-#: Simulation-kernel metric names (recorded by repro.simsys.mpi when a
-#: registry is bound via ``bind_kernel_metrics``), in export order.
-SIMSYS_METRICS: dict[str, str] = {
-    "repro_simsys_kernel_ops_total": "Collective evaluations run by the simulator.",
-    "repro_simsys_kernel_messages_total": "Simulated messages across all evaluations.",
-    "repro_simsys_kernel_seconds": "Wall-clock seconds per collective evaluation.",
-}
-
 #: Kernel-evaluation latency buckets — collectives evaluate in
 #: microseconds-to-seconds, far below the engine's task-level spread.
-SIMSYS_KERNEL_BUCKETS: tuple[float, ...] = (
+_KERNEL_BUCKETS: tuple[float, ...] = (
     1e-5, 1e-4, 1e-3, 5e-3, 0.025, 0.1, 0.5, 2.5, 10.0,
 )
+
+#: Every metric family repro records: ``name -> (kind, help, buckets)``,
+#: grouped by the layer that records it.  ``buckets`` is None except for
+#: histograms.  :class:`MetricsRegistry` registers them all at
+#: construction, so an export taken before any event still shows every
+#: series at zero and tells "no faults" apart from "not instrumented".
+METRICS: dict[str, tuple[str, str, tuple[float, ...] | None]] = {
+    # The engine (ExecHooks.record and run_measurement_tasks).
+    "repro_tasks_submitted_total": (
+        "counter", "Tasks handed to an executor (cache hits excluded).", None),
+    "repro_tasks_completed_total": (
+        "counter", "Tasks that finished successfully on an executor.", None),
+    "repro_tasks_cached_total": (
+        "counter", "Tasks answered from the result cache without measuring.", None),
+    "repro_tasks_retried_total": ("counter", "Individual retry attempts.", None),
+    "repro_tasks_failed_total": (
+        "counter", "Tasks that exhausted their retries.", None),
+    "repro_task_latency_seconds": (
+        "histogram", "Wall-clock seconds per executed task.", DEFAULT_BUCKETS),
+    "repro_cache_hit_ratio": (
+        "gauge", "Cached tasks over all tasks seen so far.", None),
+    "repro_cache_corrupt_total": (
+        "counter", "Corrupt cache entries detected on read and quarantined.", None),
+    "repro_measurements_per_second": (
+        "gauge", "Measured values per second of task wall time.", None),
+    # Fault injection (repro.chaos) and graceful degradation (Experiment.run).
+    "repro_chaos_crashes_injected_total": (
+        "counter", "Worker crashes planted by a fault plan.", None),
+    "repro_chaos_hangs_injected_total": (
+        "counter", "Worker hangs planted by a fault plan.", None),
+    "repro_chaos_cache_corruptions_injected_total": (
+        "counter", "Cache entries corrupted by a fault plan.", None),
+    "repro_chaos_points_recovered_total": (
+        "counter", "Design points needing retries that still produced full data.", None),
+    "repro_chaos_points_degraded_total": (
+        "counter", "Design points that lost replications but kept values.", None),
+    "repro_chaos_points_failed_total": (
+        "counter", "Design points annotated as failed (no surviving values).", None),
+    "repro_chaos_net_kills_injected_total": (
+        "counter", "Workers killed mid-task by a fault plan.", None),
+    "repro_chaos_net_partitions_injected_total": (
+        "counter", "Worker connections severed by a fault plan.", None),
+    "repro_chaos_net_slow_links_injected_total": (
+        "counter", "Worker result sends delayed by a fault plan.", None),
+    # The dist coordinator (repro.exec.dist).
+    "repro_dist_workers_connected_total": (
+        "counter", "Workers that completed the dist handshake.", None),
+    "repro_dist_workers_lost_total": (
+        "counter", "Worker connections lost mid-run (crash, partition, timeout).", None),
+    "repro_dist_tasks_reassigned_total": (
+        "counter", "Task attempts requeued because their worker was lost.", None),
+    # The figure server (repro.serve) and service (repro.report.registry).
+    "repro_serve_requests_total": (
+        "counter", "HTTP requests handled by the figure server.", None),
+    "repro_serve_errors_total": (
+        "counter", "Requests answered with a 4xx/5xx status.", None),
+    "repro_serve_not_modified_total": (
+        "counter", "Requests answered 304 via If-None-Match.", None),
+    "repro_serve_cache_hits_total": (
+        "counter", "Figure renders served from the content-addressed cache.", None),
+    "repro_serve_renders_total": (
+        "counter", "Figure renders that executed a builder.", None),
+    "repro_serve_request_seconds": (
+        "histogram", "Wall-clock seconds per handled request.", DEFAULT_BUCKETS),
+    # Simulation kernels (repro.simsys.mpi, inside the active recording).
+    "repro_simsys_kernel_ops_total": (
+        "counter", "Collective evaluations run by the simulator.", None),
+    "repro_simsys_kernel_messages_total": (
+        "counter", "Simulated messages across all evaluations.", None),
+    "repro_simsys_kernel_seconds": (
+        "histogram", "Wall-clock seconds per collective evaluation.", _KERNEL_BUCKETS),
+    # The calibration study (repro.validate).
+    "repro_validate_trials_total": (
+        "counter", "Monte-Carlo calibration trials executed.", None),
+    "repro_validate_cells_total": (
+        "counter", "Calibration cells (procedure x generator) evaluated.", None),
+    "repro_validate_cells_flagged_total": (
+        "counter", "Calibration cells outside their tolerance band.", None),
+    "repro_validate_flagged_ratio": (
+        "gauge", "Flagged cells over all cells in the last study.", None),
+}
 
 
 def _check_name(name: str) -> str:
@@ -239,6 +265,17 @@ class Histogram(_Metric):
         samples.append((f"{self.name}_count", float(self._count)))
         return samples
 
+    def _add(self, bounds: tuple[float, ...], counts: Iterable[int],
+             total: float, count: int) -> None:
+        """Fold another histogram's per-bucket counts, sum and count in."""
+        if tuple(bounds) != self.bounds:
+            raise ValidationError(
+                f"histogram {self.name!r} has buckets {self.bounds}, got {tuple(bounds)}"
+            )
+        self._counts = [a + int(b) for a, b in zip(self._counts, counts)]
+        self._sum += float(total)
+        self._count += int(count)
+
     def value_dict(self) -> Any:
         return {
             "count": self._count,
@@ -250,9 +287,13 @@ class Histogram(_Metric):
         }
 
 
+_KINDS: dict[str, type] = {"counter": Counter, "gauge": Gauge, "histogram": Histogram}
+
+
 class MetricsRegistry:
     """A named collection of metrics with JSON and Prometheus export.
 
+    Starts with every family of :data:`METRICS` registered at zero.
     ``counter`` / ``gauge`` / ``histogram`` are get-or-create: asking for
     an existing name returns the existing instance (and raises if the kind
     differs), so independent components can share one registry safely.
@@ -261,6 +302,9 @@ class MetricsRegistry:
     def __init__(self) -> None:
         self._metrics: dict[str, _Metric] = {}
         self._lock = threading.Lock()
+        for name, (kind, help_text, buckets) in METRICS.items():
+            kw = {} if buckets is None else {"buckets": buckets}
+            self._metrics[name] = _KINDS[kind](name, help_text, **kw)
 
     def _get_or_create(self, cls: type, name: str, help: str, **kw: Any) -> Any:
         with self._lock:
@@ -294,85 +338,33 @@ class MetricsRegistry:
     def names(self) -> list[str]:
         return sorted(self._metrics)
 
-    # -- engine bridge ---------------------------------------------------
+    # -- merging another process's observations --------------------------
 
-    def bind_exec_hooks(self, hooks: Any) -> None:
-        """Install this registry on an :class:`repro.exec.ExecHooks`.
+    def observations(self) -> dict[str, Any]:
+        """Every counter and histogram observed so far, as picklable data.
 
-        Pre-registers the engine metric set (:data:`EXEC_METRICS`) so an
-        export taken before any event still shows every series, then sets
-        ``hooks.metrics = self``; ``ExecHooks.record`` does the rest.
+        A counter maps to its value, a histogram to ``(bounds,
+        per-bucket counts, sum, count)``; series at zero and gauges are
+        left out.  A dist worker ships this home with each attempt, and
+        the coordinator adds it to the run's registry with :meth:`merge`.
         """
-        for name, help_text in EXEC_METRICS.items():
-            if name.endswith("_total"):
-                self.counter(name, help_text)
-            elif name.endswith("_seconds"):
-                self.histogram(name, help_text)
-            else:
-                self.gauge(name, help_text)
-        hooks.metrics = self
-
-    def bind_chaos_metrics(self) -> None:
-        """Pre-register the fault-injection metric set (:data:`CHAOS_METRICS`).
-
-        All chaos metrics are counters; pre-registration makes an export
-        taken from a fault-free run still show every series at zero, so
-        dashboards can tell "no faults" from "not instrumented".
-        """
-        for name, help_text in CHAOS_METRICS.items():
-            self.counter(name, help_text)
-
-    def bind_dist_metrics(self) -> None:
-        """Pre-register the distributed-backend counters (:data:`DIST_METRICS`)."""
-        for name, help_text in DIST_METRICS.items():
-            self.counter(name, help_text)
-
-    def bind_serve_metrics(self) -> None:
-        """Pre-register the report-server metric set (:data:`SERVE_METRICS`).
-
-        An export scraped before the first request still shows every
-        series at zero — in particular ``repro_serve_cache_hits_total``,
-        whose zero-vs-absent distinction is what lets a smoke test prove
-        "second render did no recompute" rather than "not instrumented".
-        """
-        for name, help_text in SERVE_METRICS.items():
-            if name.endswith("_seconds"):
-                self.histogram(name, help_text)
-            else:
-                self.counter(name, help_text)
-
-    # -- remote forwarding -----------------------------------------------
-
-    def counter_values(self) -> dict[str, float]:
-        """A snapshot of every counter's current value, by name.
-
-        The worker half of remote metric forwarding: a dist worker
-        snapshots its private registry after each task and ships the
-        *delta* since the previous snapshot to the coordinator.
-        """
+        out: dict[str, Any] = {}
         with self._lock:
-            return {
-                name: m.value
-                for name, m in self._metrics.items()
-                if isinstance(m, Counter)
-            }
+            for name, m in self._metrics.items():
+                if isinstance(m, Histogram) and m.count:
+                    out[name] = (m.bounds, tuple(m._counts), m.sum, m.count)
+                elif isinstance(m, Counter) and m.value:
+                    out[name] = m.value
+        return out
 
-    def merge_counter_deltas(
-        self, deltas: Mapping[str, float], help_texts: Mapping[str, str] | None = None
-    ) -> None:
-        """Fold counter increments from another registry into this one.
-
-        The coordinator half of remote metric forwarding.  Only counters
-        merge — they are the one metric kind whose cross-process sum is
-        well defined without clock or bucket reconciliation.  Negative or
-        zero deltas are ignored (a restarted worker re-counts from zero).
-        """
-        help_texts = help_texts or {}
-        for name, delta in deltas.items():
-            delta = float(delta)
-            if delta <= 0.0:
-                continue
-            self.counter(name, help_texts.get(name, "")).inc(delta)
+    def merge(self, observations: Mapping[str, Any]) -> None:
+        """Add :meth:`observations` of another registry to this one."""
+        for name, obs in observations.items():
+            if isinstance(obs, tuple):
+                bounds, counts, total, count = obs
+                self.histogram(name, buckets=bounds)._add(bounds, counts, total, count)
+            else:
+                self.counter(name).inc(obs)
 
     # -- export ----------------------------------------------------------
 

@@ -11,8 +11,11 @@ Spans are deliberately minimal (no sampling, no clock sync, no wire
 protocol): one JSON object per finished span, appended to a JSONL file.
 Appends use a single ``os.write`` on an ``O_APPEND`` descriptor, which is
 atomic for line-sized payloads on POSIX, so several processes can
-contribute spans to the same sink file without locks.  A torn line (crash mid-write) is skipped by the reader, never an
-error — the same robustness contract as the result cache.
+contribute spans to the same sink file without locks.  A torn line
+(crash mid-write) is skipped by the reader, never an error — the same
+robustness contract as the result cache.  Spans raised inside a task
+attempt (``measurement-batch``) travel through the active
+:class:`~repro.obs.Recording` instead (see :mod:`repro.obs.recording`).
 
 Typical use::
 
@@ -41,9 +44,6 @@ __all__ = [
     "Span",
     "Tracer",
     "JsonlSpanSink",
-    "file_span",
-    "capture_file_spans",
-    "emit_span_dict",
     "read_trace",
     "render_span_tree",
 ]
@@ -140,39 +140,31 @@ class JsonlSpanSink:
             os.close(fd)
 
 
-class _ListSink:
-    """In-memory sink (the default when no path is given)."""
-
-    def __init__(self) -> None:
-        self.spans: list[Span] = []
-
-    def emit(self, span: Span) -> None:
-        self.spans.append(span)
-
-
 class Tracer:
     """Produces nested spans; thread-safe via a per-thread span stack.
 
     Parameters
     ----------
     sink:
-        Where finished spans go; anything with ``emit(span)``.  ``None``
-        keeps spans in memory only (see :attr:`finished`).
+        Where finished spans go, and only there; anything with
+        ``emit(span)``.  ``None`` keeps spans in memory (see
+        :attr:`finished`).
     trace_id:
         Explicit trace identity; generated when omitted.  Pass the parent
         tracer's id to join spans from another process into one trace.
     """
 
     def __init__(self, sink: Any | None = None, *, trace_id: str | None = None) -> None:
-        self._memory = _ListSink()
         self.sink = sink
+        self._finished: list[Span] = []
         self.trace_id = trace_id or _new_id()
         self._local = threading.local()
 
     @property
     def finished(self) -> list[Span]:
-        """Spans finished by *this* tracer instance (in completion order)."""
-        return self._memory.spans
+        """Spans finished by *this* sink-less tracer (in completion order);
+        always empty for a tracer with a sink."""
+        return self._finished
 
     def _stack(self) -> list[str]:
         if not hasattr(self._local, "stack"):
@@ -190,8 +182,9 @@ class Tracer:
         return _new_id()
 
     def _emit(self, span: Span) -> None:
-        self._memory.emit(span)
-        if self.sink is not None:
+        if self.sink is None:
+            self._finished.append(span)
+        else:
             self.sink.emit(span)
 
     @contextmanager
@@ -266,87 +259,6 @@ class Tracer:
             )
         )
         return sid
-
-
-#: When set (via :func:`capture_file_spans`), :func:`file_span` appends
-#: ``(sink_path, span_dict)`` pairs here instead of writing to disk.
-#: Worker loops without a shared filesystem — the dist backend — use this
-#: to ship spans back to the coordinator inside result frames.
-_file_span_capture: list[tuple[str, dict[str, Any]]] | None = None
-
-
-@contextmanager
-def capture_file_spans(
-    into: list[tuple[str, dict[str, Any]]],
-) -> Iterator[list[tuple[str, dict[str, Any]]]]:
-    """Redirect :func:`file_span` writes into *into* for this block.
-
-    Each captured element is ``(sink_path, span_dict)`` — everything
-    needed to replay the write elsewhere with :func:`emit_span_dict`.
-    Process-wide (not thread-scoped): it exists for single-threaded
-    remote worker loops, not for concurrent tracers.
-    """
-    global _file_span_capture
-    previous = _file_span_capture
-    _file_span_capture = into
-    try:
-        yield into
-    finally:
-        _file_span_capture = previous
-
-
-def emit_span_dict(sink_path: str | Path, payload: Mapping[str, Any]) -> None:
-    """Append one already-serialized span to a JSONL sink.
-
-    The replay half of :func:`capture_file_spans`: the coordinator calls
-    this with span dicts forwarded from remote workers, preserving the
-    single-``os.write`` atomicity contract of :class:`JsonlSpanSink`.
-    """
-    path = Path(sink_path)
-    path.parent.mkdir(parents=True, exist_ok=True)
-    line = json.dumps(dict(payload), separators=(",", ":")) + "\n"
-    fd = os.open(str(path), os.O_WRONLY | os.O_CREAT | os.O_APPEND, 0o644)
-    try:
-        os.write(fd, line.encode())
-    finally:
-        os.close(fd)
-
-
-@contextmanager
-def file_span(
-    sink_path: str | Path,
-    trace_id: str,
-    parent_id: str | None,
-    name: str,
-    **attrs: Any,
-) -> Iterator[None]:
-    """Measure a block and append one span line to *sink_path*.
-
-    The worker-side primitive: cheap to construct from the picklable
-    ``(path, trace_id, parent_id)`` triple a task carries across the
-    process boundary.  Under :func:`capture_file_spans` the span is
-    captured instead of written, for forwarding over a socket.
-    """
-    start_wall = time.time()
-    t0, c0 = time.perf_counter(), time.process_time()
-    try:
-        yield
-    finally:
-        span = Span(
-            name=name,
-            trace_id=trace_id,
-            span_id=_new_id(),
-            parent_id=parent_id,
-            start_s=start_wall,
-            wall_s=time.perf_counter() - t0,
-            cpu_s=time.process_time() - c0,
-            attrs=attrs,
-            pid=os.getpid(),
-        )
-        if _file_span_capture is not None:
-            _file_span_capture.append((str(sink_path), span.to_dict()))
-        else:
-            JsonlSpanSink(sink_path).emit(span)
 
 
 def read_trace(path: str | Path) -> list[Span]:

@@ -217,8 +217,6 @@ class FigureServer:
         self.metrics = metrics
         self.tracer = tracer
         self._server: asyncio.AbstractServer | None = None
-        if metrics is not None:
-            metrics.bind_serve_metrics()
 
     async def start(self) -> None:
         self._server = await asyncio.start_server(

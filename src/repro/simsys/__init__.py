@@ -58,7 +58,7 @@ from .schedules import (
     compile_reduce,
     compile_scan,
 )
-from .mpi import SimComm, SkewModel, reduce_schedule, bind_kernel_metrics
+from .mpi import SimComm, SkewModel, reduce_schedule
 from .energy import PowerModel
 from .noisebench import FWQResult, fixed_work_quantum, detour_spectrum, dominant_period
 from .cache import CacheModel, CachedKernel
@@ -108,7 +108,6 @@ __all__ = [
     "SimComm",
     "SkewModel",
     "reduce_schedule",
-    "bind_kernel_metrics",
     "KERNEL_VERSION",
     "CompiledSchedule",
     "Round",

@@ -300,6 +300,7 @@ def testbed(n_nodes: int = 4, *, deterministic: bool = False) -> MachineSpec:
     """A tiny fast machine for tests: one switch, light (or zero) noise."""
     from .noise import NoNoise
 
+    n_nodes = check_int(n_nodes, "n_nodes", minimum=1)
     node = NodeSpec(
         name="testbed node",
         sockets=1,
@@ -311,7 +312,7 @@ def testbed(n_nodes: int = 4, *, deterministic: bool = False) -> MachineSpec:
         mem_bandwidth=25.6e9,
     )
     net = NetworkModel(
-        topology=single_switch(max(n_nodes, 1)),
+        topology=single_switch(n_nodes),
         base_latency=1.0e-6,
         per_hop_latency=0.0,
         bandwidth=10.0e9,

@@ -63,6 +63,7 @@ import numpy as np
 
 from .._validation import check_in, check_int
 from ..errors import SimulationError, ValidationError
+from ..obs.recording import current_recording
 from .machine import MachineSpec
 from .noise import NoNoise, sample_block
 from .rng import RngFactory
@@ -88,7 +89,6 @@ __all__ = [
     "Placement",
     "KERNEL_VERSION",
     "SkewModel",
-    "bind_kernel_metrics",
     "DEFAULT_TILE_BYTES",
     "ALLTOALL_AGGREGATED_MIN_P",
 ]
@@ -144,36 +144,6 @@ class SkewModel(Protocol):
     ) -> np.ndarray:
         """Draw an ``(n, P)`` array of nonnegative start offsets in seconds."""
         ...
-
-
-# -- kernel metrics ----------------------------------------------------------
-
-#: The registry (if any) receiving simulation-kernel timings; process-local.
-_kernel_metrics = None
-
-
-def bind_kernel_metrics(registry) -> None:
-    """Route simulation-kernel timings into an obs metrics registry.
-
-    Pre-registers the ``repro_simsys_kernel_*`` series (see
-    :data:`repro.obs.metrics.SIMSYS_METRICS`) so an export taken before
-    any collective runs still shows them, then installs *registry* as the
-    process-global sink; pass ``None`` to unbind.  Binding is per process:
-    executor workers (:class:`~repro.exec.ProcessExecutor`,
-    :class:`~repro.exec.DistExecutor`) bind a private registry when the
-    run has one and forward its counter deltas home with each result, so
-    the parent's counters match a serial run.
-    """
-    global _kernel_metrics
-    if registry is not None:
-        from ..obs.metrics import SIMSYS_KERNEL_BUCKETS, SIMSYS_METRICS
-
-        for name, help_text in SIMSYS_METRICS.items():
-            if name.endswith("_total"):
-                registry.counter(name, help_text)
-            else:
-                registry.histogram(name, help_text, buckets=SIMSYS_KERNEL_BUCKETS)
-    _kernel_metrics = registry
 
 
 @dataclass
@@ -284,8 +254,10 @@ class SimComm:
         return self._rngs("op", self._op_count, *keys)
 
     def _record_kernel(self, seconds: float, n_messages: int) -> None:
-        """Feed one collective evaluation into the bound metrics registry."""
-        registry = _kernel_metrics
+        """Feed one collective evaluation into the active recording's
+        registry (:class:`repro.obs.Recording`), if any."""
+        recording = current_recording()
+        registry = recording.metrics if recording is not None else None
         if registry is None:
             return
         registry.counter("repro_simsys_kernel_ops_total").inc()

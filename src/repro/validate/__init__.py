@@ -30,7 +30,6 @@ from .procedures import (
 from .study import (
     KNOWN_LIMITATIONS,
     PROFILES,
-    VALIDATE_METRICS,
     VALIDATE_VERSION,
     CalibrationProfile,
     CalibrationReport,
@@ -63,7 +62,6 @@ __all__ = [
     "CalibrationReport",
     "CalibrationStudy",
     "KNOWN_LIMITATIONS",
-    "VALIDATE_METRICS",
     "VALIDATE_VERSION",
     "wilson_interval",
 ]

@@ -36,7 +36,6 @@ from .procedures import CellParams, PROCEDURES, get_procedure
 
 __all__ = [
     "VALIDATE_VERSION",
-    "VALIDATE_METRICS",
     "KNOWN_LIMITATIONS",
     "CalibrationProfile",
     "PROFILES",
@@ -55,14 +54,6 @@ VALIDATE_VERSION = 2
 
 #: Confidence level of the binomial interval around each empirical rate.
 BINOMIAL_CONFIDENCE = 0.99
-
-#: Metric names recorded by a study into a bound registry.
-VALIDATE_METRICS: dict[str, str] = {
-    "repro_validate_trials_total": "Monte-Carlo calibration trials executed.",
-    "repro_validate_cells_total": "Calibration cells (procedure x generator) evaluated.",
-    "repro_validate_cells_flagged_total": "Calibration cells outside their tolerance band.",
-    "repro_validate_flagged_ratio": "Flagged cells over all cells in the last study.",
-}
 
 #: Documented miscalibrations: (procedure, generator) -> (band_lo, band_hi,
 #: note).  These bands replace the default ``nominal ± tolerance`` and are
@@ -518,11 +509,6 @@ class CalibrationStudy:
         flagged = sum(1 for c in cells if not c.ok)
         if hooks.metrics is not None:
             registry = hooks.metrics
-            for name, help_text in VALIDATE_METRICS.items():
-                if name.endswith("_total"):
-                    registry.counter(name, help_text)
-                else:
-                    registry.gauge(name, help_text)
             registry.counter("repro_validate_trials_total").inc(
                 sum(c.trials for c in cells)
             )

@@ -63,8 +63,7 @@ class TestChaosExecutor:
 
     def test_injection_counts_reach_metrics(self, tmp_path):
         registry = MetricsRegistry()
-        hooks = ExecHooks()
-        registry.bind_exec_hooks(hooks)
+        hooks = ExecHooks(metrics=registry)
         ex = ChaosExecutor(SerialExecutor(retries=1, backoff=0.0), ALL_CRASH, tmp_path)
         ex.run(square, [1, 2], hooks=hooks)
         assert registry.get("repro_chaos_crashes_injected_total").value == 2
@@ -137,12 +136,18 @@ class TestChaosResultCache:
         assert cache.corrupt_entries == 1
 
     def test_corruption_counter_reaches_metrics(self, tmp_path):
+        # The cache only plants rot; the chaos run counts it into the
+        # registry its hooks carry.
+        from repro.chaos import run_chaos
+
         registry = MetricsRegistry()
-        cache = ChaosResultCache(tmp_path, self.PLAN, metrics=registry)
-        cache.put(self.FP, np.array([3.0]))
-        cache.get(self.FP)
+        report = run_chaos("smoke", out_dir=tmp_path, seed=12,
+                           hooks=ExecHooks(metrics=registry))
+        injected = report.injected["cache_corruptions"]
+        assert injected > 0
         assert (
-            registry.get("repro_chaos_cache_corruptions_injected_total").value == 1
+            registry.get("repro_chaos_cache_corruptions_injected_total").value
+            == injected
         )
 
     def test_inert_plan_leaves_cache_alone(self, tmp_path):

@@ -246,10 +246,8 @@ class TestFailureEnvelopes:
         from repro.exec import ExecHooks, SerialExecutor
         from repro.obs import MetricsRegistry
 
-        hooks = ExecHooks()
         registry = MetricsRegistry()
-        registry.bind_exec_hooks(hooks)
-        registry.bind_chaos_metrics()
+        hooks = ExecHooks(metrics=registry)
         res = self._exp(point_failing_measure).run(
             executor=SerialExecutor(retries=0),
             hooks=hooks,

@@ -32,8 +32,10 @@ opts in by subclassing :class:`ExecutorConformance` and implementing
     ``measurement-batch`` spans reach the trace sink from whichever
     process ran the task.
 ``worker-counter parity``
-    Simulator kernel counters ticked inside a measurement reach the
-    parent's registry exactly as a serial run counts them, whichever
+    Simulator kernel counters and the kernel-time histogram recorded
+    inside a measurement reach the run's registry (``hooks.metrics``,
+    with no other wiring) exactly as a serial run counts them, and a
+    traced campaign writes as many ``measurement-batch`` spans, whichever
     process measured and however many attempts were lost on the way.
 
 Workers and measure callables here are module-level (or marker-file
@@ -110,22 +112,18 @@ class SentinelFlaky:
 
 
 def kernel_counters(executor):
-    """The simsys ``*_total`` counters of one small campaign under *executor*."""
-    from repro.obs.metrics import SIMSYS_METRICS
-    from repro.simsys.mpi import bind_kernel_metrics
-
+    """The simsys kernel counters and kernel-histogram count of one small
+    campaign under *executor*, whose hooks carry the only registry."""
     registry = MetricsRegistry()
-    hooks = ExecHooks()
-    registry.bind_exec_hooks(hooks)
-    bind_kernel_metrics(registry)
-    try:
-        make_exp(measure=simsys_measure, reps=1).run(executor=executor, hooks=hooks)
-    finally:
-        bind_kernel_metrics(None)
+    make_exp(measure=simsys_measure, reps=1).run(
+        executor=executor, hooks=ExecHooks(metrics=registry))
     return {
-        name: registry.get(name).value
-        for name in SIMSYS_METRICS
-        if name.endswith("_total")
+        "repro_simsys_kernel_ops_total":
+            registry.get("repro_simsys_kernel_ops_total").value,
+        "repro_simsys_kernel_messages_total":
+            registry.get("repro_simsys_kernel_messages_total").value,
+        "repro_simsys_kernel_seconds_count":
+            registry.get("repro_simsys_kernel_seconds").count,
     }
 
 
@@ -299,8 +297,7 @@ class ExecutorConformance:
 
     def test_engine_metrics_reach_registry(self, executor):
         registry = MetricsRegistry()
-        hooks = ExecHooks()
-        registry.bind_exec_hooks(hooks)
+        hooks = ExecHooks(metrics=registry)
         make_exp().run(executor=executor, hooks=hooks)
         assert registry.get("repro_tasks_submitted_total").value == 8
         assert registry.get("repro_tasks_completed_total").value == 8
@@ -321,8 +318,32 @@ class ExecutorConformance:
     # -- worker-counter parity --------------------------------------------
 
     def test_worker_kernel_counters_match_serial(self, executor):
-        """Collectives evaluated in any process count into the parent's
-        bound registry exactly as serial ones do."""
+        """Collectives evaluated in any process count into the run's
+        registry exactly as serial ones do, histogram included."""
         serial = kernel_counters(SerialExecutor())
         assert serial["repro_simsys_kernel_ops_total"] == 4
+        assert serial["repro_simsys_kernel_seconds_count"] == 4
         assert kernel_counters(executor) == serial
+
+    def test_campaign_counts_kernel_ops_through_hooks_alone(self, executor, tmp_path):
+        from repro.core import Campaign
+
+        registry = MetricsRegistry()
+        camp = Campaign.create(tmp_path / "camp", name="parity")
+        camp.run(make_exp(measure=simsys_measure, reps=1), executor=executor,
+                 hooks=ExecHooks(metrics=registry))
+        assert registry.get("repro_simsys_kernel_ops_total").value == 4
+        assert registry.get("repro_simsys_kernel_seconds").count == 4
+
+    def test_traced_campaign_batch_spans_match_serial(self, executor, tmp_path):
+        from repro.core import Campaign
+
+        def batches(ex, name):
+            sink = tmp_path / f"{name}.jsonl"
+            camp = Campaign.create(tmp_path / name, name=name)
+            camp.run(make_exp(), executor=ex, tracer=Tracer(sink=JsonlSpanSink(sink)))
+            return sum(json.loads(line)["name"] == "measurement-batch"
+                       for line in sink.read_text().splitlines())
+
+        assert batches(SerialExecutor(), "serial") == 8
+        assert batches(executor, "under-test") == 8

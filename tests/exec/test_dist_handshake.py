@@ -174,8 +174,7 @@ class TestRespawnBudget:
 
     def test_crash_looping_pool_fails_fast(self):
         registry = MetricsRegistry()
-        hooks = ExecHooks()
-        registry.bind_exec_hooks(hooks)
+        hooks = ExecHooks(metrics=registry)
         start = time.perf_counter()
         with ProcessExecutor(max_workers=1, retries=2, backoff=0.0) as executor:
             outcomes = executor.run(_always_die, [1, 2, 3], hooks=hooks)

@@ -9,7 +9,7 @@ import pytest
 
 from repro.errors import ValidationError
 from repro.exec import ExecHooks
-from repro.obs import DEFAULT_BUCKETS, EXEC_METRICS, MetricsRegistry
+from repro.obs import DEFAULT_BUCKETS, METRICS, MetricsRegistry
 
 
 class TestPrimitives:
@@ -58,8 +58,7 @@ class TestPrimitives:
 class TestExecHooksBridge:
     def test_hooks_events_mirror_into_registry(self):
         reg = MetricsRegistry()
-        hooks = ExecHooks()
-        reg.bind_exec_hooks(hooks)
+        hooks = ExecHooks(metrics=reg)
         hooks.record("submitted", "t0")
         hooks.record("completed", "t0", seconds=0.02)
         hooks.record("cached", "t1")
@@ -75,13 +74,47 @@ class TestExecHooksBridge:
 
     def test_all_engine_metrics_preregistered(self):
         reg = MetricsRegistry()
-        reg.bind_exec_hooks(ExecHooks())
-        assert set(EXEC_METRICS) <= set(reg.names())
+        assert set(METRICS) <= set(reg.names())
+        for name, (kind, help_text, buckets) in METRICS.items():
+            metric = reg.get(name)
+            assert metric.kind == kind and metric.help == help_text
+            if buckets is not None:
+                assert metric.bounds == tuple(sorted(buckets))
 
     def test_hooks_without_registry_still_work(self):
         hooks = ExecHooks()
         hooks.record("submitted", "t0")
         assert hooks.submitted == 1
+
+
+class TestMerge:
+    def test_observations_merge_counters_and_histograms(self):
+        worker = MetricsRegistry()
+        worker.counter("repro_simsys_kernel_ops_total").inc(3)
+        worker.counter("repro_custom_total").inc(2)
+        hist = worker.histogram("repro_simsys_kernel_seconds")
+        for v in (2e-5, 2e-5, 0.3):
+            hist.observe(v)
+        obs = worker.observations()
+        # Zero series and gauges stay home.
+        assert set(obs) == {"repro_simsys_kernel_ops_total", "repro_custom_total",
+                            "repro_simsys_kernel_seconds"}
+        run = MetricsRegistry()
+        run.merge(obs)
+        run.merge(obs)
+        assert run.get("repro_simsys_kernel_ops_total").value == 6
+        assert run.get("repro_custom_total").value == 4
+        merged = run.get("repro_simsys_kernel_seconds")
+        assert merged.count == 6 and merged.sum == pytest.approx(2 * 0.30004)
+        assert merged.cumulative() == [(b, 2 * c) for b, c in hist.cumulative()]
+
+    def test_merge_refuses_other_buckets(self):
+        other = MetricsRegistry()
+        other.histogram("repro_lat_seconds", buckets=(1.0,)).observe(0.5)
+        run = MetricsRegistry()
+        run.histogram("repro_lat_seconds", buckets=(2.0,))
+        with pytest.raises(ValidationError, match="buckets"):
+            run.merge(other.observations())
 
 
 # One sample line of the text exposition format: name, optional labels,
@@ -95,8 +128,7 @@ _SAMPLE_RE = re.compile(
 class TestExport:
     def _populated(self) -> MetricsRegistry:
         reg = MetricsRegistry()
-        hooks = ExecHooks()
-        reg.bind_exec_hooks(hooks)
+        hooks = ExecHooks(metrics=reg)
         hooks.record("submitted", "a")
         hooks.record("completed", "a", seconds=0.3)
         return reg

@@ -11,6 +11,7 @@ import pytest
 from repro.errors import ValidationError
 from repro.obs import (
     JsonlSpanSink,
+    Recording,
     Span,
     Tracer,
     file_span,
@@ -106,8 +107,9 @@ class TestSpanNesting:
 
 
 def _emit_from_child(path: str, trace_id: str, parent: str, idx: int) -> None:
-    with file_span(path, trace_id, parent, "measurement-batch", index=idx):
-        pass
+    with Recording().active():
+        with file_span(path, trace_id, parent, "measurement-batch", index=idx):
+            pass
 
 
 class TestJsonlSink:
@@ -144,6 +146,16 @@ class TestJsonlSink:
         assert all(s.parent_id == pid for s in batches)
         assert len({s.pid for s in batches}) == 4  # each from its own process
 
+    def test_sink_tracer_keeps_no_spans_in_memory(self, tmp_path):
+        path = tmp_path / "trace.jsonl"
+        tracer = Tracer(sink=JsonlSpanSink(path))
+        for i in range(1000):
+            with tracer.span("serve-request", i=i):
+                pass
+        assert tracer.finished == []
+        assert len(read_trace(path)) == 1000
+        assert len(Tracer().finished) == 0  # a sink-less tracer starts empty
+
     def test_torn_line_is_skipped(self, tmp_path):
         path = tmp_path / "trace.jsonl"
         tracer = Tracer(sink=JsonlSpanSink(path))
@@ -164,6 +176,37 @@ class TestJsonlSink:
             start_s=1.0, wall_s=2.0, cpu_s=0.5, attrs={"k": "v"}, pid=42,
         )
         assert Span.from_dict(json.loads(json.dumps(span.to_dict()))) == span
+
+
+class TestRecording:
+    def test_file_span_records_nothing_without_a_recording(self, tmp_path):
+        path = tmp_path / "trace.jsonl"
+        with file_span(path, "t", None, "measurement-batch"):
+            pass
+        assert not path.exists()
+
+    def test_collected_spans_merge_into_the_sink(self, tmp_path):
+        path = tmp_path / "trace.jsonl"
+        worker = Recording(collect=True)
+        with worker.active():
+            with file_span(path, "t", "p", "measurement-batch", index=3):
+                pass
+        assert not path.exists()
+        Recording().merge(worker.export())
+        (span,) = read_trace(path)
+        assert (span.name, span.trace_id, span.parent_id) == ("measurement-batch", "t", "p")
+        assert span.attrs == {"index": 3}
+
+    def test_recordings_nest_and_restore(self):
+        from repro.obs import current_recording
+
+        outer, inner = Recording(), Recording()
+        assert current_recording() is None
+        with outer.active():
+            with inner.active():
+                assert current_recording() is inner
+            assert current_recording() is outer
+        assert current_recording() is None
 
 
 class TestRenderTree:

@@ -165,7 +165,6 @@ class TestContentAddressing:
 
     def test_cache_hit_and_render_metrics(self, service, rendered):
         metrics = MetricsRegistry()
-        metrics.bind_serve_metrics()
         svc = FigureService(
             service.cache_dir, quick=True, seed=0, metrics=metrics
         )

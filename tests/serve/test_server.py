@@ -29,9 +29,7 @@ def service(tmp_path_factory):
 
 @pytest.fixture()
 def metrics():
-    reg = MetricsRegistry()
-    reg.bind_serve_metrics()
-    return reg
+    return MetricsRegistry()
 
 
 def _counter(metrics, name):

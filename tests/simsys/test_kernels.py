@@ -234,3 +234,19 @@ class TestKernelValidation:
         for op in ("gather", "scatter"):
             with pytest.raises(ValidationError):
                 getattr(comm, op)(0, 1)
+
+
+class TestKernelMetrics:
+    def test_kernel_records_into_the_active_recording_only(self):
+        from repro.obs import MetricsRegistry, Recording
+
+        comm = SimComm(make_testbed(2), nprocs=8, seed=1)
+        comm.reduce_root_times(64, 3)  # no recording: nothing to record into
+        registry = MetricsRegistry()
+        with Recording(registry).active():
+            comm.reduce_root_times(64, 3)
+            comm.allreduce(64, 2)
+        comm.reduce_root_times(64, 3)
+        assert registry.get("repro_simsys_kernel_ops_total").value == 2
+        assert registry.get("repro_simsys_kernel_seconds").count == 2
+        assert registry.get("repro_simsys_kernel_messages_total").value > 0

@@ -136,7 +136,8 @@ class TestMachineRegistry:
         with pytest.raises(ValidationError, match="only attaches 384 nodes"):
             piz_daint(64).with_nodes(100_000)
 
-    @pytest.mark.parametrize("name", ["pilatus", "piz_daint", "piz_dora", "xc_scale"])
+    @pytest.mark.parametrize(
+        "name", ["pilatus", "piz_daint", "piz_dora", "xc_scale", "testbed"])
     @pytest.mark.parametrize("n_nodes", [0, "64", 2.5])
     def test_bad_node_count_rejected(self, name, n_nodes):
         with pytest.raises(ValidationError, match="n_nodes"):

@@ -212,8 +212,7 @@ class TestRendering:
 class TestMetricsAndCache:
     def test_validate_counters_recorded(self):
         registry = MetricsRegistry()
-        hooks = ExecHooks()
-        registry.bind_exec_hooks(hooks)
+        hooks = ExecHooks(metrics=registry)
         report = CalibrationStudy(TINY, master_seed=0).run(hooks=hooks)
         assert (
             registry.counter("repro_validate_trials_total").value
