@@ -23,12 +23,25 @@ dataset file edited in place raises :class:`~repro.errors.IntegrityError`
 instead of loading silently, and figure content keys come from the index
 alone (:func:`repro.report.registry.campaign_digest`).  Entries recorded
 before the index kept digests (no ``digest`` field) load unchecked.
+
+A dataset file is value-pure: it holds the values and their declaration
+(name, unit, design, methodology, packages, environment, seeds), never
+what changes from run to run.  Those run fields -- the provenance's
+``created_at``, ``exec_stats``, ``cache_stats``, ``trace_id``, the
+environment's ``argv`` and the per-dataset ``exec`` counters -- live in
+one sibling file, ``runs.json``, and :meth:`Campaign.load` merges them
+back in (:func:`repro.report.export.split_run_fields`).  A rerun that
+reproduces its values therefore rewrites no dataset file and no index:
+only ``runs.json``, so ``campaign_digest`` and every campaign figure key
+survive it.  Files written before the split keep their inline run fields
+and load as they always did; the next rerun rewrites each one once.
 """
 
 from __future__ import annotations
 
 import hashlib
 import json
+import os
 import re
 from contextlib import nullcontext
 from dataclasses import dataclass, field
@@ -44,6 +57,7 @@ from .measurement import MeasurementSet
 __all__ = ["Campaign"]
 
 _INDEX = "campaign.json"
+_RUNS = "runs.json"
 
 
 def _slug(name: str) -> str:
@@ -58,6 +72,13 @@ def _digest(data: bytes) -> str:
     return hashlib.blake2b(data, digest_size=16).hexdigest()
 
 
+def _read(path: Path) -> bytes:
+    # Unbuffered: half the cost of Path.read_bytes for the small index,
+    # runs and dataset files every load reads.
+    with open(path, "rb", buffering=0) as fh:
+        return fh.read()
+
+
 @dataclass
 class Campaign:
     """A directory-backed store of measurement datasets."""
@@ -67,6 +88,10 @@ class Campaign:
     environment_fields: dict = field(default_factory=dict)
     #: The last index bytes read or written and their parsed datasets.
     _parsed: tuple[bytes, list[dict]] | None = field(
+        default=None, init=False, repr=False, compare=False
+    )
+    #: The last ``runs.json`` bytes read and their parse.
+    _runs_parsed: tuple[bytes, dict[str, dict]] | None = field(
         default=None, init=False, repr=False, compare=False
     )
 
@@ -135,13 +160,37 @@ class Campaign:
         The file is read on every call; its parse is reused only while
         the bytes equal the last ones read or written.
         """
-        raw = (self.path / _INDEX).read_bytes()
+        raw = _read(self.path / _INDEX)
         if self._parsed is None or self._parsed[0] != raw:
             self._parsed = (raw, json.loads(raw).get("datasets", []))
         return raw, list(self._parsed[1])
 
     def _read_datasets(self) -> list[dict]:
         return self._index()[1]
+
+    def _runs(self) -> dict[str, dict]:
+        """Each dataset's run fields from ``runs.json`` (empty when there
+        is none); not to be mutated.
+
+        Like :meth:`_index`, the file is read on every call and its parse
+        reused while the bytes are unchanged.
+        """
+        from ..report.export import runs_from_json
+
+        try:
+            raw = _read(self.path / _RUNS)
+        except FileNotFoundError:
+            return {}
+        if self._runs_parsed is None or self._runs_parsed[0] != raw:
+            self._runs_parsed = (raw, runs_from_json(raw))
+        return self._runs_parsed[1]
+
+    def _write_runs(self, runs: dict[str, dict]) -> None:
+        # Not cached as parsed: *runs* holds the caller's metadata objects,
+        # so the next _runs() parses the bytes instead.
+        from ..report.export import runs_to_json
+
+        write_atomic(self.path / _RUNS, runs_to_json(runs))
 
     # -- data ------------------------------------------------------------
 
@@ -172,51 +221,87 @@ class Campaign:
         JSON file keeps only a stub — :meth:`load` resolves stubs
         transparently, returning lazily memory-mapped values.
         """
-        datasets = self._upsert(self._read_datasets(), ms, overwrite=overwrite,
-                                spill_rows=spill_rows)
-        self._write_index(datasets)
+        self._record([ms], overwrite=overwrite, spill_rows=spill_rows)
         return self.path / f"{_slug(ms.name)}.json"
 
-    def _upsert(
+    def _record(
         self,
-        datasets: list[dict],
-        ms: MeasurementSet,
+        sets,
         *,
         overwrite: bool,
         spill_rows: int | None,
-    ) -> list[dict]:
-        """Write *ms*'s dataset file; returns the index *datasets* with it
-        entered (the caller writes the index)."""
-        from ..report.export import measurements_to_json
+    ) -> None:
+        """Write the dataset files of *sets*, then ``runs.json`` and the
+        index, each only where its bytes change.
 
-        file = f"{_slug(ms.name)}.json"
-        others = [d for d in datasets if d["name"] != ms.name]
-        if len(others) < len(datasets) and not overwrite:
-            raise ValidationError(
-                f"dataset {ms.name!r} already recorded; pass overwrite=True "
-                "to replace it (the old values will be lost)"
-            )
-        clash = [d["name"] for d in others if d["file"] == file]
-        if clash:
-            raise ValidationError(
-                f"datasets {ms.name!r} and {clash[0]!r} would share the file "
-                f"{file}; rename one of them"
-            )
-        # One store (so one shard) per spilled dataset, sealed before the
-        # dataset file names it.
-        with self.store() if spill_rows is not None else nullcontext() as store:
-            text = measurements_to_json(
-                ms,
-                store=store,
-                spill_rows=spill_rows,
-                namespace=self.dataset_namespace,
-            )
-        data = text.encode()
-        (self.path / file).write_bytes(data)
-        others.append({"name": ms.name, "file": file, "n": ms.n,
-                       "unit": ms.unit, "digest": _digest(data)})
-        others.sort(key=lambda d: d["name"])
-        return others
+        A dataset file is rewritten (atomically) only when its new bytes
+        differ from the digest the index records or from the file on
+        disk, so recording again repairs a damaged file.  Spilled columns
+        go to one store session, sealed before any dataset file names it.
+        Also on error, the datasets encoded before it are written and
+        listed.
+        """
+        from ..report import export
+
+        datasets = self._read_datasets()
+        entries = {d["name"]: d for d in datasets}
+        files = {d["file"]: d["name"] for d in datasets}
+        before_runs = self._runs()
+        runs = dict(before_runs)
+        changed: list[tuple[str, str]] = []
+        namespace = self.dataset_namespace
+        store = self.store() if spill_rows is not None else None
+        try:
+            for ms in sets:
+                file = f"{_slug(ms.name)}.json"
+                if ms.name in entries and not overwrite:
+                    raise ValidationError(
+                        f"dataset {ms.name!r} already recorded; pass "
+                        "overwrite=True to replace it (the old values will "
+                        "be lost)"
+                    )
+                if files.get(file, ms.name) != ms.name:
+                    raise ValidationError(
+                        f"datasets {ms.name!r} and {files[file]!r} would share "
+                        f"the file {file}; rename one of them"
+                    )
+                pure, run_fields = export.split_run_fields(ms.metadata)
+                text = export.measurements_to_json(
+                    ms,
+                    store=store,
+                    spill_rows=spill_rows,
+                    namespace=namespace,
+                    metadata=pure,
+                )
+                data = text.encode()
+                entry = {"name": ms.name, "file": file, "n": ms.n,
+                         "unit": ms.unit, "digest": _digest(data)}
+                if entry != entries.get(ms.name) or not self._holds(file, data):
+                    changed.append((file, text))
+                entries[ms.name] = entry
+                files[file] = ms.name
+                if run_fields:
+                    runs[ms.name] = run_fields
+                else:
+                    runs.pop(ms.name, None)
+        finally:
+            if store is not None:
+                store.close()
+            for file, text in changed:
+                write_atomic(self.path / file, text)
+            if runs != before_runs:
+                self._write_runs(runs)
+            if changed:
+                new = sorted(entries.values(), key=lambda d: d["name"])
+                if new != datasets:
+                    self._write_index(new)
+
+    def _holds(self, file: str, data: bytes) -> bool:
+        """Does dataset *file* already hold exactly *data*?"""
+        try:
+            return _read(self.path / file) == data
+        except FileNotFoundError:
+            return False
 
     def names(self) -> list[str]:
         """Names of all recorded datasets."""
@@ -237,7 +322,7 @@ class Campaign:
         for d in self._read_datasets():
             if d["name"] == name:
                 path = self.path / d["file"]
-                data = path.read_bytes()
+                data = _read(path)
                 if "digest" in d and _digest(data) != d["digest"]:
                     raise IntegrityError(
                         f"dataset file {path} does not match the digest "
@@ -245,7 +330,9 @@ class Campaign:
                         "written; record the dataset again with overwrite=True"
                     )
                 store = self.store() if self.has_store() else None
-                return measurements_from_json(data.decode(), store=store)
+                return measurements_from_json(
+                    data.decode(), store=store, run_fields=self._runs().get(name)
+                )
         raise ValidationError(
             f"no dataset {name!r} in campaign {self.name!r}; have {self.names()}"
         )
@@ -274,7 +361,8 @@ class Campaign:
 
     def has_store(self) -> bool:
         """True when this campaign directory has a shard store."""
-        return (self.path / "store" / "manifest.json").exists()
+        # os.path: load asks once per dataset, at half pathlib's cost.
+        return os.path.exists(os.path.join(self.path, "store", "manifest.json"))
 
     def result_cache(self, *, spill_rows: int | None = None) -> ResultCache:
         """The campaign's content-addressed task-result cache.
@@ -347,16 +435,8 @@ class Campaign:
             if cache is not None and cache.spill_store is not None:
                 cache.spill_store.close()
         if record:
-            # One index write per run, not per dataset; also on error, so
-            # datasets recorded before it stay listed.
-            datasets = before = self._read_datasets()
-            try:
-                for ms in result.datasets.values():
-                    datasets = self._upsert(datasets, ms, overwrite=overwrite,
-                                            spill_rows=spill_rows)
-            finally:
-                if datasets != before:
-                    self._write_index(datasets)
+            self._record(result.datasets.values(), overwrite=overwrite,
+                         spill_rows=spill_rows)
         return result
 
     # -- analysis ---------------------------------------------------------

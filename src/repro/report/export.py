@@ -39,6 +39,10 @@ __all__ = [
     "dataset_fingerprint",
     "measurements_to_json",
     "measurements_from_json",
+    "split_run_fields",
+    "merge_run_fields",
+    "runs_to_json",
+    "runs_from_json",
     "figure_to_json",
     "NONFINITE_JSON",
 ]
@@ -104,8 +108,12 @@ def measurements_to_json(
     store: Any = None,
     spill_rows: int | None = None,
     namespace: str | None = None,
+    metadata: Mapping[str, Any] | None = None,
 ) -> str:
     """Serialize a MeasurementSet, preserving all provenance fields.
+
+    *metadata* replaces ``ms.metadata`` in the output: a campaign passes
+    the value-pure part :func:`split_run_fields` leaves.
 
     With *store* (a :class:`repro.store.ShardStore`) given and
     ``ms.n >= spill_rows``, the values column is written to the store
@@ -126,7 +134,10 @@ def measurements_to_json(
         "warmup_dropped": ms.warmup_dropped,
         "batch_k": ms.batch_k,
         "deterministic": ms.deterministic,
-        "metadata": {k: _jsonable(v) for k, v in ms.metadata.items()},
+        "metadata": {
+            k: _jsonable(v)
+            for k, v in (ms.metadata if metadata is None else metadata).items()
+        },
     }
     if store is not None and spill_rows is not None and ms.n >= spill_rows:
         fp = dataset_fingerprint(ms.name, namespace=namespace)
@@ -149,8 +160,13 @@ def measurements_to_json(
     return json.dumps(payload, allow_nan=False)
 
 
-def measurements_from_json(text: str, *, store: Any = None) -> MeasurementSet:
+def measurements_from_json(
+    text: str, *, store: Any = None, run_fields: Mapping[str, Any] | None = None
+) -> MeasurementSet:
     """Inverse of :func:`measurements_to_json`.
+
+    *run_fields* (the dataset's entry of a campaign's ``runs.json``) are
+    merged back into the metadata (:func:`merge_run_fields`).
 
     Spilled datasets (a ``"store"`` stub instead of inline ``"values"``)
     load lazily from *store*: the returned set's values are a read-only
@@ -160,6 +176,8 @@ def measurements_from_json(text: str, *, store: Any = None) -> MeasurementSet:
     """
     payload = json.loads(text)
     name = payload.get("name")
+    if run_fields:
+        payload["metadata"] = merge_run_fields(payload.get("metadata", {}), run_fields)
     try:
         stub = payload.get("store")
         if stub is not None:
@@ -204,6 +222,110 @@ def measurements_from_json(text: str, *, store: Any = None) -> MeasurementSet:
         raise ValidationError(
             f"dataset {name!r}: missing field in serialized set: {exc}"
         ) from exc
+
+
+#: Provenance fields that change from run to run of the same values.
+_PROVENANCE_RUN_FIELDS = ("created_at", "exec_stats", "cache_stats", "trace_id")
+
+
+def split_run_fields(
+    metadata: Mapping[str, Any],
+) -> tuple[dict[str, Any], dict[str, Any]]:
+    """Split dataset metadata into its value-pure part and its run fields.
+
+    The run fields are what changes when the same values are produced
+    again: the provenance's ``created_at``, ``exec_stats``,
+    ``cache_stats`` and ``trace_id``, the environment's ``extra.argv``
+    (returned as ``argv``), and the per-dataset ``exec`` counters.  What
+    stays -- design, methodology, packages, environment, seeds, kernel
+    version -- is a function of the values' declaration, so a campaign's
+    dataset file of it is byte-identical across value-identical reruns.
+    *metadata* is not modified.
+    """
+    pure = dict(metadata)
+    run: dict[str, Any] = {}
+    if "exec" in pure:
+        run["exec"] = pure.pop("exec")
+    prov = pure.get("provenance")
+    if isinstance(prov, Mapping):
+        prov = pure["provenance"] = dict(prov)
+        for key in _PROVENANCE_RUN_FIELDS:
+            if key in prov:
+                run[key] = prov.pop(key)
+        env = prov.get("environment", {})
+        if "argv" in env.get("extra", {}):
+            extra = dict(env["extra"])
+            run["argv"] = extra.pop("argv")
+            prov["environment"] = {**env, "extra": extra}
+    return pure, run
+
+
+def merge_run_fields(
+    metadata: Mapping[str, Any], run: Mapping[str, Any]
+) -> dict[str, Any]:
+    """Inverse of :func:`split_run_fields`; copies what it puts back."""
+    run = _copy_tree(run)
+    md = dict(metadata)
+    if "exec" in run:
+        md["exec"] = run["exec"]
+    prov_fields = {k: run[k] for k in _PROVENANCE_RUN_FIELDS if k in run}
+    if prov_fields or "argv" in run:
+        prov = md["provenance"] = {**md.get("provenance", {}), **prov_fields}
+        if "argv" in run:
+            env = prov["environment"] = dict(prov.get("environment", {}))
+            env["extra"] = {**env.get("extra", {}), "argv": run["argv"]}
+    return md
+
+
+def runs_to_json(runs: Mapping[str, Mapping[str, Any]]) -> str:
+    """Serialize each dataset's run fields (a campaign's ``runs.json``).
+
+    The datasets of one run share its provenance fields, so each distinct
+    set is stored once under ``"runs"``; a dataset names its set by
+    position and keeps its own ``exec`` counters.
+    """
+    shared: list[dict[str, Any]] = []
+    datasets: dict[str, dict[str, Any]] = {}
+    for name in sorted(runs):
+        fields = dict(runs[name])
+        entry: dict[str, Any] = {}
+        if "exec" in fields:
+            entry["exec"] = fields.pop("exec")
+        if fields:
+            try:
+                entry["run"] = shared.index(fields)
+            except ValueError:
+                entry["run"] = len(shared)
+                shared.append(fields)
+        datasets[name] = entry
+    return json.dumps({"runs": shared, "datasets": datasets},
+                      separators=(",", ":"), allow_nan=False)
+
+
+def runs_from_json(text: str | bytes) -> dict[str, dict[str, Any]]:
+    """Inverse of :func:`runs_to_json`: dataset name -> its run fields.
+
+    Datasets of one run share their field objects; :func:`merge_run_fields`
+    copies them, so loaded sets never alias each other's metadata.
+    """
+    payload = json.loads(text)
+    shared = payload.get("runs", [])
+    runs = {}
+    for name, entry in payload.get("datasets", {}).items():
+        fields = dict(shared[entry["run"]]) if "run" in entry else {}
+        if "exec" in entry:
+            fields["exec"] = entry["exec"]
+        runs[name] = fields
+    return runs
+
+
+def _copy_tree(value: Any) -> Any:
+    """A copy of a parsed JSON value that shares no dict or list."""
+    if type(value) is dict:
+        return {k: _copy_tree(v) for k, v in value.items()}
+    if type(value) is list:
+        return [_copy_tree(v) for v in value]
+    return value
 
 
 def figure_to_json(figure: Any, *, provenance: Any = None, indent: int | None = None) -> str:

@@ -94,11 +94,12 @@ def _file_digest(path: Path, h: "hashlib._Hash") -> None:
 def campaign_digest(campaign: Any) -> str:
     """A digest of everything a campaign figure can depend on.
 
-    Covers the index, every dataset file (which embeds provenance and,
-    for spilled sets, the store stub), and the content digest of every
-    listed shard-store entry — so appending a dataset, overwriting one,
-    or losing a shard changes the digest, while a byte-identical campaign
-    always produces the same one.  No dataset file or spilled value is
+    Covers the index, every dataset file (which embeds the value-pure
+    provenance and, for spilled sets, the store stub), and the content
+    digest of every listed shard-store entry — so appending a dataset,
+    overwriting one, or losing a shard changes the digest, while a
+    byte-identical campaign always produces the same one.  ``runs.json``
+    is not covered: a rerun that reproduces every value keeps the key.  No dataset file or spilled value is
     read: the index records each dataset file's digest at write (checked
     by :meth:`repro.core.Campaign.load`), and the store each entry's at
     append (:meth:`repro.store.ShardStore.entry_digests`, one size check

@@ -250,3 +250,243 @@ class TestHostNoise:
 
         with _pytest.raises(ValidationError):
             measure_host_noise(quantum=1e-3, iterations=5)
+
+
+#: Per-point offsets added by ``shifted_measure`` (tests set them).
+_SHIFT: dict = {}
+
+
+def shifted_measure(point, rep, rng):
+    """``campaign_measure`` plus an offset a test can set for one point."""
+    return campaign_measure(point, rep, rng) + _SHIFT.get(point["p"], 0.0)
+
+
+def make_shifted_experiment():
+    from repro.core import Experiment, Factor, FactorialDesign
+
+    return Experiment(
+        name="camp-run",
+        design=FactorialDesign((Factor("p", (1, 2, 3)),), replications=2),
+        measure=shifted_measure,
+        unit="us",
+        seed=11,
+    )
+
+
+def snapshot(path):
+    """Every file under *path*: its bytes, inode and mtime_ns."""
+    out = {}
+    for f in sorted(path.rglob("*")):
+        if f.is_file():
+            st = f.stat()
+            out[str(f.relative_to(path))] = (f.read_bytes(), st.st_ino, st.st_mtime_ns)
+    return out
+
+
+def changed_files(before, after):
+    return sorted(k for k in before.keys() | after.keys() if before.get(k) != after.get(k))
+
+
+def write_inline_campaign(path, result):
+    """A campaign as written before run fields moved to runs.json: each
+    dataset file carries its metadata whole."""
+    import json
+
+    from repro.core.campaign import _digest, _slug
+    from repro.report.export import measurements_to_json
+
+    camp = Campaign.create(path, name="legacy")
+    entries = []
+    for ms in result.datasets.values():
+        data = measurements_to_json(ms).encode()
+        file = f"{_slug(ms.name)}.json"
+        (path / file).write_bytes(data)
+        entries.append({"name": ms.name, "file": file, "n": ms.n,
+                        "unit": ms.unit, "digest": _digest(data)})
+    entries.sort(key=lambda d: d["name"])
+    index = json.loads((path / "campaign.json").read_text())
+    index["datasets"] = entries
+    (path / "campaign.json").write_text(json.dumps(index, separators=(",", ":")))
+    return Campaign.open(path)
+
+
+class TestValuePureDatasets:
+    """Dataset files hold values and their declaration; run fields go to
+    runs.json, so a value-identical rerun rewrites no dataset file."""
+
+    @pytest.mark.parametrize("spill_rows", [None, 4])
+    def test_identical_rerun_writes_only_runs_json(self, tmp_path, spill_rows):
+        from repro.report.registry import campaign_digest
+
+        camp = Campaign.create(tmp_path / "c", name="s")
+        camp.run(make_shifted_experiment(), spill_rows=spill_rows)
+        key = campaign_digest(camp)
+        before = snapshot(camp.path)
+        camp.run(make_shifted_experiment(), overwrite=True, spill_rows=spill_rows)
+        assert changed_files(before, snapshot(camp.path)) == ["runs.json"]
+        assert campaign_digest(camp) == key
+        assert campaign_digest(Campaign.open(camp.path)) == key
+
+    def test_one_changed_value_rewrites_exactly_its_file(self, tmp_path, monkeypatch):
+        import json
+
+        from repro.report.registry import campaign_digest
+
+        camp = Campaign.create(tmp_path / "c", name="s")
+        first = camp.run(make_shifted_experiment())
+
+        def digests():
+            index = json.loads((camp.path / "campaign.json").read_text())
+            return {d["name"]: d["digest"] for d in index["datasets"]}
+
+        index_before, key = digests(), campaign_digest(camp)
+        before = snapshot(camp.path)
+        monkeypatch.setitem(_SHIFT, 2, 1.0)
+        second = camp.run(make_shifted_experiment(), use_cache=False, overwrite=True)
+        moved = [ms.name for k, ms in first.datasets.items()
+                 if not np.array_equal(ms.values, second.datasets[k].values)]
+        assert moved == ["camp-run @ {'p': 2}"]
+        file = next(d["file"] for d in camp._read_datasets() if d["name"] == moved[0])
+        assert changed_files(before, snapshot(camp.path)) == sorted(
+            ["campaign.json", "runs.json", file])
+        index_after = digests()
+        assert [n for n in index_before if index_before[n] != index_after[n]] == moved
+        assert campaign_digest(camp) != key
+
+    def test_failed_replace_keeps_the_old_file_whole(self, tmp_path, monkeypatch):
+        import os
+
+        import repro._atomic as atomic
+
+        camp = Campaign.create(tmp_path / "c", name="s")
+        old = MeasurementSet(values=np.arange(8.0), unit="us", name="d")
+        camp.record(old)
+        file = camp.path / "d.json"
+        before = file.read_bytes()
+
+        def broken(src, dst):
+            raise OSError("disk gone")
+
+        monkeypatch.setattr(atomic.os, "replace", broken)
+        with pytest.raises(OSError, match="disk gone"):
+            camp.record(MeasurementSet(values=np.arange(8.0) + 1, unit="us",
+                                       name="d"), overwrite=True)
+        monkeypatch.setattr(atomic.os, "replace", os.replace)
+        assert file.read_bytes() == before
+        assert sorted(p.name for p in camp.path.iterdir()) == ["campaign.json", "d.json"]
+        assert np.array_equal(Campaign.open(camp.path).load("d").values, old.values)
+
+    def test_loaded_metadata_equals_the_run(self, tmp_path):
+        from repro.exec import ExecHooks
+        from repro.obs import Tracer
+
+        camp = Campaign.create(tmp_path / "c", name="s")
+        for overwrite in (False, True):
+            tracer = Tracer()
+            res = camp.run(make_shifted_experiment(), hooks=ExecHooks(),
+                           tracer=tracer, overwrite=overwrite)
+            reader = Campaign.open(camp.path)
+            for ms in res.datasets.values():
+                md = reader.load(ms.name).metadata
+                assert md == ms.metadata
+                prov = md["provenance"]
+                assert prov["trace_id"] == tracer.trace_id
+                assert prov["created_at"] and "argv" in prov["environment"]["extra"]
+                assert prov["exec_stats"] == ms.metadata["provenance"]["exec_stats"]
+                assert ("exec" in md) == overwrite  # cached_tasks on the rerun
+        # Loaded sets share no run-field object with each other.
+        a, b = (reader.load(ms.name) for ms in list(res.datasets.values())[:2])
+        a.metadata["provenance"]["exec_stats"]["cached"] = -1
+        assert b.metadata["provenance"]["exec_stats"]["cached"] != -1
+        assert reader.load(a.name).metadata["provenance"]["exec_stats"]["cached"] != -1
+
+    def test_dataset_files_hold_no_run_fields(self, tmp_path):
+        import json
+
+        camp = Campaign.create(tmp_path / "c", name="s")
+        camp.run(make_shifted_experiment())
+        for d in camp._read_datasets():
+            md = json.loads((camp.path / d["file"]).read_text())["metadata"]
+            prov = md["provenance"]
+            assert "exec" not in md
+            assert not {"created_at", "exec_stats", "cache_stats", "trace_id"} & set(prov)
+            assert "argv" not in prov["environment"]["extra"]
+            assert prov["master_seed"] == 11
+
+    def test_runs_json_parsed_once_until_it_changes(self, tmp_path, monkeypatch):
+        import repro.report.export as export
+
+        camp = Campaign.create(tmp_path / "c", name="s")
+        camp.run(make_shifted_experiment())
+        parsed = []
+        real = export.runs_from_json
+
+        def counting(raw):
+            parsed.append(raw)
+            return real(raw)
+
+        monkeypatch.setattr(export, "runs_from_json", counting)
+        reader = Campaign.open(camp.path)
+        for name in reader.names():
+            reader.load(name)
+        assert len(parsed) == 1
+        camp.run(make_shifted_experiment(), overwrite=True)
+        before = len(parsed)
+        for name in reader.names():
+            reader.load(name)
+        assert len(parsed) == before + 1
+
+    def test_inline_campaign_loads_then_migrates_once(self, tmp_path):
+        res = make_shifted_experiment().run()
+        camp = write_inline_campaign(tmp_path / "c", res)
+        for ms in res.datasets.values():
+            assert camp.load(ms.name).metadata == ms.metadata
+        files = sorted(d["file"] for d in camp._read_datasets())
+        before = snapshot(camp.path)
+        camp.run(make_shifted_experiment(), overwrite=True)
+        first = snapshot(camp.path)
+        # The first run in this directory also fills the result cache.
+        assert [f for f in changed_files(before, first)
+                if not f.startswith("cache/")] == sorted(
+            ["campaign.json", "runs.json", *files])
+        camp.run(make_shifted_experiment(), overwrite=True)
+        assert changed_files(first, snapshot(camp.path)) == ["runs.json"]
+
+    @pytest.mark.parametrize("metadata", [
+        {},
+        {"machine": "x"},
+        {"exec": {"cached_tasks": 2}},
+        {"provenance": {"master_seed": 1}},
+        {"provenance": {"created_at": "T", "trace_id": None,
+                        "environment": {"extra": {}}}},
+        {"provenance": {"created_at": "T", "exec_stats": {"completed": 4},
+                        "environment": {"memory": "m",
+                                        "extra": {"argv": "a b", "k": 1}}},
+         "exec": {"failed_reps": [{"rep": 0, "error": "e"}]}, "design": "d"},
+    ])
+    def test_run_fields_round_trip(self, metadata):
+        from repro.report.export import (
+            merge_run_fields,
+            runs_from_json,
+            runs_to_json,
+            split_run_fields,
+        )
+
+        pure, run = split_run_fields(metadata)
+        back = runs_from_json(runs_to_json({"a": run, "b": run}))
+        assert back == {"a": run, "b": run}
+        assert merge_run_fields(pure, back["a"]) == metadata
+        assert split_run_fields(pure) == (pure, {})
+
+    def test_rerecording_repairs_a_damaged_file(self, tmp_path):
+        from repro.errors import IntegrityError
+
+        camp = Campaign.create(tmp_path / "c", name="s")
+        ms = MeasurementSet(values=np.arange(8.0), unit="us", name="d")
+        camp.record(ms)
+        file = camp.path / "d.json"
+        file.write_bytes(file.read_bytes() + b" ")
+        with pytest.raises(IntegrityError):
+            camp.load("d")
+        camp.record(ms, overwrite=True)
+        assert np.array_equal(camp.load("d").values, ms.values)

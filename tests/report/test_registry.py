@@ -271,6 +271,35 @@ class TestCampaignFigures:
         assert not after.cached
         assert after.key != before.key
 
+    def test_etag_survives_a_value_identical_rerun(self, tmp_path):
+        from repro.serve import handle_request
+
+        camp = _spilled_run(tmp_path / "camp")
+        metrics = MetricsRegistry()
+        svc = FigureService(tmp_path / "cache", campaign=camp, metrics=metrics)
+        path = "/figures/campaign_trajectory.vl.json"
+        cold = handle_request(svc, "GET", path)
+        etag = cold.headers["ETag"]
+        renders = metrics.get("repro_serve_renders_total")
+        assert cold.status == 200 and renders.value == 1.0
+        camp.run(_ooc_experiment(), overwrite=True, spill_rows=100)
+        warm = handle_request(svc, "GET", path, {"If-None-Match": etag})
+        assert warm.status == 304 and renders.value == 1.0
+        # A rerun that changes one value changes the key.
+        name = camp.names()[0]
+        old = camp.load(name)
+        values = np.array(old.values)
+        values[0] += 1.0
+        camp.record(
+            MeasurementSet(values=values, unit=old.unit, name=name,
+                           metadata=old.metadata),
+            overwrite=True,
+            spill_rows=100,
+        )
+        changed = handle_request(svc, "GET", path, {"If-None-Match": etag})
+        assert changed.status == 200 and changed.headers["ETag"] != etag
+        assert renders.value == 2.0
+
     def test_empty_campaign_is_a_clean_error(self, tmp_path):
         camp = Campaign.create(tmp_path / "empty", name="empty")
         svc = FigureService(tmp_path / "cache", campaign=camp)
@@ -283,20 +312,21 @@ def ooc_measure(point, rep, rng):
     return rng.lognormal(mean=float(point["size"]) * 1e-3, sigma=0.2, size=300)
 
 
-def _spilled_run(path) -> Campaign:
+def _ooc_experiment():
     from repro.core import Experiment, Factor, FactorialDesign
 
-    camp = Campaign.create(path, name="ooc")
-    camp.run(
-        Experiment(
-            name="ooc",
-            design=FactorialDesign((Factor("size", (64, 4096)),), replications=2),
-            measure=ooc_measure,
-            unit="us",
-            seed=3,
-        ),
-        spill_rows=100,
+    return Experiment(
+        name="ooc",
+        design=FactorialDesign((Factor("size", (64, 4096)),), replications=2),
+        measure=ooc_measure,
+        unit="us",
+        seed=3,
     )
+
+
+def _spilled_run(path) -> Campaign:
+    camp = Campaign.create(path, name="ooc")
+    camp.run(_ooc_experiment(), spill_rows=100)
     return camp
 
 
@@ -412,8 +442,8 @@ class TestCampaignDigest:
         camp = _spilled_run(tmp_path / "camp")
         manifest = camp.path / "store" / "manifest.json"
         shards = json.loads(manifest.read_text())["shards"]
-        # Task results share one shard; each spilled dataset has its own.
-        assert len(shards) == 1 + len(camp.names())
+        # Task results share one shard; the run's spilled datasets another.
+        assert len(camp.names()) == 2 and len(shards) == 2
         assert all(s["sealed"] and s["digest"] for s in shards.values())
         before = manifest.read_bytes()
         campaign_digest(camp)

@@ -4,6 +4,8 @@ from __future__ import annotations
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from repro.errors import ValidationError
 from repro.stats import (
@@ -60,6 +62,17 @@ class TestKDE:
         ref = gaussian_kde(data, bw_method=h / data.std(ddof=1))
         xs = np.linspace(-3, 3, 50)
         assert np.allclose(ours(xs), ref(xs), rtol=0.02, atol=1e-3)
+
+    @settings(max_examples=40, deadline=None)
+    @given(
+        points=st.lists(st.floats(-1e3, 1e3), min_size=1, max_size=3000),
+        at=st.lists(st.floats(-1e3, 1e3), min_size=1, max_size=120),
+        h=st.floats(1e-3, 1e2),
+    )
+    def test_chunking_is_bit_identical_to_row_by_row(self, points, at, h):
+        kde = GaussianKDE(points=np.sort(np.array(points)), h=h)
+        rows = np.concatenate([kde([x]) for x in at])
+        assert np.array_equal(kde(at), rows)
 
     def test_subsampling_cap(self, rng):
         data = rng.normal(0, 1, 50_000)

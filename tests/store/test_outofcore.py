@@ -15,7 +15,7 @@ import json
 import numpy as np
 import pytest
 
-from repro.core import Campaign, Experiment, Factor, FactorialDesign
+from repro.core import Campaign, Experiment, Factor, FactorialDesign, MeasurementSet
 from repro.errors import ValidationError
 from repro.exec import ExecHooks, ProcessExecutor, SerialExecutor
 from repro.report import figure_to_json, measurements_to_json
@@ -157,9 +157,15 @@ class TestCorruptionDegradesGracefully:
 
     def test_flipped_manifest_digest_byte_fails_verify_only(self, tmp_path):
         camp, result = run_spilled(tmp_path, SerialExecutor(retries=0))
-        names = sorted(ms.name for ms in result.datasets.values())
-        victim, survivor = names[0], names[1]
+        victim = sorted(ms.name for ms in result.datasets.values())[0]
+        # A run's spilled datasets share one shard; a dataset recorded on
+        # its own gets another.
+        survivor = MeasurementSet(
+            values=np.linspace(1.0, 2.0, 200), unit="us", name="survivor"
+        )
+        camp.record(survivor, spill_rows=100)
         shard_name = _dataset_shard(camp, victim).name
+        assert _dataset_shard(camp, survivor.name).name != shard_name
         manifest = tmp_path / "camp" / "store" / "manifest.json"
         payload = json.loads(manifest.read_text())
         digest = payload["shards"][shard_name]["digest"]
@@ -173,12 +179,4 @@ class TestCorruptionDegradesGracefully:
             report = store.verify()
         assert not report["ok"] and report["corrupt"] == 1
         # Entries outside the tampered shard still load fine.
-        back = camp.load(survivor)
-        assert np.array_equal(
-            back.values,
-            next(
-                ms.values
-                for ms in result.datasets.values()
-                if ms.name == survivor
-            ),
-        )
+        assert np.array_equal(camp.load(survivor.name).values, survivor.values)
