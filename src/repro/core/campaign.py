@@ -46,6 +46,7 @@ import re
 from contextlib import nullcontext
 from dataclasses import dataclass, field
 from pathlib import Path
+from typing import Any
 
 from .._atomic import write_atomic
 from ..errors import IntegrityError, ValidationError
@@ -92,6 +93,11 @@ class Campaign:
     )
     #: The last ``runs.json`` bytes read and their parse.
     _runs_parsed: tuple[bytes, dict[str, dict]] | None = field(
+        default=None, init=False, repr=False, compare=False
+    )
+    #: The store manifest bytes :meth:`load` last saw, and the store
+    #: handle built from them.
+    _store_parsed: tuple[bytes, Any] | None = field(
         default=None, init=False, repr=False, compare=False
     )
 
@@ -329,13 +335,29 @@ class Campaign:
                         f"recorded for {name!r}: it was changed after it was "
                         "written; record the dataset again with overwrite=True"
                     )
-                store = self.store() if self.has_store() else None
                 return measurements_from_json(
-                    data.decode(), store=store, run_fields=self._runs().get(name)
+                    data.decode(), store=self._store_for_loads(),
+                    run_fields=self._runs().get(name),
                 )
         raise ValidationError(
             f"no dataset {name!r} in campaign {self.name!r}; have {self.names()}"
         )
+
+    def _store_for_loads(self):
+        """The store handle :meth:`load` reads through, or None without a
+        store.
+
+        Like :meth:`_index`, the manifest is read on every call; the
+        handle (one manifest parse) is reused while the bytes equal the
+        ones it was built from.  Writers use their own :meth:`store`.
+        """
+        try:
+            raw = _read(self.path / "store" / "manifest.json")
+        except FileNotFoundError:
+            return None
+        if self._store_parsed is None or self._store_parsed[0] != raw:
+            self._store_parsed = (raw, self.store())
+        return self._store_parsed[1]
 
     def environment(self) -> EnvironmentSpec:
         """The environment description recorded at campaign creation."""

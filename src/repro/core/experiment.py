@@ -350,23 +350,12 @@ class Experiment:
                 # Reserve one design-point span id per point up front so the
                 # workers' measurement-batch spans nest under it; the span
                 # itself is emitted after the fact with the summed wall time.
-                from ..obs import JsonlSpanSink
-
                 for task in tasks:
                     point_span_ids.setdefault(task.point, tracer.new_span_id())
-                if isinstance(tracer.sink, JsonlSpanSink):
-                    sink_path = str(tracer.sink.path)
-                    tasks = [
-                        _dc_replace(
-                            t,
-                            trace_ctx=(
-                                sink_path,
-                                tracer.trace_id,
-                                point_span_ids[t.point],
-                            ),
-                        )
-                        for t in tasks
-                    ]
+                tasks = [
+                    _dc_replace(t, trace_ctx=(tracer.trace_id, point_span_ids[t.point]))
+                    for t in tasks
+                ]
             results = run_measurement_tasks(
                 tasks,
                 executor=executor,

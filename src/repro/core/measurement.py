@@ -107,6 +107,10 @@ class MeasurementSet:
         constructor is skipped: the store validated every chunk at append
         time, and scanning here would defeat the laziness.
 
+        The set carries *metadata* and nothing else; the store entry's
+        own metadata stays in the store
+        (:meth:`repro.store.ShardStore.metadata`).
+
         Raises :class:`ValidationError` when the entry is absent (or was
         quarantined by the store during the read).
         """
@@ -116,7 +120,7 @@ class MeasurementSet:
                 f"store at {getattr(store, 'path', '?')} has no entry "
                 f"{fingerprint!r} (missing or quarantined)"
             )
-        values, store_md = got
+        values, _ = got
         ms = cls.__new__(cls)
         object.__setattr__(ms, "values", values)
         object.__setattr__(ms, "unit", unit)
@@ -126,7 +130,7 @@ class MeasurementSet:
         )
         object.__setattr__(ms, "batch_k", check_int(batch_k, "batch_k", minimum=1))
         object.__setattr__(ms, "deterministic", bool(deterministic))
-        object.__setattr__(ms, "metadata", {**store_md, **dict(metadata or {})})
+        object.__setattr__(ms, "metadata", dict(metadata or {}))
         return ms
 
     # -- streaming statistics -----------------------------------------------

@@ -22,7 +22,7 @@ contract in ``tests/exec/conformance.py`` and docs/EXEC.md):
 * each attempt runs inside a fresh :class:`~repro.obs.Recording` that
   collects its spans and, when the run has a registry, all of its
   metric observations; they ride home in the result frame and are
-  merged into the run's sink and registry for the attempts the ledger
+  merged into the run's tracer and registry for the attempts the ledger
   charges, so telemetry matches a serial run's;
 * a lost worker — crash, kill, partition, per-attempt timeout — fails
   only the attempt it was running.
@@ -99,8 +99,7 @@ def _execute_payload(payload: dict[str, Any], rank: int) -> dict[str, Any]:
     fn, item = payload["work"]
     result = {"id": payload["id"], "attempt": payload["attempt"], "rank": rank,
               "ok": False, "value": None, "error": None, "exc": None}
-    recording = Recording(MetricsRegistry() if payload["metrics"] else None,
-                          collect=True)
+    recording = Recording(MetricsRegistry() if payload["metrics"] else None)
     start = time.perf_counter()
     with recording.active():
         try:
@@ -249,8 +248,8 @@ class _Run:
         self.worker_fn = worker_fn
         self.items = items
         self.hooks = hooks
-        #: The run's own sink and registry, where workers' telemetry lands.
-        self.recording = Recording(hooks.metrics)
+        #: The run's own tracer and registry, where workers' telemetry lands.
+        self.recording = engine._run_recording(hooks)
         pool = executor.workers if executor.spawn != "external" else 0  # respawnable
         self.ledger = _Ledger(executor, names, hooks, timeout=executor.timeout, pool=pool)
         #: Open worker connections (handshake done, not yet dropped).

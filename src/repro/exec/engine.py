@@ -29,6 +29,7 @@ from __future__ import annotations
 import inspect
 import time
 from collections import deque
+from contextvars import ContextVar
 from dataclasses import dataclass, field, replace as _dc_replace
 from typing import Any, Callable, Iterable, Mapping, Sequence
 
@@ -36,8 +37,8 @@ import numpy as np
 
 from .._validation import check_int, check_nonneg
 from ..errors import DesignError, ValidationError
-from ..obs.recording import Recording, file_span
-from ..obs.tracing import JsonlSpanSink, Tracer
+from ..obs.recording import Recording, current_recording
+from ..obs.tracing import Tracer
 from .cache import ResultCache, task_fingerprint
 from .hooks import ExecHooks
 from .seeding import spawn_task_seeds, task_seed_id
@@ -287,12 +288,26 @@ class _Ledger:
         return decisions
 
 
+#: The tracer of the measurement run in progress in this context, set by
+#: :func:`run_measurement_tasks` around its executor call: the one route
+#: by which a run's tracer reaches the executors' run recordings
+#: (:func:`_run_recording`), without widening ``Executor.run``.
+_RUN_TRACER: ContextVar[Tracer | None] = ContextVar("repro_run_tracer", default=None)
+
+
+def _run_recording(hooks: ExecHooks) -> Recording:
+    """The run's own :class:`~repro.obs.Recording`, built once per
+    executor run: metric observations go to ``hooks.metrics``, spans to
+    the tracer of the measurement run that called the executor."""
+    return Recording(hooks.metrics, _RUN_TRACER.get())
+
+
 class SerialExecutor(Executor):
     """In-process, in-order execution — the reference and debugging engine.
 
     Every attempt runs inside the run's own :class:`~repro.obs.Recording`:
-    spans raised in it go straight to their sink, metric observations
-    straight into ``hooks.metrics``.
+    spans raised in it go straight to the run's tracer, metric
+    observations straight into ``hooks.metrics``.
     """
 
     def run(
@@ -305,7 +320,7 @@ class SerialExecutor(Executor):
     ) -> list[Outcome]:
         hooks = hooks or ExecHooks()
         ledger = _Ledger(self, self._labels(items, labels), hooks)
-        recording = Recording(hooks.metrics)
+        recording = _run_recording(hooks)
         ledger.connect(0)  # the one worker: this thread
         while not ledger.done:
             runs = ledger.dispatch(_now())
@@ -350,10 +365,11 @@ class MeasurementTask:
     measure: Callable[..., Any]
     pass_rng: bool
     methodology: tuple[tuple[str, Any], ...] = ()
-    #: ``(sink_path, trace_id, parent_span_id)`` — when set, the worker
-    #: (possibly in another process) appends a ``measurement-batch`` span
-    #: for this task to the JSONL sink.  Picklable by construction.
-    trace_ctx: tuple[str, str, str | None] | None = None
+    #: ``(trace_id, parent_span_id)`` — when set, the attempt (possibly
+    #: in another process) records a ``measurement-batch`` span for this
+    #: task into its :class:`~repro.obs.Recording`, which carries it home
+    #: to the run's tracer.  Not part of the fingerprint.
+    trace_ctx: tuple[str, str | None] | None = None
 
     @property
     def label(self) -> str:
@@ -458,15 +474,15 @@ def make_tasks(
 
 def _measure_worker(task: MeasurementTask) -> np.ndarray:
     """Execute one task (runs inside a worker process for parallel executors)."""
-    if task.trace_ctx is not None:
-        sink_path, trace_id, parent_id = task.trace_ctx
-        with file_span(
-            sink_path, trace_id, parent_id, "measurement-batch",
-            workload=task.workload, point=repr(dict(task.point)),
-            rep=task.rep, index=task.index,
-        ):
-            return _measure_values(task)
-    return _measure_values(task)
+    recording = current_recording()
+    if task.trace_ctx is None or recording is None:
+        return _measure_values(task)
+    with recording.span(
+        "measurement-batch", *task.trace_ctx,
+        workload=task.workload, point=repr(dict(task.point)),
+        rep=task.rep, index=task.index,
+    ):
+        return _measure_values(task)
 
 
 def _measure_values(task: MeasurementTask) -> np.ndarray:
@@ -499,17 +515,18 @@ def run_measurement_tasks(
     (``ok=False``, error recorded), not raised — campaign-level policy
     decides whether a hole is fatal.
 
-    When *tracer* writes to a file-backed sink, every executed task emits
-    a ``measurement-batch`` span (from whichever process ran it) parented
-    under the tracer's current span.  When *provenance* (a
+    With a *tracer*, every executed attempt records a
+    ``measurement-batch`` span into it, whichever process ran it, parented
+    under the tracer's current span unless the task carries its own
+    ``trace_ctx``.  When *provenance* (a
     :class:`repro.obs.Provenance`) is given, its manifest is stored in the
     cache entry of every fresh result, so cached values return with the
     provenance of the run that measured them.
     """
     executor = executor or SerialExecutor()
     hooks = hooks or ExecHooks()
-    if tracer is not None and isinstance(tracer.sink, JsonlSpanSink):
-        ctx = (str(tracer.sink.path), tracer.trace_id, tracer.current_span_id)
+    if tracer is not None:
+        ctx = (tracer.trace_id, tracer.current_span_id)
         # Tasks carrying a pre-assigned context (e.g. parented under a
         # reserved design-point span) keep it.
         tasks = [
@@ -535,12 +552,16 @@ def run_measurement_tasks(
         if torn > 0:
             hooks.metrics.counter("repro_cache_corrupt_total").inc(torn)
     if misses:
-        outcomes = executor.run(
-            _measure_worker,
-            [tasks[i] for i in misses],
-            labels=[tasks[i].label for i in misses],
-            hooks=hooks,
-        )
+        token = _RUN_TRACER.set(tracer)
+        try:
+            outcomes = executor.run(
+                _measure_worker,
+                [tasks[i] for i in misses],
+                labels=[tasks[i].label for i in misses],
+                hooks=hooks,
+            )
+        finally:
+            _RUN_TRACER.reset(token)
         for slot, outcome in zip(misses, outcomes):
             task = tasks[slot]
             metadata = {

@@ -10,7 +10,7 @@ Four layers, all dependency-free and engine-agnostic:
   text format;
 * :mod:`repro.obs.recording` — the :class:`Recording` every executor
   wraps around every task attempt, so spans and metrics raised inside a
-  task reach the run's sink and registry the same way from any process;
+  task reach the run's tracer and registry the same way from any process;
 * :mod:`repro.obs.provenance` — :class:`Provenance` manifests (host
   environment, package versions, master seed, methodology, cache and
   execution statistics) attached to every measured dataset and embedded
@@ -26,7 +26,7 @@ from .metrics import (
     MetricsRegistry,
 )
 from .provenance import PROVENANCE_VERSION, Provenance, package_versions
-from .recording import Recording, current_recording, file_span
+from .recording import Recording, current_recording
 from .tracing import JsonlSpanSink, Span, Tracer, read_trace, render_span_tree
 
 __all__ = [
@@ -44,7 +44,6 @@ __all__ = [
     "JsonlSpanSink",
     "Recording",
     "current_recording",
-    "file_span",
     "read_trace",
     "render_span_tree",
 ]

@@ -8,14 +8,17 @@ a parent id, emitted around campaign → experiment → design-point →
 measurement-batch.
 
 Spans are deliberately minimal (no sampling, no clock sync, no wire
-protocol): one JSON object per finished span, appended to a JSONL file.
-Appends use a single ``os.write`` on an ``O_APPEND`` descriptor, which is
-atomic for line-sized payloads on POSIX, so several processes can
-contribute spans to the same sink file without locks.  A torn line
-(crash mid-write) is skipped by the reader, never an error — the same
-robustness contract as the result cache.  Spans raised inside a task
-attempt (``measurement-batch``) travel through the active
-:class:`~repro.obs.Recording` instead (see :mod:`repro.obs.recording`).
+protocol): :meth:`Tracer.span` times every live span, and a finished
+span goes to the tracer's sink — kept in memory by default, or one JSON
+object per span appended to a JSONL file.  Appends use a single
+``os.write`` on an ``O_APPEND`` descriptor, which is atomic for
+line-sized payloads on POSIX, so several processes can contribute spans
+to the same sink file without locks.  A torn line (crash mid-write) is
+skipped by the reader, never an error — the same robustness contract as
+the result cache.  Spans raised inside a task attempt
+(``measurement-batch``) reach the run's tracer through the attempt's
+:class:`~repro.obs.Recording`, whichever process ran it (see
+:mod:`repro.obs.recording`).
 
 Typical use::
 

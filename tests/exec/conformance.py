@@ -29,8 +29,9 @@ opts in by subclassing :class:`ExecutorConformance` and implementing
 ``observability``
     Hook events fire exactly once per task submission, engine counters
     reach a bound :class:`~repro.obs.MetricsRegistry`, and
-    ``measurement-batch`` spans reach the trace sink from whichever
-    process ran the task.
+    ``measurement-batch`` spans reach the run's tracer — in memory or
+    JSONL — from whichever process ran the task, giving the same span
+    tree as a serial run.
 ``worker-counter parity``
     Simulator kernel counters and the kernel-time histogram recorded
     inside a measurement reach the run's registry (``hooks.metrics``,
@@ -48,13 +49,14 @@ from __future__ import annotations
 
 import json
 import os
+from collections import Counter
 
 import numpy as np
 import pytest
 
 from repro.core import Experiment, Factor, FactorialDesign
 from repro.exec import ExecHooks, ResultCache, SerialExecutor
-from repro.obs import JsonlSpanSink, MetricsRegistry, Tracer
+from repro.obs import JsonlSpanSink, MetricsRegistry, Tracer, read_trace
 
 __all__ = ["ExecutorConformance", "make_exp", "SentinelFlaky"]
 
@@ -125,6 +127,14 @@ def kernel_counters(executor):
         "repro_simsys_kernel_seconds_count":
             registry.get("repro_simsys_kernel_seconds").count,
     }
+
+
+def span_shape(spans):
+    """The multiset of ``(name, parent name, point attribute)`` of *spans*."""
+    names = {s.span_id: s.name for s in spans}
+    return Counter(
+        (s.name, names.get(s.parent_id), s.attrs.get("point")) for s in spans
+    )
 
 
 def make_exp(seed=123, levels=(0, 1, 2, 3), reps=2, measure=seeded_measure, **kw):
@@ -314,6 +324,18 @@ class ExecutorConformance:
         # Batch spans nest under the per-point spans of the experiment.
         point_ids = {s["span_id"] for s in spans if s["name"] == "design-point"}
         assert all(s["parent_id"] in point_ids for s in batches)
+
+    @pytest.mark.parametrize("sink", ["memory", "jsonl"])
+    def test_same_spans_as_serial_under_any_tracer(self, executor, tmp_path, sink):
+        reference = Tracer()
+        make_exp().run(executor=SerialExecutor(), tracer=reference)
+        path = tmp_path / "trace.jsonl"
+        tracer = Tracer() if sink == "memory" else Tracer(sink=JsonlSpanSink(path))
+        make_exp().run(executor=executor, tracer=tracer)
+        spans = tracer.finished if sink == "memory" else read_trace(path)
+        assert span_shape(spans) == span_shape(reference.finished)
+        assert Counter(s.name for s in spans)["measurement-batch"] == 8
+        assert all(s.trace_id == tracer.trace_id for s in spans)
 
     # -- worker-counter parity --------------------------------------------
 

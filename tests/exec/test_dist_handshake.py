@@ -186,3 +186,29 @@ class TestRespawnBudget:
         # The first task burns its three attempts; three replacements in
         # all, then the second task's loss leaves no worker and no budget.
         assert registry.get("repro_dist_workers_lost_total").value == 4
+
+
+class TestTelemetryHome:
+    def test_stale_frame_is_dropped_with_its_spans(self):
+        from repro.exec import engine
+        from repro.exec.dist import _Run
+        from repro.obs import Recording, Tracer
+
+        tracer, worker = Tracer(), Recording()
+        with worker.span("measurement-batch", tracer.trace_id, None):
+            pass
+        frame = {"ok": True, "value": 6, "error": None, "exc": None, "wall": 0.0,
+                 "telemetry": worker.export()}
+        token = engine._RUN_TRACER.set(tracer)  # as run_measurement_tasks does
+        try:
+            with DistExecutor(workers=1, spawn="fork") as executor:
+                run = _Run(executor, _double, [3], ["t0"], ExecHooks())
+        finally:
+            engine._RUN_TRACER.reset(token)
+        run.ledger.connect("w")
+        ((w, i, attempt),) = run.ledger.dispatch(engine._now())
+        run._apply_result(w, {**frame, "id": i, "attempt": attempt + 1})
+        assert tracer.finished == []  # no such attempt in flight: stale
+        run._apply_result(w, {**frame, "id": i, "attempt": attempt})
+        assert [s.name for s in tracer.finished] == ["measurement-batch"]
+        assert run.ledger.done and run.ledger.outcomes[i].value == 6

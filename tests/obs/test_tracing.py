@@ -14,7 +14,6 @@ from repro.obs import (
     Recording,
     Span,
     Tracer,
-    file_span,
     read_trace,
     render_span_tree,
 )
@@ -107,9 +106,9 @@ class TestSpanNesting:
 
 
 def _emit_from_child(path: str, trace_id: str, parent: str, idx: int) -> None:
-    with Recording().active():
-        with file_span(path, trace_id, parent, "measurement-batch", index=idx):
-            pass
+    tracer = Tracer(sink=JsonlSpanSink(path), trace_id=trace_id)
+    with tracer.span("measurement-batch", parent_id=parent, index=idx):
+        pass
 
 
 class TestJsonlSink:
@@ -179,23 +178,34 @@ class TestJsonlSink:
 
 
 class TestRecording:
-    def test_file_span_records_nothing_without_a_recording(self, tmp_path):
-        path = tmp_path / "trace.jsonl"
-        with file_span(path, "t", None, "measurement-batch"):
+    def test_span_goes_straight_into_the_tracer(self):
+        tracer = Tracer()
+        recording = Recording(tracer=tracer)
+        with recording.span("measurement-batch", tracer.trace_id, "p", index=3) as sid:
             pass
-        assert not path.exists()
+        (span,) = tracer.finished
+        assert (span.name, span.span_id, span.parent_id) == ("measurement-batch", sid, "p")
+        assert span.trace_id == tracer.trace_id and span.attrs == {"index": 3}
+        assert span.wall_s >= 0.0 and recording.spans == []
 
     def test_collected_spans_merge_into_the_sink(self, tmp_path):
         path = tmp_path / "trace.jsonl"
-        worker = Recording(collect=True)
-        with worker.active():
-            with file_span(path, "t", "p", "measurement-batch", index=3):
-                pass
-        assert not path.exists()
-        Recording().merge(worker.export())
+        worker = Recording()
+        with worker.span("measurement-batch", "t", "p", index=3):
+            pass
+        assert len(worker.spans) == 1 and not path.exists()
+        Recording(tracer=Tracer(sink=JsonlSpanSink(path))).merge(worker.export())
         (span,) = read_trace(path)
         assert (span.name, span.trace_id, span.parent_id) == ("measurement-batch", "t", "p")
         assert span.attrs == {"index": 3}
+
+    def test_collected_spans_merge_into_a_memory_tracer(self):
+        worker = Recording()
+        with worker.span("measurement-batch", "t", "p", index=3):
+            pass
+        tracer = Tracer()
+        Recording(tracer=tracer).merge(worker.export())
+        assert [s.to_dict() for s in tracer.finished] == worker.spans
 
     def test_recordings_nest_and_restore(self):
         from repro.obs import current_recording

@@ -180,3 +180,59 @@ class TestCorruptionDegradesGracefully:
         assert not report["ok"] and report["corrupt"] == 1
         # Entries outside the tampered shard still load fine.
         assert np.array_equal(camp.load(survivor.name).values, survivor.values)
+
+
+def _record_small(camp, names, spill_rows):
+    for i, name in enumerate(names):
+        camp.record(
+            MeasurementSet(values=np.arange(200.0) + i, unit="us", name=name,
+                           metadata={"k": i}),
+            spill_rows=spill_rows,
+        )
+
+
+class TestSpilledLoads:
+    def test_loaded_metadata_is_the_recorded_metadata(self, tmp_path):
+        spilled = Campaign.create(tmp_path / "spilled", name="meta")
+        inline = Campaign.create(tmp_path / "inline", name="meta")
+        _record_small(spilled, ["d0"], spill_rows=100)
+        _record_small(inline, ["d0"], spill_rows=None)
+        back = spilled.load("d0")
+        assert isinstance(back.values, np.memmap)
+        assert back.metadata == {"k": 0} == inline.load("d0").metadata
+
+    def test_loads_parse_the_manifest_once(self, tmp_path, monkeypatch):
+        from repro.store import ShardStore
+
+        names = [f"d{i}" for i in range(5)]
+        _record_small(Campaign.create(tmp_path / "c", name="once"), names, 100)
+        parses = []
+        real = ShardStore._load_manifest
+
+        def counting(self):
+            parses.append(self.path)
+            return real(self)
+
+        monkeypatch.setattr(ShardStore, "_load_manifest", counting)
+        camp = Campaign.open(tmp_path / "c")
+        for i, name in enumerate(names):
+            assert float(camp.load(name).values[0]) == float(i)
+        assert len(parses) == 1
+
+    def test_load_sees_a_dataset_another_handle_spilled(self, tmp_path):
+        reader = Campaign.create(tmp_path / "c", name="two")
+        _record_small(reader, ["d0"], 100)
+        assert float(reader.load("d0").values[0]) == 0.0
+        _record_small(Campaign.open(tmp_path / "c"), ["d1"], 100)
+        back = reader.load("d1")
+        assert float(back.values[0]) == 0.0 and back.n == 200
+
+    def test_quarantined_entry_still_names_the_dataset(self, tmp_path):
+        camp = Campaign.create(tmp_path / "c", name="rot")
+        _record_small(camp, ["d0"], 100)
+        camp.load("d0")  # the load handle is now built
+        for shard in (tmp_path / "c" / "store").glob("shard-*.npy"):
+            shard.write_bytes(shard.read_bytes()[:-16])
+        with pytest.warns(RuntimeWarning, match="quarantined"):
+            with pytest.raises(ValidationError, match="'d0'"):
+                camp.load("d0")
