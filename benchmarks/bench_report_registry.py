@@ -18,6 +18,15 @@ cost a dashboard pays per re-served campaign figure.  It runs twice: on
 perfbench's ``fanout`` campaign, 96 unspilled datasets of 8 values,
 where keying used to read every dataset file.
 
+A record ``serve_warm_request`` times warm requests through a live
+:class:`~repro.serve.FigureServer` on an ephemeral port, in perfbench's
+burst mix: 70% cached figure GETs, 15% revalidations (one in five with a
+stale tag), 10% the campaign figure, 5% the catalog, one client sending
+one request per connection.  Every figure is built before the clock
+starts, so this is the cost of answering what is already known.  Each
+sample is one burst's seconds per request; one warm-up burst is not
+recorded.
+
 A fourth record, ``campaign_rerun``, times ``Campaign.run(overwrite=True)``
 on a cache-warm campaign whose task results and datasets spill to its
 shard store: every task is a cache hit answered by a memory-mapped
@@ -31,9 +40,12 @@ quick uses the registry's built-in quick params.
 
 from __future__ import annotations
 
+import asyncio
+import http.client
 import os
 import shutil
 import tempfile
+import threading
 import time
 
 import numpy as np
@@ -43,7 +55,7 @@ from repro.core import Campaign, Experiment, Factor, FactorialDesign, Measuremen
 from repro.exec import ExecHooks
 from repro.report import render_table
 from repro.report.registry import FigureService
-from repro.serve import handle_request
+from repro.serve import FigureServer, handle_request
 
 OUT_PATH = os.environ.get("REPRO_BENCH_REGISTRY_OUT") or None
 FIGURES = ("fig7ab_bounds", "fig6_rank_variation")
@@ -59,6 +71,11 @@ CAMPAIGN_SHAPES = (
     (CAMPAIGN_DATASETS, CAMPAIGN_VALUES, CAMPAIGN_SPILL_ROWS),
     (96, 8, None),
 )
+#: Figures and request mix of ``serve_warm_request`` (perfbench's mix).
+SERVE_FIGURES = ("fig7ab_bounds", "fig1_hpl", "fig7c_distribution")
+SERVE_MIX = (("figure", 70), ("revalidate", 15), ("campaign", 10), ("catalog", 5))
+SERVE_RUNS = 2
+SERVE_SAMPLES = 5
 #: Spill threshold behind ``campaign_rerun``: every task and dataset spills.
 RERUN_SPILL_ROWS = 10_000
 RERUN_REPS = 10
@@ -164,6 +181,98 @@ def bench_campaign_request(datasets, values, spill_rows):
     )
 
 
+def _serve_requests():
+    """One burst: ``(path, revalidate, stale)`` per request, exactly in
+    the proportions of ``SERVE_MIX``, in a seeded order."""
+    formats = ("vl.json", "json", "html")
+    requests = []
+    for cls, count in SERVE_MIX:
+        for i in range(count):
+            if cls == "catalog":
+                requests.append(("/figures", False, False))
+                continue
+            fig = ("campaign_trajectory" if cls == "campaign"
+                   else SERVE_FIGURES[i % len(SERVE_FIGURES)])
+            requests.append((f"/figures/{fig}.{formats[i % len(formats)]}",
+                             cls == "revalidate", cls == "revalidate" and i % 5 == 0))
+    order = np.random.default_rng(SEED).permutation(len(requests))
+    return [requests[i] for i in order]
+
+
+def _burst(port, requests, etags):
+    """Send *requests* one at a time, each on a fresh connection; the
+    burst's seconds per request."""
+    start = time.perf_counter()
+    for path, revalidate, stale in requests:
+        headers = {}
+        if revalidate:
+            etag = etags[path.split("/")[-1].split(".", 1)[0]]
+            headers["If-None-Match"] = '"stale"' if stale else etag
+        conn = http.client.HTTPConnection("127.0.0.1", port, timeout=60)
+        try:
+            conn.request("GET", path, headers=headers)
+            resp = conn.getresponse()
+            resp.read()
+            expected = 304 if revalidate and not stale else 200
+            assert resp.status == expected, (path, resp.status)
+        finally:
+            conn.close()
+    return (time.perf_counter() - start) / len(requests)
+
+
+def bench_serve_warm_request(runs=SERVE_RUNS, samples=SERVE_SAMPLES):
+    """Time warm bursts of perfbench's request mix against a live server."""
+    workdir = tempfile.mkdtemp(prefix="repro-bench-serve-")
+    loop = asyncio.new_event_loop()
+    server = thread = None
+    try:
+        camp = Campaign.create(os.path.join(workdir, "camp"), name="bench")
+        rng = np.random.default_rng(SEED)
+        for i in range(4):
+            camp.record(MeasurementSet(
+                values=rng.lognormal(mean=1.0, sigma=0.3, size=200),
+                unit="us", name=f"dataset-{i}",
+            ))
+        service = FigureService(os.path.join(workdir, "cache"), campaign=camp,
+                                quick=True, seed=SEED)
+        etags = {}
+        for name in SERVE_FIGURES + ("campaign_trajectory",):
+            etags[name] = handle_request(
+                service, "GET", f"/figures/{name}.json").headers["ETag"]
+        server = FigureServer(service, port=0)
+        loop.run_until_complete(server.start())
+        thread = threading.Thread(
+            target=loop.run_until_complete, args=(server.serve_forever(),))
+        thread.start()
+        requests = _serve_requests()
+        _burst(server.port, requests, etags)  # warm-up, not recorded
+        per_request = []
+        for _ in range(runs):
+            run = [_burst(server.port, requests, etags) for _ in range(samples)]
+            record_bench(
+                "serve_warm_request",
+                {"requests": len(requests), "mix": "perfbench"},
+                run,
+                metadata={"figures": list(SERVE_FIGURES)},
+                path=OUT_PATH,
+            )
+            per_request.extend(run)
+    finally:
+        if thread is not None:
+            asyncio.run_coroutine_threadsafe(server.close(), loop).result(timeout=10)
+            thread.join(timeout=10)
+        loop.close()
+        shutil.rmtree(workdir, ignore_errors=True)
+    median_us = sorted(per_request)[len(per_request) // 2] * 1e6
+    print(
+        render_table(
+            ["burst", "median per request (us)", "requests/s"],
+            [[f"{len(requests)} warm requests, perfbench mix",
+              f"{median_us:.0f}", f"{1e6 / median_us:.0f}"]],
+        )
+    )
+
+
 def rerun_measure(point, rep, rng):
     """One task: ``CAMPAIGN_VALUES`` lognormal samples."""
     return rng.lognormal(mean=1.0, sigma=0.3, size=CAMPAIGN_VALUES)
@@ -216,3 +325,4 @@ if __name__ == "__main__":
     for shape in CAMPAIGN_SHAPES:
         bench_campaign_request(*shape)
     bench_campaign_rerun()
+    bench_serve_warm_request()

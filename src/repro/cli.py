@@ -471,7 +471,7 @@ def _cmd_store(args: argparse.Namespace) -> int:
     return 0
 
 
-def _figure_service(args: argparse.Namespace, registry):
+def _figure_service(args: argparse.Namespace, registry, tracer=None):
     """Build the FigureService shared by ``render`` and ``serve``."""
     from .core import Campaign
     from .report.registry import FigureService
@@ -485,6 +485,7 @@ def _figure_service(args: argparse.Namespace, registry):
         quick=args.quick,
         seed=args.seed,
         metrics=registry,
+        tracer=tracer,
     )
 
 
@@ -526,12 +527,12 @@ def _cmd_serve(args: argparse.Namespace) -> int:
     from .serve import run_server
 
     registry = MetricsRegistry()
-    service = _figure_service(args, registry)
     tracer = None
     if args.trace:
         from .obs import JsonlSpanSink, Tracer
 
         tracer = Tracer(sink=JsonlSpanSink(args.trace))
+    service = _figure_service(args, registry, tracer)
 
     def ready(server) -> None:
         # Flush so wrappers tailing a redirected log see the URL

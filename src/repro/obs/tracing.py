@@ -34,9 +34,8 @@ from __future__ import annotations
 import json
 import os
 import time
-import threading
-import uuid
 from contextlib import contextmanager
+from contextvars import ContextVar
 from dataclasses import dataclass, field
 from pathlib import Path
 from typing import Any, Iterator, Mapping, Sequence
@@ -54,7 +53,7 @@ __all__ = [
 
 def _new_id() -> str:
     """A 16-hex-digit random id (span and trace identity)."""
-    return uuid.uuid4().hex[:16]
+    return os.urandom(8).hex()
 
 
 @dataclass(frozen=True)
@@ -144,7 +143,8 @@ class JsonlSpanSink:
 
 
 class Tracer:
-    """Produces nested spans; thread-safe via a per-thread span stack.
+    """Produces nested spans; thread- and task-safe via a span stack per
+    context (each thread, and each asyncio task, has its own).
 
     Parameters
     ----------
@@ -161,7 +161,9 @@ class Tracer:
         self.sink = sink
         self._finished: list[Span] = []
         self.trace_id = trace_id or _new_id()
-        self._local = threading.local()
+        self._stack: ContextVar[tuple[str, ...]] = ContextVar(
+            "repro_span_stack", default=()
+        )
 
     @property
     def finished(self) -> list[Span]:
@@ -169,15 +171,10 @@ class Tracer:
         always empty for a tracer with a sink."""
         return self._finished
 
-    def _stack(self) -> list[str]:
-        if not hasattr(self._local, "stack"):
-            self._local.stack = []
-        return self._local.stack
-
     @property
     def current_span_id(self) -> str | None:
         """The innermost open span's id (for cross-process propagation)."""
-        stack = self._stack()
+        stack = self._stack.get()
         return stack[-1] if stack else None
 
     def new_span_id(self) -> str:
@@ -197,23 +194,25 @@ class Tracer:
     ) -> Iterator[str]:
         """Open a span around a block; yields the span id.
 
-        The parent defaults to the innermost open span on this thread;
-        pass ``parent_id`` explicitly to attach elsewhere (e.g. under a
-        reserved design-point id).
+        The parent defaults to the innermost open span of this context
+        (thread or asyncio task), so a span held open across an ``await``
+        does not parent another task's spans; pass ``parent_id``
+        explicitly to attach elsewhere (e.g. under a reserved
+        design-point id).
         """
         if not name:
             raise ValidationError("span name must be non-empty")
         sid = span_id or _new_id()
-        stack = self._stack()
+        stack = self._stack.get()
         parent = parent_id if parent_id is not None else (stack[-1] if stack else None)
-        stack.append(sid)
+        token = self._stack.set(stack + (sid,))
         start_wall = time.time()
         t0, c0 = time.perf_counter(), time.process_time()
         try:
             yield sid
         finally:
             wall, cpu = time.perf_counter() - t0, time.process_time() - c0
-            stack.pop()
+            self._stack.reset(token)
             self._emit(
                 Span(
                     name=name,

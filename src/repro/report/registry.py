@@ -27,9 +27,9 @@ regeneration guarantee, mechanized).
 
 from __future__ import annotations
 
-import dataclasses
 import hashlib
 import json
+import os
 from dataclasses import dataclass, field
 from pathlib import Path
 from typing import Any, Callable, Mapping
@@ -116,8 +116,12 @@ def campaign_digest(campaign: Any) -> str:
         if "digest" not in d:
             h.update(d["name"].encode())
             _file_digest(campaign.path / d["file"], h)
-    if campaign.has_store():
-        for fp, digest in campaign.store().entry_digests().items():
+    # The handle Campaign.load reads through: one manifest parse while the
+    # manifest bytes are unchanged, not one per digest.  Asked only when
+    # the manifest exists, so a campaign without a store opens no file.
+    store = campaign._store_for_loads() if campaign.has_store() else None
+    if store is not None:
+        for fp, digest in store.entry_digests().items():
             h.update(fp.encode())
             h.update((digest or "quarantined").encode())
     return h.hexdigest()
@@ -310,6 +314,18 @@ class FigureService:
 
     # -- rendering -------------------------------------------------------
 
+    def lookup(self, name: str, key: str) -> RenderedFigure | None:
+        """The render of *name* at content *key* when every artifact of
+        :data:`FORMATS` is on disk (a cache hit), else None; never builds."""
+        directory = self.cache_dir / name
+        # os.path on one string: a third of pathlib's cost per artifact,
+        # paid by every warm request.
+        base = os.path.join(directory, key)
+        if not all(os.path.exists(f"{base}.{fmt}") for fmt in FORMATS):
+            return None
+        self._count("repro_serve_cache_hits_total")
+        return RenderedFigure(name=name, key=key, cached=True, directory=directory)
+
     def render(self, name: str, *, key: str | None = None) -> RenderedFigure:
         """Render (or serve from cache) every artifact of *name*.
 
@@ -320,12 +336,9 @@ class FigureService:
         entry = self.entry(name)
         if key is None:
             key = self.content_key(name)
-        rendered = RenderedFigure(
-            name=name, key=key, cached=True, directory=self.cache_dir / name,
-        )
-        if all(rendered.path(fmt).exists() for fmt in FORMATS):
-            self._count("repro_serve_cache_hits_total")
-            return rendered
+        cached = self.lookup(name, key)
+        if cached is not None:
+            return cached
 
         params = self.params_for(entry)
         if entry.needs_campaign:
@@ -339,20 +352,15 @@ class FigureService:
             figure = entry.build(**params)
         spec = entry.to_vega(figure)
 
+        rendered = RenderedFigure(
+            name=name, key=key, cached=False, directory=self.cache_dir / name,
+        )
         rendered.directory.mkdir(parents=True, exist_ok=True)
         for fmt in FORMATS.values():
             write_atomic(rendered.path(fmt.suffix), fmt.write(entry, figure, spec))
         write_atomic(rendered.directory / "current", key + "\n")
         self._count("repro_serve_renders_total")
-        return dataclasses.replace(rendered, cached=False)
-
-    def payload(
-        self, name: str, fmt: str, *, key: str | None = None
-    ) -> tuple[bytes, RenderedFigure]:
-        """The bytes of one artifact, rendering on a cache miss (*key* as
-        for :meth:`render`)."""
-        rendered = self.render(name, key=key)
-        return rendered.path(fmt).read_bytes(), rendered
+        return rendered
 
     def _count(self, metric: str) -> None:
         if self.metrics is not None:

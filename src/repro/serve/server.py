@@ -2,11 +2,15 @@
 
 Deliberately stdlib-only (``asyncio`` + hand-rolled HTTP/1.1): the
 report server ships with the library, not with a web framework.  The
-request logic is a pure function — :func:`handle_request` maps
+request logic is one router — :func:`handle_request` maps
 ``(method, path, headers)`` to a :class:`Response` against a
-:class:`~repro.report.registry.FigureService` — and the asyncio layer
-(:class:`FigureServer`) only does socket I/O around it, so unit tests
-exercise routing, ETags, and error paths without opening a port.
+:class:`~repro.report.registry.FigureService` — so unit tests exercise
+routing, ETags, and error paths without opening a port.  The asyncio
+layer (:class:`FigureServer`) runs the same router on its event loop:
+every answer known without a build (health, metrics, errors, the
+catalog, a 304, a cached figure) is made there, and only a cache-miss
+build goes to a thread, once per content key however many requests
+wait for it.
 
 Caching model: a figure's content key (digest of its inputs) is both the
 cache-directory address and the HTTP ``ETag``.  A request for unchanged
@@ -21,7 +25,7 @@ import asyncio
 import json
 import time
 from dataclasses import dataclass, field
-from typing import Any, Mapping
+from typing import Any, Generator, Mapping, NamedTuple
 
 from ..errors import ReproError, ValidationError
 from ..report.registry import FORMATS
@@ -91,6 +95,14 @@ def _split_figure_path(rest: str) -> tuple[str, str] | None:
     return None
 
 
+class _Miss(NamedTuple):
+    """A figure whose artifacts are not on disk yet: the one point where
+    the router waits for a build."""
+
+    name: str
+    key: str
+
+
 def handle_request(
     service: Any,
     method: str,
@@ -104,15 +116,52 @@ def handle_request(
 
     Pure apart from the figure cache it reads/populates: no sockets, no
     asyncio — the unit-testable core of the server.  *headers* keys are
-    matched case-insensitively.
+    matched case-insensitively.  A figure missing from the cache is
+    built on the calling thread; :class:`FigureServer` runs the same
+    steps on its event loop and sends only that build to a thread.
     """
+    exchange = _exchange(service, method, path, headers, metrics, tracer)
+    step = _advance(exchange)
+    if isinstance(step, _Miss):
+        try:
+            outcome = service.render(step.name, key=step.key)
+        except Exception as exc:
+            outcome = exc
+        step = _advance(exchange, outcome)
+    return step
+
+
+def _advance(
+    exchange: Generator[_Miss, Any, Response], outcome: Any = None
+) -> Response | _Miss:
+    """Run *exchange* to its build request or its response, resuming it
+    with *outcome* (a render, or the exception its build raised)."""
+    try:
+        if isinstance(outcome, BaseException):
+            return exchange.throw(outcome)
+        return exchange.send(outcome)
+    except StopIteration as done:
+        return done.value
+
+
+def _exchange(
+    service: Any,
+    method: str,
+    path: str,
+    headers: Mapping[str, str] | None,
+    metrics: Any,
+    tracer: Any,
+) -> Generator[_Miss, Any, Response]:
+    """One request from start to response, timed, traced and counted;
+    yields a :class:`_Miss` when a figure needs a build (see
+    :func:`_route`)."""
     start = time.perf_counter()
     headers = {k.lower(): v for k, v in (headers or {}).items()}
     if tracer is not None:
         with tracer.span("serve-request", method=method, path=path):
-            response = _route(service, method, path, headers, metrics)
+            response = yield from _route(service, method, path, headers, metrics)
     else:
-        response = _route(service, method, path, headers, metrics)
+        response = yield from _route(service, method, path, headers, metrics)
     if metrics is not None:
         metrics.counter("repro_serve_requests_total").inc()
         if response.status >= 400:
@@ -131,7 +180,11 @@ def _route(
     path: str,
     headers: Mapping[str, str],
     metrics: Any,
-) -> Response:
+) -> Generator[_Miss, Any, Response]:
+    """The router.  Everything it answers is known without a build except
+    a figure missing from the cache: for that it yields a :class:`_Miss`
+    and is resumed with the render, or with the build's exception, which
+    maps to an error response like any other."""
     if method not in ("GET", "HEAD"):
         return Response.error(405, f"method {method} not allowed; use GET")
     path = path.split("?", 1)[0]
@@ -172,13 +225,15 @@ def _route(
                 if metrics is not None:
                     metrics.counter("repro_serve_cache_hits_total").inc()
                 return Response(status=304, headers={"ETag": etag})
-            body, rendered = service.payload(name, fmt, key=key)
+            rendered = service.lookup(name, key)
+            if rendered is None:
+                rendered = yield _Miss(name, key)
             return Response(
                 status=200,
-                body=body,
+                body=rendered.path(fmt).read_bytes(),
                 content_type=FORMATS[fmt].content_type,
                 headers={
-                    "ETag": f'"{rendered.key}"',
+                    "ETag": etag,
                     "Cache-Control": "no-cache",
                     "X-Repro-Figure": name,
                     "X-Repro-Cached": "1" if rendered.cached else "0",
@@ -194,12 +249,13 @@ def _route(
 
 
 class FigureServer:
-    """The asyncio socket layer around :func:`handle_request`.
+    """The asyncio socket layer around :func:`handle_request`'s router.
 
     ``await start()`` binds the socket (resolving ``port=0`` to the
     chosen ephemeral port); ``await serve_forever()`` blocks.  One
     connection per request (``Connection: close``) keeps the protocol
-    trivially correct for a localhost artifact server.
+    trivially correct for a localhost artifact server.  Builds run in
+    the loop's default executor; everything else runs on the loop.
     """
 
     def __init__(
@@ -217,6 +273,8 @@ class FigureServer:
         self.metrics = metrics
         self.tracer = tracer
         self._server: asyncio.AbstractServer | None = None
+        #: Builds in flight, by content key.
+        self._builds: dict[str, asyncio.Future] = {}
 
     async def start(self) -> None:
         self._server = await asyncio.start_server(
@@ -254,6 +312,49 @@ class FigureServer:
             server.close()
             await server.wait_closed()
 
+    async def _respond(
+        self, method: str, path: str, headers: Mapping[str, str]
+    ) -> Response:
+        """:func:`handle_request`'s steps on the event loop.
+
+        A request whose answer is known — health, metrics, errors, the
+        catalog, a 304, a cached figure — is answered here without
+        leaving the loop; only a cache miss waits, on the loop, for a
+        build in a thread (:meth:`_build`).
+        """
+        exchange = _exchange(
+            self.service, method, path, headers, self.metrics, self.tracer
+        )
+        try:
+            step = _advance(exchange)
+            if isinstance(step, _Miss):
+                try:
+                    # Shielded: a waiter cancelled mid-build does not
+                    # cancel the build other waiters share.
+                    outcome = await asyncio.shield(self._build(step))
+                except Exception as exc:
+                    outcome = exc
+                step = _advance(exchange, outcome)
+            return step
+        finally:
+            # A cancelled exchange closes its span in this task's context.
+            exchange.close()
+
+    def _build(self, miss: _Miss) -> asyncio.Future:
+        """The build of *miss* in flight in the loop's default executor,
+        started if there is none: concurrent misses of one content key
+        share one build.  It is forgotten once settled, so a failed
+        build is retried by the next request and a finished one is a
+        cache hit."""
+        build = self._builds.get(miss.key)
+        if build is None:
+            build = asyncio.ensure_future(
+                asyncio.to_thread(self.service.render, miss.name, key=miss.key)
+            )
+            self._builds[miss.key] = build
+            build.add_done_callback(lambda _: self._builds.pop(miss.key, None))
+        return build
+
     async def _handle_conn(
         self, reader: asyncio.StreamReader, writer: asyncio.StreamWriter
     ) -> None:
@@ -282,14 +383,7 @@ class FigureServer:
             writer.close()
             return
 
-        # Renders can take seconds; keep the event loop responsive.
-        response = await asyncio.get_running_loop().run_in_executor(
-            None,
-            lambda: handle_request(
-                self.service, method, path, headers,
-                metrics=self.metrics, tracer=self.tracer,
-            ),
-        )
+        response = await self._respond(method, path, headers)
         writer.write(response.encode(head_only=(method == "HEAD")))
         await writer.drain()
         writer.close()

@@ -2,8 +2,10 @@
 
 from __future__ import annotations
 
+import asyncio
 import json
 import multiprocessing
+import re
 import threading
 
 import pytest
@@ -95,6 +97,37 @@ class TestSpanNesting:
         assert not errors
         # Every thread's span is a root: no cross-thread parenting.
         assert all(s.parent_id is None for s in tracer.finished)
+
+    def test_asyncio_tasks_do_not_nest_across_awaits(self):
+        tracer = Tracer()
+
+        async def request(name: str, gate: asyncio.Event) -> None:
+            with tracer.span(name):
+                await gate.wait()
+                with tracer.span(name + "-child"):
+                    pass
+
+        async def main() -> None:
+            gate = asyncio.Event()
+            tasks = [asyncio.create_task(request(f"r{i}", gate)) for i in range(3)]
+            await asyncio.sleep(0)  # every task holds its span open
+            gate.set()
+            await asyncio.gather(*tasks)
+
+        with tracer.span("outside"):
+            pass
+        asyncio.run(main())
+        by_name = {s.name: s for s in tracer.finished}
+        for i in range(3):
+            assert by_name[f"r{i}"].parent_id is None
+            assert by_name[f"r{i}-child"].parent_id == by_name[f"r{i}"].span_id
+        assert tracer.current_span_id is None
+
+    def test_ids_are_16_hex_digits_and_distinct(self):
+        tracer = Tracer()
+        ids = [tracer.new_span_id() for _ in range(10_000)] + [tracer.trace_id]
+        assert all(re.fullmatch(r"[0-9a-f]{16}", i) for i in ids)
+        assert len(set(ids)) == len(ids)
 
     def test_emit_logical_span(self):
         tracer = Tracer()

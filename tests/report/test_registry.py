@@ -11,6 +11,7 @@ content key.
 
 from __future__ import annotations
 
+import hashlib
 import json
 import threading
 from datetime import datetime
@@ -350,8 +351,6 @@ def _strip_index_digests(camp: Campaign) -> None:
 
 def _legacy_key(camp: Campaign) -> str:
     """The key formula of campaigns whose index records no file digests."""
-    import hashlib
-
     h = hashlib.blake2b(digest_size=16)
     index = camp.path / "campaign.json"
     h.update(index.read_bytes())
@@ -405,6 +404,43 @@ class TestCampaignDigest:
             shard.write_bytes(shard.read_bytes()[:-8])
         with pytest.warns(RuntimeWarning, match="quarantined"):
             assert campaign_digest(campaign) != before
+
+    def test_repeated_digests_parse_the_manifest_once(self, campaign, monkeypatch):
+        from repro.store import ShardStore
+
+        parses = []
+        real = ShardStore._load_manifest
+
+        def counting(store):
+            parses.append(store.path)
+            return real(store)
+
+        monkeypatch.setattr(ShardStore, "_load_manifest", counting)
+        camp = Campaign.open(campaign.path)
+        before = {campaign_digest(camp) for _ in range(5)}
+        assert len(before) == 1 and len(parses) == 1
+        # An append rewrites the manifest: a new key from a new handle.
+        _record(camp, "extra", 3.0)
+        after = campaign_digest(camp)
+        assert after not in before
+        parsed = len(parses)
+        assert campaign_digest(camp) == after and len(parses) == parsed
+
+    def test_quarantined_shard_keys_as_quarantined(self, campaign):
+        camp = Campaign.open(campaign.path)
+        before = campaign_digest(camp)  # builds the handle before the damage
+        manifest = campaign.path / "store" / "manifest.json"
+        entries = json.loads(manifest.read_text())["entries"]
+        shard = sorted((campaign.path / "store").glob("shard-*.npy"))[0]
+        shard.write_bytes(shard.read_bytes()[:-8])
+        h = hashlib.blake2b(digest_size=16)
+        h.update((campaign.path / "campaign.json").read_bytes())
+        for fp in sorted(entries):
+            lost = entries[fp]["shard"] == shard.name
+            h.update(fp.encode())
+            h.update(("quarantined" if lost else entries[fp]["digest"]).encode())
+        with pytest.warns(RuntimeWarning, match="quarantined"):
+            assert campaign_digest(camp) == h.hexdigest() != before
 
     def test_manifest_without_entry_digests_keys_the_same(self, campaign):
         """Stores written before entries recorded digests keep their keys."""
@@ -548,10 +584,13 @@ class TestDescribe:
         assert info["needs_campaign"] is False
         assert set(info["formats"]) == set(FORMATS)
 
-    def test_payload_round_trips(self, service, rendered):
-        body, fig = service.payload("fig1_hpl", "vl.json")
-        assert body == rendered["fig1_hpl"].path("vl.json").read_bytes()
-        assert fig.cached
+    def test_lookup_round_trips(self, service, rendered, tmp_path):
+        fig = service.lookup("fig1_hpl", rendered["fig1_hpl"].key)
+        assert fig is not None and fig.cached
+        assert fig.path("vl.json") == rendered["fig1_hpl"].path("vl.json")
+        cold = FigureService(tmp_path / "cold", quick=True, seed=0)
+        assert cold.lookup("fig1_hpl", cold.content_key("fig1_hpl")) is None
+        assert not (tmp_path / "cold" / "fig1_hpl").exists()  # never builds
 
     def test_catalog_keys_each_simulated_entry_once(
         self, tmp_path, campaign, monkeypatch

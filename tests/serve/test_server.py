@@ -2,7 +2,9 @@
 
 ``handle_request`` is a pure function, so most of this file needs no
 sockets at all.  The asyncio integration tests drive a real
-``FigureServer`` on an ephemeral port with urllib from a worker thread.
+``FigureServer`` on an ephemeral port with urllib from a worker thread;
+the threading-contract tests install a counting executor as the loop's
+default to see which requests leave the event loop.
 """
 
 from __future__ import annotations
@@ -10,13 +12,20 @@ from __future__ import annotations
 import asyncio
 import json
 import threading
+import time
 import urllib.error
 import urllib.request
+from concurrent.futures import ThreadPoolExecutor
+from dataclasses import dataclass
 
+import numpy as np
 import pytest
 
-from repro.obs import MetricsRegistry
-from repro.report.registry import FORMATS, FigureService
+import repro.report.registry as registry
+from repro.core import Campaign, MeasurementSet
+from repro.obs import MetricsRegistry, Tracer
+from repro.report.registry import FORMATS, FigureEntry, FigureService
+from repro.report.vega import VL_SCHEMA
 from repro.serve import FigureServer, Response, handle_request
 
 FAST_FIGURE = "fig7ab_bounds"  # cheapest quick-mode build in the registry
@@ -175,9 +184,12 @@ class TestMetricsAccounting:
         assert _counter(metrics, "repro_serve_errors_total") == 1.0
 
 
-def _serve_in_thread(server: FigureServer):
-    """Run *server* on a private event loop in a daemon thread."""
+def _serve_in_thread(server: FigureServer, executor=None):
+    """Run *server* on a private event loop in a daemon thread (with
+    *executor*, when given, as the loop's default executor)."""
     loop = asyncio.new_event_loop()
+    if executor is not None:
+        loop.set_default_executor(executor)
 
     async def up():
         await server.start()
@@ -223,3 +235,223 @@ class TestSocketIntegration:
         with pytest.raises(urllib.error.HTTPError) as exc:
             urllib.request.urlopen(f"{live.url}/figures/nope.json", timeout=10)
         assert exc.value.code == 404
+
+
+# ------------------------------------------------ the threading contract
+
+GATED = "gated_toy"
+
+
+@dataclass(frozen=True)
+class _Toy:
+    seed: int
+
+
+class _GatedBuilder:
+    """A figure builder that blocks until released; its first *failures*
+    calls raise."""
+
+    def __init__(self, failures: int = 0) -> None:
+        self.started = threading.Event()
+        self.release = threading.Event()
+        self.calls = 0
+        self.failures = failures
+
+    def __call__(self, seed):
+        self.calls += 1
+        self.started.set()
+        assert self.release.wait(timeout=30), "builder never released"
+        if self.calls <= self.failures:
+            raise RuntimeError("builder crashed")
+        return _Toy(seed=seed)
+
+
+class _CountingExecutor(ThreadPoolExecutor):
+    """The loop's default executor, counting what is submitted to it."""
+
+    def __init__(self) -> None:
+        super().__init__(max_workers=2, thread_name_prefix="build")
+        self.submitted = 0
+
+    def submit(self, fn, /, *args, **kwargs):
+        self.submitted += 1
+        return super().submit(fn, *args, **kwargs)
+
+
+class _MissCountingService(FigureService):
+    """Counts cache misses the router sees (lookups off the build threads)."""
+
+    misses = 0
+
+    def lookup(self, name, key):
+        found = super().lookup(name, key)
+        if found is None and not threading.current_thread().name.startswith("build"):
+            self.misses += 1
+        return found
+
+
+def _get(url, headers=None):
+    """``(status, headers, body)`` of one GET, error statuses included."""
+    request = urllib.request.Request(url, headers=headers or {})
+    try:
+        with urllib.request.urlopen(request, timeout=60) as resp:
+            return resp.status, resp.headers, resp.read()
+    except urllib.error.HTTPError as exc:
+        return exc.code, exc.headers, exc.read()
+
+
+def _wait_for(predicate, timeout=30.0):
+    deadline = time.monotonic() + timeout
+    while not predicate():
+        assert time.monotonic() < deadline, "timed out waiting"
+        time.sleep(0.005)
+
+
+def _in_threads(n, fn):
+    """Run *fn* in *n* client threads; returns a join() giving the results."""
+    results = [None] * n
+
+    def run(i):
+        results[i] = fn()
+
+    threads = [threading.Thread(target=run, args=(i,)) for i in range(n)]
+    for t in threads:
+        t.start()
+
+    def join():
+        for t in threads:
+            t.join(timeout=60)
+        return results
+
+    return join
+
+
+class TestServeThreading:
+    @pytest.fixture()
+    def builder(self, monkeypatch):
+        builder = _GatedBuilder()
+        monkeypatch.setitem(registry.FIGURES, GATED, FigureEntry(
+            name=GATED, title="gated", description="blocks until released",
+            build=builder,
+            to_vega=lambda fig: {"$schema": VL_SCHEMA, "mark": "point",
+                                 "data": {"values": [{"seed": fig.seed}]}},
+            to_text=lambda fig: f"seed {fig.seed}",
+        ))
+        yield builder
+        builder.release.set()  # never leave a build thread blocked
+
+    @pytest.fixture()
+    def campaign(self, tmp_path):
+        camp = Campaign.create(tmp_path / "camp", name="threading")
+        for i in range(2):
+            camp.record(MeasurementSet(
+                values=np.arange(1.0, 41.0) + i, unit="us", name=f"set-{i}",
+            ))
+        return camp
+
+    @pytest.fixture()
+    def serve(self, tmp_path, campaign):
+        """Start a server over a fresh cache; yields a factory."""
+        started = []
+
+        def start(**kwargs):
+            service = _MissCountingService(
+                tmp_path / "cache", campaign=campaign, quick=True, seed=0,
+                metrics=kwargs.get("metrics"), tracer=kwargs.get("tracer"),
+            )
+            executor = _CountingExecutor()
+            server = FigureServer(service, port=0, **kwargs)
+            loop, thread = _serve_in_thread(server, executor)
+            started.append((server, loop, thread, executor))
+            return server, executor
+
+        yield start
+        for server, loop, thread, executor in started:
+            asyncio.run_coroutine_threadsafe(server.close(), loop).result(timeout=10)
+            thread.join(timeout=10)
+            assert not thread.is_alive()
+            loop.close()
+            executor.shutdown(wait=True)
+
+    def test_warm_requests_submit_nothing_to_the_executor(self, serve, metrics):
+        server, executor = serve(metrics=metrics)
+        for name in (FAST_FIGURE, "campaign_trajectory"):
+            assert handle_request(server.service, "GET", f"/figures/{name}.json").status == 200
+        base = executor.submitted
+        url = server.url
+        status, headers, body = _get(f"{url}/figures/{FAST_FIGURE}.vl.json")
+        assert status == 200 and headers["X-Repro-Cached"] == "1" and body
+        etag = headers["ETag"]
+        assert _get(f"{url}/figures/{FAST_FIGURE}.vl.json", {"If-None-Match": etag})[0] == 304
+        assert _get(f"{url}/figures")[0] == 200
+        status, headers, _ = _get(f"{url}/figures/campaign_trajectory.html")
+        assert status == 200 and headers["X-Repro-Cached"] == "1"
+        assert _get(f"{url}/health")[0] == 200
+        assert _get(f"{url}/figures/nope.json")[0] == 404
+        assert _get(f"{url}/metrics")[0] == 200
+        assert executor.submitted == base
+        assert _counter(metrics, "repro_serve_renders_total") == 2.0  # the warm-ups
+
+    def test_concurrent_cold_requests_share_one_build(self, serve, builder, metrics):
+        server, executor = serve(metrics=metrics)
+        path = f"{server.url}/figures/{GATED}.vl.json"
+        join = _in_threads(3, lambda: _get(path))
+        _wait_for(lambda: server.service.misses == 3)
+        builder.release.set()
+        results = join()
+        assert [status for status, _, _ in results] == [200] * 3
+        assert len({headers["ETag"] for _, headers, _ in results}) == 1
+        assert len({body for _, _, body in results}) == 1
+        assert results[0][1]["ETag"] == f'"{server.service.content_key(GATED)}"'
+        assert builder.calls == 1 and executor.submitted == 1
+        assert _counter(metrics, "repro_serve_renders_total") == 1.0
+        assert _get(path)[1]["X-Repro-Cached"] == "1"  # and now it is cached
+
+    def test_health_and_warm_figures_answer_while_a_build_blocks(
+        self, serve, builder
+    ):
+        server, _ = serve()
+        handle_request(server.service, "GET", f"/figures/{FAST_FIGURE}.txt")
+        join = _in_threads(1, lambda: _get(f"{server.url}/figures/{GATED}.txt"))
+        assert builder.started.wait(timeout=30)
+        assert _get(f"{server.url}/health")[0] == 200
+        status, headers, _ = _get(f"{server.url}/figures/{FAST_FIGURE}.txt")
+        assert status == 200 and headers["X-Repro-Cached"] == "1"
+        assert not builder.release.is_set()  # both answered mid-build
+        builder.release.set()
+        assert join()[0][0] == 200
+
+    def test_builder_crash_reaches_every_waiter_and_is_retried(
+        self, serve, builder, metrics
+    ):
+        builder.failures = 1
+        server, _ = serve(metrics=metrics)
+        path = f"{server.url}/figures/{GATED}.json"
+        join = _in_threads(2, lambda: _get(path))
+        _wait_for(lambda: server.service.misses == 2)
+        builder.release.set()
+        for status, _, body in join():
+            assert status == 500
+            assert "builder crashed" in json.loads(body)["error"]
+        assert builder.calls == 1
+        assert _counter(metrics, "repro_serve_renders_total") == 0.0
+        # Not cached: the next request builds again, and the server serves on.
+        status, headers, _ = _get(path)
+        assert status == 200 and headers["X-Repro-Cached"] == "0"
+        assert builder.calls == 2
+        assert _get(f"{server.url}/health")[0] == 200
+
+    def test_spans_of_concurrent_requests_do_not_nest(self, serve, builder):
+        tracer = Tracer()
+        server, _ = serve(tracer=tracer)
+        join = _in_threads(2, lambda: _get(f"{server.url}/figures/{GATED}.html"))
+        _wait_for(lambda: server.service.misses == 2)
+        assert _get(f"{server.url}/health")[0] == 200
+        builder.release.set()
+        assert [status for status, _, _ in join()] == [200, 200]
+        requests = [s for s in tracer.finished if s.name == "serve-request"]
+        renders = [s for s in tracer.finished if s.name == "figure-render"]
+        assert len(requests) == 3 and all(s.parent_id is None for s in requests)
+        # The one build nests under the request that started it.
+        assert len(renders) == 1
+        assert renders[0].parent_id in {s.span_id for s in requests}

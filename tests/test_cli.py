@@ -353,3 +353,18 @@ class TestServeParser:
 
     def test_ephemeral_port_accepted(self):
         assert build_parser().parse_args(["serve", "--port", "0"]).port == 0
+
+    def test_trace_reaches_the_figure_service(self, tmp_path, monkeypatch):
+        # So figure-render spans land in the --trace file beside serve-request.
+        import repro.serve
+
+        seen = {}
+
+        def fake_run_server(service, *, tracer, **kwargs):
+            seen.update(service=service, tracer=tracer)
+
+        monkeypatch.setattr(repro.serve, "run_server", fake_run_server)
+        assert main(["serve", "--port", "0", "--cache-dir", str(tmp_path / "c"),
+                     "--trace", str(tmp_path / "spans.jsonl")]) == 0
+        assert seen["tracer"] is not None
+        assert seen["service"].tracer is seen["tracer"]
