@@ -36,7 +36,8 @@ Commands
     Inspect, verify, or compact a columnar shard store (the out-of-core
     home of spilled campaign datasets and cache entries; see
     docs/STORE.md).  ``verify`` re-digests every shard and exits 1 when
-    any had to be quarantined.
+    any had to be quarantined.  ``compact`` first brings a campaign or
+    store an older version wrote to the current on-disk format.
 ``render``
     Render named registry figures (see docs/REPORT.md) into a
     content-addressed cache directory as figure JSON, Vega-Lite spec,
@@ -406,12 +407,21 @@ def _cmd_store(args: argparse.Namespace) -> int:
     from .store import ShardStore
 
     path = Path(args.dir)
+    upgraded = False
+    if args.action == "compact":
+        from .core.upgrade import upgrade
+
+        upgraded = upgrade(path)
+        if upgraded:
+            print(f"upgraded {path} to the current on-disk format")
     # Accept a campaign directory as shorthand for its store/ subdirectory.
     if not (path / "manifest.json").exists() and (
         path / "store" / "manifest.json"
     ).exists():
         path = path / "store"
     if not (path / "manifest.json").exists():
+        if upgraded:  # a campaign without a store
+            return 0
         print(f"error: no shard store at {path}", file=sys.stderr)
         return 2
     store = ShardStore(path)
@@ -686,6 +696,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("action", choices=("inspect", "verify", "compact"),
                    help="inspect: shape + shard table; verify: re-digest "
                         "every shard (exit 1 on quarantine); compact: "
+                        "upgrade a tree an older version wrote, then "
                         "rewrite live entries, reclaim removed bytes")
     p.add_argument("dir", help="store directory, or a campaign directory "
                                "containing one")

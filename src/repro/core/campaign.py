@@ -16,13 +16,13 @@ the environment description.  Typical life cycle::
     old = camp.load("64B ping-pong")     # identical values, unit, metadata
     camp.compare("64B ping-pong", new_ms)  # did the machine change?
 
-The index (``campaign.json``) lists each dataset's ``name``, ``file``,
-``n``, ``unit`` and ``digest``: the BLAKE2b-16 of the bytes written to
-the dataset file.  :meth:`Campaign.load` checks a file against it, so a
+The index (``campaign.json``) records the on-disk ``format``
+(:data:`FORMAT`) and lists each dataset's ``name``, ``file``, ``n``,
+``unit`` and ``digest``: the BLAKE2b-16 of the bytes written to the
+dataset file.  :meth:`Campaign.load` checks a file against it, so a
 dataset file edited in place raises :class:`~repro.errors.IntegrityError`
 instead of loading silently, and figure content keys come from the index
-alone (:func:`repro.report.registry.campaign_digest`).  Entries recorded
-before the index kept digests (no ``digest`` field) load unchecked.
+alone (:func:`repro.report.registry.campaign_digest`).
 
 A dataset file is value-pure: it holds the values and their declaration
 (name, unit, design, methodology, packages, environment, seeds), never
@@ -33,8 +33,12 @@ one sibling file, ``runs.json``, and :meth:`Campaign.load` merges them
 back in (:func:`repro.report.export.split_run_fields`).  A rerun that
 reproduces its values therefore rewrites no dataset file and no index:
 only ``runs.json``, so ``campaign_digest`` and every campaign figure key
-survive it.  Files written before the split keep their inline run fields
-and load as they always did; the next rerun rewrites each one once.
+survive it.
+
+Readers accept the current format only: reading a tree an older version
+wrote raises :class:`~repro.errors.FormatError`.  :meth:`Campaign.run`
+and :meth:`Campaign.record` first bring such a tree forward with
+:func:`repro.core.upgrade.upgrade`, as ``repro store compact`` does.
 """
 
 from __future__ import annotations
@@ -49,13 +53,19 @@ from pathlib import Path
 from typing import Any
 
 from .._atomic import write_atomic
-from ..errors import IntegrityError, ValidationError
+from ..errors import FormatError, IntegrityError, ValidationError
 from ..exec import ExecHooks, Executor, ResultCache
 from ..stats.compare import GroupComparison, compare_groups
 from .environment import EnvironmentSpec
 from .measurement import MeasurementSet
 
-__all__ = ["Campaign"]
+__all__ = ["Campaign", "FORMAT"]
+
+#: The on-disk format ``campaign.json`` records.  Format 2: every index
+#: entry records its file digest, dataset files hold no run fields, and
+#: the store is at schema 2 (:data:`repro.store.STORE_SCHEMA_VERSION`).
+#: An index without a ``format`` field is older.
+FORMAT = 2
 
 _INDEX = "campaign.json"
 _RUNS = "runs.json"
@@ -73,6 +83,17 @@ def _digest(data: bytes) -> str:
     return hashlib.blake2b(data, digest_size=16).hexdigest()
 
 
+def _datasets(payload: dict, path: Path) -> list[dict]:
+    """The dataset entries of a parsed index in the current format."""
+    if payload.get("format") != FORMAT:
+        raise FormatError(
+            f"campaign at {path} has on-disk format {payload.get('format')}, "
+            f"not {FORMAT}; if older, run `repro store compact {path}` to "
+            "upgrade it"
+        )
+    return payload["datasets"]
+
+
 def _read(path: Path) -> bytes:
     # Unbuffered: half the cost of Path.read_bytes for the small index,
     # runs and dataset files every load reads.
@@ -87,7 +108,8 @@ class Campaign:
     path: Path
     name: str
     environment_fields: dict = field(default_factory=dict)
-    #: The last index bytes read or written and their parsed datasets.
+    #: The last index bytes read or written and their parsed datasets;
+    #: only ever bytes in the current format.
     _parsed: tuple[bytes, list[dict]] | None = field(
         default=None, init=False, repr=False, compare=False
     )
@@ -144,11 +166,15 @@ class Campaign:
             name=payload["name"],
             environment_fields=payload.get("environment", {}),
         )
-        camp._parsed = (raw, payload.get("datasets", []))
+        # Only a current index primes the parse, so an older tree opens
+        # but _index() refuses it.
+        if payload.get("format") == FORMAT:
+            camp._parsed = (raw, payload["datasets"])
         return camp
 
     def _write_index(self, datasets: list[dict]) -> None:
         payload = {
+            "format": FORMAT,
             "name": self.name,
             "environment": self.environment_fields,
             "datasets": datasets,
@@ -164,15 +190,26 @@ class Campaign:
         (of shared entries: callers replace entries, never mutate them).
 
         The file is read on every call; its parse is reused only while
-        the bytes equal the last ones read or written.
+        the bytes equal the last ones read or written.  Raises
+        :class:`~repro.errors.FormatError` for an index in another format.
         """
         raw = _read(self.path / _INDEX)
         if self._parsed is None or self._parsed[0] != raw:
-            self._parsed = (raw, json.loads(raw).get("datasets", []))
+            self._parsed = (raw, _datasets(json.loads(raw), self.path))
         return raw, list(self._parsed[1])
 
     def _read_datasets(self) -> list[dict]:
         return self._index()[1]
+
+    def _writable_datasets(self) -> list[dict]:
+        """:meth:`_read_datasets`, after upgrading a tree in an older format."""
+        try:
+            return self._read_datasets()
+        except FormatError:
+            from .upgrade import upgrade
+
+            upgrade(self.path)
+            return self._read_datasets()
 
     def _runs(self) -> dict[str, dict]:
         """Each dataset's run fields from ``runs.json`` (empty when there
@@ -226,18 +263,20 @@ class Campaign:
         to the campaign's columnar shard store (:meth:`store`) and the
         JSON file keeps only a stub — :meth:`load` resolves stubs
         transparently, returning lazily memory-mapped values.
+
+        A campaign in an older on-disk format is upgraded first.
         """
-        self._record([ms], overwrite=overwrite, spill_rows=spill_rows)
+        self._record([(ms, spill_rows)], overwrite=overwrite)
         return self.path / f"{_slug(ms.name)}.json"
 
     def _record(
         self,
-        sets,
+        sets: list[tuple[MeasurementSet, int | None]],
         *,
         overwrite: bool,
-        spill_rows: int | None,
     ) -> None:
-        """Write the dataset files of *sets*, then ``runs.json`` and the
+        """Write the dataset files of *sets*, each set paired with its
+        *spill_rows* (see :meth:`record`), then ``runs.json`` and the
         index, each only where its bytes change.
 
         A dataset file is rewritten (atomically) only when its new bytes
@@ -249,16 +288,17 @@ class Campaign:
         """
         from ..report import export
 
-        datasets = self._read_datasets()
+        datasets = self._writable_datasets()
         entries = {d["name"]: d for d in datasets}
         files = {d["file"]: d["name"] for d in datasets}
         before_runs = self._runs()
         runs = dict(before_runs)
         changed: list[tuple[str, str]] = []
         namespace = self.dataset_namespace
-        store = self.store() if spill_rows is not None else None
+        spilling = any(rows is not None for _, rows in sets)
+        store = self.store() if spilling else None
         try:
-            for ms in sets:
+            for ms, spill_rows in sets:
                 file = f"{_slug(ms.name)}.json"
                 if ms.name in entries and not overwrite:
                     raise ValidationError(
@@ -329,7 +369,7 @@ class Campaign:
             if d["name"] == name:
                 path = self.path / d["file"]
                 data = _read(path)
-                if "digest" in d and _digest(data) != d["digest"]:
+                if _digest(data) != d.get("digest"):
                     raise IntegrityError(
                         f"dataset file {path} does not match the digest "
                         f"recorded for {name!r}: it was changed after it was "
@@ -438,8 +478,14 @@ class Campaign:
         inline JSON (see :meth:`store`), keeping memory and file counts
         bounded for out-of-core campaigns.
 
+        A campaign in an older on-disk format is upgraded first.
+
         Returns the :class:`~repro.core.experiment.ExperimentResult`.
         """
+        if self._parsed is None:
+            # Only a current index is ever kept parsed, so one that was
+            # not is read (and upgraded) before the cache opens the store.
+            self._writable_datasets()
         cache = self.result_cache(spill_rows=spill_rows) if use_cache else None
         span = (
             nullcontext() if tracer is None
@@ -457,8 +503,8 @@ class Campaign:
             if cache is not None and cache.spill_store is not None:
                 cache.spill_store.close()
         if record:
-            self._record(result.datasets.values(), overwrite=overwrite,
-                         spill_rows=spill_rows)
+            self._record([(ms, spill_rows) for ms in result.datasets.values()],
+                         overwrite=overwrite)
         return result
 
     # -- analysis ---------------------------------------------------------

@@ -14,8 +14,9 @@ deterministically from ``Experiment.seed`` via
 :meth:`numpy.random.SeedSequence.spawn` in *canonical* design order, so the
 same experiment produces bit-identical datasets under any executor.  A
 measurement function may accept the derived generator as a third argument
-(``measure(point, rep, rng)``); two-argument callables keep the legacy
-contract.
+(``measure(point, rep, rng)``); a two-argument ``measure(point, rep)``
+is the other supported calling convention, for measurements that draw
+no random numbers.
 """
 
 from __future__ import annotations

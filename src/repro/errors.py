@@ -17,6 +17,7 @@ __all__ = [
     "SimulationError",
     "ExecutionError",
     "IntegrityError",
+    "FormatError",
     "RuleViolation",
     "SurveyError",
     "CoverageWarning",
@@ -76,6 +77,12 @@ class IntegrityError(ReproError, RuntimeError):
     """A recorded file no longer matches the digest recorded when it was
     written: it was edited or damaged in place.  Not a bad argument, so
     not a :class:`ValidationError` — a server answers it with a 500."""
+
+
+class FormatError(ReproError, RuntimeError):
+    """A campaign or shard store on disk is in an older (or newer)
+    format than this version reads.  ``repro store compact <dir>``
+    brings an older one forward (:func:`repro.core.upgrade.upgrade`)."""
 
 
 class RuleViolation(ReproError):

@@ -417,8 +417,9 @@ def point_values(results: Iterable[TaskResult]) -> np.ndarray:
 def _accepts_rng(measure: Callable[..., Any]) -> bool:
     """Does ``measure`` take a third (rng) argument?
 
-    Two-argument callables keep the legacy ``measure(point, rep)``
-    contract; three-argument callables opt into the engine's deterministic
+    Two-argument callables use the ``measure(point, rep)`` calling
+    convention, a supported form of the API and not a stored format;
+    three-argument callables opt into the engine's deterministic
     per-task generator as ``measure(point, rep, rng)``.
     """
     try:

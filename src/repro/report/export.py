@@ -83,7 +83,7 @@ def read_csv(path: str | Path) -> tuple[list[str], list[list[str]]]:
     return headers, rows
 
 
-def dataset_fingerprint(name: str, *, namespace: str | None = None) -> str:
+def dataset_fingerprint(name: str, *, namespace: str) -> str:
     """The shard-store key of a spilled campaign dataset.
 
     Task results use :func:`repro.exec.task_fingerprint`; datasets are
@@ -93,12 +93,11 @@ def dataset_fingerprint(name: str, *, namespace: str | None = None) -> str:
     :attr:`~repro.core.Campaign.dataset_namespace`), so two campaigns
     spilling same-named datasets into one shared store get distinct
     entries instead of silently clobbering each other through the
-    re-record path.  Omitting it yields the legacy name-only key, kept so
-    stores written before namespacing stay addressable.
+    re-record path.
     """
     import hashlib
 
-    scoped = f"dataset:{namespace}:{name}" if namespace else f"dataset:{name}"
+    scoped = f"dataset:{namespace}:{name}"
     return hashlib.blake2b(scoped.encode(), digest_size=16).hexdigest()
 
 
@@ -117,16 +116,13 @@ def measurements_to_json(
 
     With *store* (a :class:`repro.store.ShardStore`) given and
     ``ms.n >= spill_rows``, the values column is written to the store
-    under :func:`dataset_fingerprint` and the JSON carries only a stub —
-    the out-of-core path for campaign datasets too large to re-encode as
-    a JSON array.  Reading a stub back requires passing the same store to
-    :func:`measurements_from_json`.
+    under :func:`dataset_fingerprint` of *namespace* (required then) and
+    the JSON carries only a stub — the out-of-core path for campaign
+    datasets too large to re-encode as a JSON array.  Reading a stub
+    back requires passing the same store to :func:`measurements_from_json`.
 
-    *namespace* scopes the spill key (see :func:`dataset_fingerprint`).
-    Re-recording removes the legacy name-only key, migrating
-    pre-namespace stores in place, and replaces the namespaced entry
-    unless it already holds exactly these values: an unchanged rerun
-    appends nothing to the store.
+    Re-recording replaces the entry unless it already holds exactly
+    these values: an unchanged rerun appends nothing to the store.
     """
     payload = {
         "name": ms.name,
@@ -140,20 +136,18 @@ def measurements_to_json(
         },
     }
     if store is not None and spill_rows is not None and ms.n >= spill_rows:
+        if namespace is None:
+            raise ValidationError(
+                f"spilling dataset {ms.name!r} needs the namespace of its key"
+            )
         fp = dataset_fingerprint(ms.name, namespace=namespace)
         # Re-recording (overwrite=True): an entry that already holds these
-        # exact values stays, so an unchanged rerun appends nothing; any
-        # other stale column is unlisted first, its bytes reclaimed by
+        # exact values stays, so an unchanged rerun appends nothing; a
+        # stale column is unlisted first, its bytes reclaimed by
         # `repro store compact`.
-        keep = store.holds(fp, ms.values)
-        for stale in {fp, dataset_fingerprint(ms.name)}:
-            if stale in store and not (keep and stale == fp):
-                store.remove(stale)
-        if not keep:
-            meta = {"dataset": ms.name}
-            if namespace:
-                meta["namespace"] = namespace
-            store.append(fp, ms.values, meta)
+        if not store.holds(fp, ms.values):
+            store.remove(fp)
+            store.append(fp, ms.values, {"dataset": ms.name, "namespace": namespace})
         payload["store"] = {"fingerprint": fp, "rows": ms.n}
     else:
         payload["values"] = ms.values.tolist()

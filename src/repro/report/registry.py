@@ -85,12 +85,6 @@ class FigureEntry:
 # ----------------------------------------------------------- content keys
 
 
-def _file_digest(path: Path, h: "hashlib._Hash") -> None:
-    with path.open("rb") as fh:
-        for chunk in iter(lambda: fh.read(1 << 20), b""):
-            h.update(chunk)
-
-
 def campaign_digest(campaign: Any) -> str:
     """A digest of everything a campaign figure can depend on.
 
@@ -105,17 +99,11 @@ def campaign_digest(campaign: Any) -> str:
     append (:meth:`repro.store.ShardStore.entry_digests`, one size check
     per shard).  In-place edits are caught where the bytes are read:
     ``Campaign.load`` for dataset files, ``ShardStore.verify`` for shard
-    bit rot.  An index entry without a recorded digest (written before
-    the index kept them) is hashed from its file as it always was, so a
-    legacy campaign keeps its key.
+    bit rot.  A campaign in an older on-disk format raises
+    :class:`~repro.errors.FormatError`.
     """
     h = hashlib.blake2b(digest_size=16)
-    index, datasets = campaign._index()
-    h.update(index)
-    for d in sorted(datasets, key=lambda d: d["name"]):
-        if "digest" not in d:
-            h.update(d["name"].encode())
-            _file_digest(campaign.path / d["file"], h)
+    h.update(campaign._index()[0])
     # The handle Campaign.load reads through: one manifest parse while the
     # manifest bytes are unchanged, not one per digest.  Asked only when
     # the manifest exists, so a campaign without a store opens no file.
@@ -252,13 +240,17 @@ class FigureService:
 
     # -- registry views --------------------------------------------------
 
+    def available(self, name: str) -> bool:
+        """Is *name* a figure renderable right now (campaign figures
+        need a campaign)?  One lookup: no catalog is built."""
+        entry = FIGURES.get(name)
+        return entry is not None and (
+            self.campaign is not None or not entry.needs_campaign
+        )
+
     def names(self) -> list[str]:
-        """Figures renderable right now (campaign figures need one)."""
-        return [
-            name
-            for name, entry in sorted(FIGURES.items())
-            if self.campaign is not None or not entry.needs_campaign
-        ]
+        """The catalog: every :meth:`available` figure, sorted."""
+        return [name for name in sorted(FIGURES) if self.available(name)]
 
     def entry(self, name: str) -> FigureEntry:
         """The registry entry for *name*; ValidationError when unknown."""

@@ -214,7 +214,7 @@ def _route(
                     f"fmt one of {', '.join(FORMATS)}",
                 )
             name, fmt = split
-            if name not in service.names():
+            if not service.available(name):
                 return Response.error(
                     404, f"unknown figure {name!r}; see /figures"
                 )

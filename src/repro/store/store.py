@@ -16,6 +16,11 @@ costs work, never correctness, and never crashes a campaign.  Each entry
 also records the digest of its own values at :meth:`append`, so
 :meth:`entry_digest` answers without reading them back.
 
+A manifest below :data:`STORE_SCHEMA_VERSION` (entries without a digest,
+or name-only dataset keys) is not read here: opening one raises
+:class:`~repro.errors.FormatError`, and :mod:`repro.core.upgrade`
+(``repro store compact``) brings it forward.
+
 Manifest writes are atomic (tmp + rename) and the store is append-only:
 :meth:`remove` only unlists entries; the bytes are reclaimed by
 :meth:`compact`, which rewrites surviving entries into fresh shards.
@@ -33,7 +38,7 @@ from typing import Any, Iterable, Iterator, Mapping
 import numpy as np
 
 from .._atomic import write_atomic
-from ..errors import ValidationError
+from ..errors import FormatError, IntegrityError, ValidationError
 from .shard import (
     HEADER_SIZE,
     ShardWriter,
@@ -45,8 +50,9 @@ from .shard import (
 
 __all__ = ["ShardStore", "StoreStats", "STORE_SCHEMA_VERSION", "DEFAULT_SHARD_ROWS"]
 
-#: Manifest schema version; readers refuse newer manifests.
-STORE_SCHEMA_VERSION = 1
+#: Manifest schema version; readers refuse every other one.  Version 2:
+#: every entry records its digest and every dataset key is namespaced.
+STORE_SCHEMA_VERSION = 2
 
 #: Rows per shard before rolling to a new segment (8 MB of float64).
 DEFAULT_SHARD_ROWS = 1_000_000
@@ -146,11 +152,17 @@ class ShardStore:
                 )
             if version < 0:
                 raise ValueError("manifest missing schema_version")
+            if version < STORE_SCHEMA_VERSION:
+                raise FormatError(
+                    f"store manifest schema {version} at {self.path} is older "
+                    f"than {STORE_SCHEMA_VERSION}; run `repro store compact "
+                    f"{self.path}` to upgrade it"
+                )
             shards = payload["shards"]
             entries = payload["entries"]
             if not isinstance(shards, Mapping) or not isinstance(entries, Mapping):
                 raise ValueError("manifest shards/entries are not objects")
-        except ValidationError:
+        except (ValidationError, FormatError):
             raise
         except (KeyError, TypeError, ValueError, OSError, json.JSONDecodeError) as exc:
             # A torn manifest orphans the whole directory: quarantine it and
@@ -170,15 +182,18 @@ class ShardStore:
                 digest=spec.get("digest"),
             )
         for fp, spec in entries.items():
-            entry = {
+            if spec.get("digest") is None:
+                raise IntegrityError(
+                    f"store manifest {manifest} lists entry {fp} without the "
+                    "digest every entry records at append"
+                )
+            self._entries[str(fp)] = {
                 "shard": str(spec["shard"]),
                 "offset": int(spec["offset"]),
                 "rows": int(spec["rows"]),
                 "metadata": dict(spec.get("metadata", {})),
+                "digest": str(spec["digest"]),
             }
-            if spec.get("digest") is not None:
-                entry["digest"] = str(spec["digest"])
-            self._entries[str(fp)] = entry
         self._provenance = payload.get("provenance")
         indices = [
             int(s.file.split("-")[1].split(".")[0])
@@ -403,8 +418,7 @@ class ShardStore:
         the values, after the structural checks :meth:`get` makes (a
         failing one quarantines as ``get`` does and returns ``None``).
         In-place corruption that keeps the file's size is not seen here;
-        :meth:`verify` catches it.  Entries written before digests were
-        recorded are hashed in bounded chunks.
+        :meth:`verify` catches it.
         """
         return self.entry_digests([fingerprint])[fingerprint]
 
@@ -433,10 +447,7 @@ class ShardStore:
                     self._quarantine_shard(shard.file, str(exc))
                     continue
                 checked.add(shard.file)
-            if "digest" in entry:
-                digests[fp] = entry["digest"]
-            else:
-                digests[fp] = _values_digest(self.iter_chunks(fp))
+            digests[fp] = entry["digest"]
         return digests
 
     def holds(self, fingerprint: str, values: Iterable[float] | np.ndarray) -> bool:

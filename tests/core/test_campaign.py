@@ -287,29 +287,6 @@ def changed_files(before, after):
     return sorted(k for k in before.keys() | after.keys() if before.get(k) != after.get(k))
 
 
-def write_inline_campaign(path, result):
-    """A campaign as written before run fields moved to runs.json: each
-    dataset file carries its metadata whole."""
-    import json
-
-    from repro.core.campaign import _digest, _slug
-    from repro.report.export import measurements_to_json
-
-    camp = Campaign.create(path, name="legacy")
-    entries = []
-    for ms in result.datasets.values():
-        data = measurements_to_json(ms).encode()
-        file = f"{_slug(ms.name)}.json"
-        (path / file).write_bytes(data)
-        entries.append({"name": ms.name, "file": file, "n": ms.n,
-                        "unit": ms.unit, "digest": _digest(data)})
-    entries.sort(key=lambda d: d["name"])
-    index = json.loads((path / "campaign.json").read_text())
-    index["datasets"] = entries
-    (path / "campaign.json").write_text(json.dumps(index, separators=(",", ":")))
-    return Campaign.open(path)
-
-
 class TestValuePureDatasets:
     """Dataset files hold values and their declaration; run fields go to
     runs.json, so a value-identical rerun rewrites no dataset file."""
@@ -435,22 +412,6 @@ class TestValuePureDatasets:
         for name in reader.names():
             reader.load(name)
         assert len(parsed) == before + 1
-
-    def test_inline_campaign_loads_then_migrates_once(self, tmp_path):
-        res = make_shifted_experiment().run()
-        camp = write_inline_campaign(tmp_path / "c", res)
-        for ms in res.datasets.values():
-            assert camp.load(ms.name).metadata == ms.metadata
-        files = sorted(d["file"] for d in camp._read_datasets())
-        before = snapshot(camp.path)
-        camp.run(make_shifted_experiment(), overwrite=True)
-        first = snapshot(camp.path)
-        # The first run in this directory also fills the result cache.
-        assert [f for f in changed_files(before, first)
-                if not f.startswith("cache/")] == sorted(
-            ["campaign.json", "runs.json", *files])
-        camp.run(make_shifted_experiment(), overwrite=True)
-        assert changed_files(first, snapshot(camp.path)) == ["runs.json"]
 
     @pytest.mark.parametrize("metadata", [
         {},

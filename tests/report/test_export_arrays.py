@@ -157,15 +157,3 @@ class TestUnchangedRerecord:
         again = measurements_to_json(ms, store=store, spill_rows=10, namespace="ns")
         assert again == first
         assert (tmp_path / "store" / "manifest.json").read_bytes() == manifest
-
-    def test_legacy_key_is_migrated_even_when_unchanged(self, tmp_path):
-        store = ShardStore(tmp_path / "store")
-        ms = MeasurementSet(values=np.full(50, 3.0), unit="s", name="mig")
-        measurements_to_json(ms, store=store, spill_rows=10, namespace=None)
-        legacy = dataset_fingerprint("mig")
-        assert legacy in store
-        text = measurements_to_json(ms, store=store, spill_rows=10, namespace="ns1")
-        assert legacy not in store
-        assert dataset_fingerprint("mig", namespace="ns1") in store
-        back = measurements_from_json(text, store=store)
-        assert np.array_equal(back.values, ms.values)

@@ -6,8 +6,7 @@ Each class pins one formerly-buggy behavior:
   a C-locale reader/writer round-trip);
 * exported JSON is strict — non-finite floats become ``null``, never the
   ``NaN``/``Infinity`` tokens;
-* spilled-dataset store keys are namespaced per campaign, with the
-  legacy name-only key still readable and migrated on re-record;
+* spilled-dataset store keys are namespaced per campaign;
 * a spilled stub that disagrees with its store fails with an error
   naming the dataset;
 * ``report_experiment`` rejects (or skips, with a note) a scaling chart
@@ -156,32 +155,6 @@ class TestNamespacedFingerprints:
         assert meta_a["namespace"] == a.dataset_namespace
         back_b = measurements_from_json(text_b, store=store)
         assert float(back_b.values[0]) == 2.0
-
-    def test_legacy_name_only_key_still_loads(self, tmp_path):
-        """Stubs carry their fingerprint, so pre-namespace stores work."""
-        store = ShardStore(tmp_path / "store")
-        text = measurements_to_json(
-            self._ms("old", 3.0), store=store, spill_rows=10, namespace=None,
-        )
-        stub = json.loads(text)["store"]
-        assert stub["fingerprint"] == dataset_fingerprint("old")
-        back = measurements_from_json(text, store=store)
-        assert float(back.values[0]) == 3.0
-
-    def test_re_record_migrates_legacy_key_in_place(self, tmp_path):
-        store = ShardStore(tmp_path / "store")
-        measurements_to_json(
-            self._ms("mig", 1.0), store=store, spill_rows=10, namespace=None,
-        )
-        legacy = dataset_fingerprint("mig")
-        assert legacy in store
-        measurements_to_json(
-            self._ms("mig", 4.0), store=store, spill_rows=10, namespace="ns1",
-        )
-        assert legacy not in store  # stale key unlisted
-        scoped = dataset_fingerprint("mig", namespace="ns1")
-        values, _ = store.get(scoped)
-        assert float(values[0]) == 4.0
 
     def test_campaign_record_uses_its_namespace(self, tmp_path):
         camp = Campaign.create(tmp_path / "camp", name="scoped")

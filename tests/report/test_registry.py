@@ -341,31 +341,6 @@ def _fanout_campaign(path, n: int = 96) -> Campaign:
     return camp
 
 
-def _strip_index_digests(camp: Campaign) -> None:
-    index = camp.path / "campaign.json"
-    payload = json.loads(index.read_text())
-    for d in payload["datasets"]:
-        del d["digest"]
-    index.write_text(json.dumps(payload, indent=2))
-
-
-def _legacy_key(camp: Campaign) -> str:
-    """The key formula of campaigns whose index records no file digests."""
-    h = hashlib.blake2b(digest_size=16)
-    index = camp.path / "campaign.json"
-    h.update(index.read_bytes())
-    for d in sorted(json.loads(index.read_text())["datasets"],
-                    key=lambda d: d["name"]):
-        h.update(d["name"].encode())
-        h.update((camp.path / d["file"]).read_bytes())
-    if camp.has_store():
-        store = camp.store()
-        for fp in store.fingerprints():
-            h.update(fp.encode())
-            h.update((store.entry_digest(fp) or "quarantined").encode())
-    return h.hexdigest()
-
-
 class TestCampaignDigest:
     """Campaign figure keys come from the digests the store recorded."""
 
@@ -442,17 +417,6 @@ class TestCampaignDigest:
         with pytest.warns(RuntimeWarning, match="quarantined"):
             assert campaign_digest(camp) == h.hexdigest() != before
 
-    def test_manifest_without_entry_digests_keys_the_same(self, campaign):
-        """Stores written before entries recorded digests keep their keys."""
-        before = campaign_digest(campaign)
-        manifest = campaign.path / "store" / "manifest.json"
-        payload = json.loads(manifest.read_text())
-        assert all("digest" in e for e in payload["entries"].values())
-        for entry in payload["entries"].values():
-            del entry["digest"]
-        manifest.write_text(json.dumps(payload))
-        assert campaign_digest(campaign) == before
-
     def test_campaign_get_digests_once(self, tmp_path, campaign, monkeypatch):
         import repro.report.registry as registry
         from repro.serve import handle_request
@@ -517,15 +481,6 @@ class TestCampaignDigest:
         assert catalog.status == 200
         in_campaign = [f for f in opened if f.startswith(str(camp.path))]
         assert in_campaign == [str(camp.path / "campaign.json")] * 2
-
-    def test_stripped_digests_key_from_files(self, campaign):
-        _strip_index_digests(campaign)
-        before = campaign_digest(campaign)
-        assert before == _legacy_key(campaign)
-        dataset = campaign.path / "latency.json"
-        dataset.write_bytes(dataset.read_bytes() + b"\n")
-        assert campaign_digest(campaign) != before
-        assert campaign.load("latency").n == 300
 
     def test_overwrite_changes_exactly_one_digest(self, tmp_path):
         camp = _fanout_campaign(tmp_path / "camp", n=4)

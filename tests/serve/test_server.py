@@ -24,7 +24,7 @@ import pytest
 import repro.report.registry as registry
 from repro.core import Campaign, MeasurementSet
 from repro.obs import MetricsRegistry, Tracer
-from repro.report.registry import FORMATS, FigureEntry, FigureService
+from repro.report.registry import FIGURES, FORMATS, FigureEntry, FigureService
 from repro.report.vega import VL_SCHEMA
 from repro.serve import FigureServer, Response, handle_request
 
@@ -94,6 +94,13 @@ class TestRouting:
         resp = handle_request(service, "GET", "/figures/nope.json")
         assert resp.status == 404
         assert "see /figures" in json.loads(resp.body)["error"]
+
+    def test_campaign_figure_without_campaign_404(self, service):
+        assert "campaign_trajectory" not in service.names()
+        resp = handle_request(service, "GET", "/figures/campaign_trajectory.json")
+        assert resp.status == 404
+        assert "unknown figure 'campaign_trajectory'" in json.loads(resp.body)["error"]
+        assert [n for n in sorted(FIGURES) if service.available(n)] == service.names()
 
     def test_bad_format_404(self, service):
         assert handle_request(service, "GET", "/figures/fig1_hpl.png").status == 404

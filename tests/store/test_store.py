@@ -190,7 +190,7 @@ class TestIntegrity:
         with ShardStore(tmp_path) as store:
             fill(store, n_entries=1)
         payload = json.loads((tmp_path / "manifest.json").read_text())
-        assert payload["provenance"]["methodology"]["store_schema"] == 1
+        assert payload["provenance"]["methodology"]["store_schema"] == STORE_SCHEMA_VERSION
 
 
 def chunk_digest(store, fp):
@@ -250,19 +250,6 @@ class TestEntryDigest:
         monkeypatch.setattr(ShardStore, "iter_chunks", boom)
         monkeypatch.setattr(np, "memmap", boom)
         assert all(store.entry_digest(fp) for fp in data)
-
-    def test_entry_without_a_recorded_digest_is_hashed(self, tmp_path):
-        """Manifests written before digests were recorded still key."""
-        with ShardStore(tmp_path) as store:
-            data = fill(store)
-            recorded = {fp: store.entry_digest(fp) for fp in data}
-        manifest = tmp_path / "manifest.json"
-        payload = json.loads(manifest.read_text())
-        for entry in payload["entries"].values():
-            del entry["digest"]
-        manifest.write_text(json.dumps(payload))
-        store = ShardStore(tmp_path)
-        assert {fp: store.entry_digest(fp) for fp in data} == recorded
 
     def test_truncated_shard_quarantined_like_get(self, tmp_path):
         with ShardStore(tmp_path) as store:
