@@ -13,7 +13,7 @@ address-space caps would measure the wrong thing).  The default quick
 fidelity writes ~48 MB against a 24 MB cap; ``REPRO_BENCH_FULL=1``
 scales to the documented 320 MB campaign against the 256 MB cap.
 Override either knob with ``REPRO_BENCH_STORE_TOTAL_MB`` /
-``REPRO_BENCH_STORE_CAP_MB`` (the CI store-smoke job pins its own).
+``REPRO_BENCH_STORE_CAP_MB`` (``gates/test_store_smoke.py`` keeps the defaults).
 
 Each phase's wall time lands in ``BENCH_repro.json`` as a
 :class:`repro.compare.BenchRecord` run, so store throughput sits in the
@@ -37,7 +37,7 @@ from repro.store import ShardStore
 TOTAL_MB = int(os.environ.get("REPRO_BENCH_STORE_TOTAL_MB", fidelity(320, 48)))
 CAP_MB = int(os.environ.get("REPRO_BENCH_STORE_CAP_MB", fidelity(256, 24)))
 #: Alternate suite file for the phase records (default BENCH_repro.json);
-#: the CI store-smoke job records two independent suites and compares them.
+#: gates/test_store_smoke.py records two independent suites and compares them.
 OUT_PATH = os.environ.get("REPRO_BENCH_STORE_OUT") or None
 N_COLUMNS = 16
 CHUNK_ROWS = 65_536

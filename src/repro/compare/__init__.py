@@ -17,7 +17,7 @@ repository's benchmark snapshot into a gated trajectory:
   sampling as soon as the regression verdict is significant.
 
 The ``repro compare`` CLI subcommand (exit 1 on a significant
-regression) and the CI ``compare-gate`` job are thin wrappers over this
+regression) and the CI gate ``gates/test_compare_gate.py`` wrap this
 API; see ``docs/COMPARE.md``.
 """
 

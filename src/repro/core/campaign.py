@@ -50,7 +50,7 @@ import re
 from contextlib import nullcontext
 from dataclasses import dataclass, field
 from pathlib import Path
-from typing import Any
+from typing import Any, Callable
 
 from .._atomic import write_atomic
 from ..errors import FormatError, IntegrityError, ValidationError
@@ -69,6 +69,7 @@ FORMAT = 2
 
 _INDEX = "campaign.json"
 _RUNS = "runs.json"
+_MANIFEST = "store/manifest.json"
 
 
 def _slug(name: str) -> str:
@@ -108,19 +109,10 @@ class Campaign:
     path: Path
     name: str
     environment_fields: dict = field(default_factory=dict)
-    #: The last index bytes read or written and their parsed datasets;
-    #: only ever bytes in the current format.
-    _parsed: tuple[bytes, list[dict]] | None = field(
-        default=None, init=False, repr=False, compare=False
-    )
-    #: The last ``runs.json`` bytes read and their parse.
-    _runs_parsed: tuple[bytes, dict[str, dict]] | None = field(
-        default=None, init=False, repr=False, compare=False
-    )
-    #: The store manifest bytes :meth:`load` last saw, and the store
-    #: handle built from them.
-    _store_parsed: tuple[bytes, Any] | None = field(
-        default=None, init=False, repr=False, compare=False
+    #: Per file under the campaign: the last bytes read or written and
+    #: what :meth:`_parse` built from them.
+    _parses: dict[str, tuple[bytes, Any]] = field(
+        default_factory=dict, init=False, repr=False, compare=False
     )
 
     # -- lifecycle -------------------------------------------------------
@@ -169,7 +161,7 @@ class Campaign:
         # Only a current index primes the parse, so an older tree opens
         # but _index() refuses it.
         if payload.get("format") == FORMAT:
-            camp._parsed = (raw, payload["datasets"])
+            camp._parse(_INDEX, lambda _: payload["datasets"], raw)
         return camp
 
     def _write_index(self, datasets: list[dict]) -> None:
@@ -183,20 +175,36 @@ class Campaign:
         # encoder, and the index is rewritten on every record.
         text = json.dumps(payload, separators=(",", ":"))
         write_atomic(self.path / _INDEX, text)
-        self._parsed = (text.encode(), list(datasets))
+        self._parse(_INDEX, lambda _: list(datasets), text.encode())
+
+    def _parse(
+        self, file: str, build: Callable[[bytes], Any], raw: bytes | None = None
+    ) -> tuple[bytes, Any]:
+        """The bytes of *file* (read on every call unless given as *raw*)
+        and what *build* makes of them.
+
+        *build* runs only when the bytes differ from the last ones read
+        or written for *file*; while they are unchanged its result is
+        reused.  A missing file raises :class:`FileNotFoundError`.
+        """
+        if raw is None:
+            raw = _read(self.path / file)
+        seen = self._parses.get(file)
+        if seen is None or seen[0] != raw:
+            seen = self._parses[file] = (raw, build(raw))
+        return seen
 
     def _index(self) -> tuple[bytes, list[dict]]:
         """The index bytes and their dataset entries, as a fresh list
         (of shared entries: callers replace entries, never mutate them).
 
-        The file is read on every call; its parse is reused only while
-        the bytes equal the last ones read or written.  Raises
-        :class:`~repro.errors.FormatError` for an index in another format.
+        Raises :class:`~repro.errors.FormatError` for an index in another
+        format.
         """
-        raw = _read(self.path / _INDEX)
-        if self._parsed is None or self._parsed[0] != raw:
-            self._parsed = (raw, _datasets(json.loads(raw), self.path))
-        return raw, list(self._parsed[1])
+        raw, datasets = self._parse(
+            _INDEX, lambda raw: _datasets(json.loads(raw), self.path)
+        )
+        return raw, list(datasets)
 
     def _read_datasets(self) -> list[dict]:
         return self._index()[1]
@@ -213,20 +221,13 @@ class Campaign:
 
     def _runs(self) -> dict[str, dict]:
         """Each dataset's run fields from ``runs.json`` (empty when there
-        is none); not to be mutated.
-
-        Like :meth:`_index`, the file is read on every call and its parse
-        reused while the bytes are unchanged.
-        """
+        is none); not to be mutated."""
         from ..report.export import runs_from_json
 
         try:
-            raw = _read(self.path / _RUNS)
+            return self._parse(_RUNS, runs_from_json)[1]
         except FileNotFoundError:
             return {}
-        if self._runs_parsed is None or self._runs_parsed[0] != raw:
-            self._runs_parsed = (raw, runs_from_json(raw))
-        return self._runs_parsed[1]
 
     def _write_runs(self, runs: dict[str, dict]) -> None:
         # Not cached as parsed: *runs* holds the caller's metadata objects,
@@ -387,17 +388,13 @@ class Campaign:
         """The store handle :meth:`load` reads through, or None without a
         store.
 
-        Like :meth:`_index`, the manifest is read on every call; the
-        handle (one manifest parse) is reused while the bytes equal the
-        ones it was built from.  Writers use their own :meth:`store`.
+        The handle (one manifest parse) is reused while the manifest
+        bytes are unchanged.  Writers use their own :meth:`store`.
         """
         try:
-            raw = _read(self.path / "store" / "manifest.json")
+            return self._parse(_MANIFEST, lambda _: self.store())[1]
         except FileNotFoundError:
             return None
-        if self._store_parsed is None or self._store_parsed[0] != raw:
-            self._store_parsed = (raw, self.store())
-        return self._store_parsed[1]
 
     def environment(self) -> EnvironmentSpec:
         """The environment description recorded at campaign creation."""
@@ -424,7 +421,7 @@ class Campaign:
     def has_store(self) -> bool:
         """True when this campaign directory has a shard store."""
         # os.path: load asks once per dataset, at half pathlib's cost.
-        return os.path.exists(os.path.join(self.path, "store", "manifest.json"))
+        return os.path.exists(os.path.join(self.path, _MANIFEST))
 
     def result_cache(self, *, spill_rows: int | None = None) -> ResultCache:
         """The campaign's content-addressed task-result cache.
@@ -482,7 +479,7 @@ class Campaign:
 
         Returns the :class:`~repro.core.experiment.ExperimentResult`.
         """
-        if self._parsed is None:
+        if _INDEX not in self._parses:
             # Only a current index is ever kept parsed, so one that was
             # not is read (and upgraded) before the cache opens the store.
             self._writable_datasets()

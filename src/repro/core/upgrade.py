@@ -126,7 +126,7 @@ def _upgrade_campaign(path: Path) -> bool:
         camp._write_runs(split)
     # _record reads this index as parsed, each digest recorded.
     entries = sorted(datasets.values(), key=lambda d: d["name"])
-    camp._parsed = (raw, entries)
+    camp._parse(_INDEX, lambda _: entries, raw)
     camp._record(sets, overwrite=True)
     if _read(path / _INDEX) == raw:
         camp._write_index(entries)  # no entry changed: the stamp alone

@@ -2,7 +2,7 @@
 
 Turns a :class:`~repro.compare.SuiteComparison` into the two shapes
 humans read: a monospace verdict table (terminal, CI logs) and a full
-markdown document (the ``compare-gate`` CI artifact).  The
+markdown document (the ``compare_gate`` CI artifact).  The
 machine-readable truth stays in ``compare_report.json``; these
 renderings carry the same numbers.
 """

@@ -99,6 +99,20 @@ class StoreStats:
         }
 
 
+def _field(manifest: Path, where: str, spec: Any, key: str, kind: type) -> Any:
+    """``spec[key]`` of the manifest's *where* (a shard or an entry), which
+    must be a *kind*; :class:`~repro.errors.IntegrityError` naming the
+    manifest, *where* and *key* when it is missing or of another type."""
+    value = spec.get(key) if isinstance(spec, Mapping) else None
+    # bool is an int subclass; a flag is never a row count or an offset.
+    if not isinstance(value, kind) or (kind is int and isinstance(value, bool)):
+        raise IntegrityError(
+            f"store manifest {manifest}: {where} has no {kind.__name__} "
+            f"{key!r} field (found {value!r})"
+        )
+    return value
+
+
 @dataclass
 class _Shard:
     file: str
@@ -175,24 +189,22 @@ class ShardStore:
             self._warn(f"quarantined unreadable manifest: {exc}")
             return
         for name, spec in shards.items():
+            where = f"shard {name}"
             self._shards[str(name)] = _Shard(
                 file=str(name),
-                rows=int(spec["rows"]),
-                sealed=bool(spec["sealed"]),
+                rows=_field(manifest, where, spec, "rows", int),
+                sealed=_field(manifest, where, spec, "sealed", bool),
                 digest=spec.get("digest"),
             )
         for fp, spec in entries.items():
-            if spec.get("digest") is None:
-                raise IntegrityError(
-                    f"store manifest {manifest} lists entry {fp} without the "
-                    "digest every entry records at append"
-                )
+            where = f"entry {fp}"
             self._entries[str(fp)] = {
-                "shard": str(spec["shard"]),
-                "offset": int(spec["offset"]),
-                "rows": int(spec["rows"]),
+                "shard": _field(manifest, where, spec, "shard", str),
+                "offset": _field(manifest, where, spec, "offset", int),
+                "rows": _field(manifest, where, spec, "rows", int),
                 "metadata": dict(spec.get("metadata", {})),
-                "digest": str(spec["digest"]),
+                # Every entry of this schema records its digest at append.
+                "digest": _field(manifest, where, spec, "digest", str),
             }
         self._provenance = payload.get("provenance")
         indices = [

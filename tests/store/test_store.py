@@ -8,7 +8,7 @@ import json
 import numpy as np
 import pytest
 
-from repro.errors import ValidationError
+from repro.errors import IntegrityError, ValidationError
 from repro.store import DEFAULT_SHARD_ROWS, STORE_SCHEMA_VERSION, ShardStore
 
 
@@ -171,6 +171,32 @@ class TestIntegrity:
         manifest.write_text(json.dumps(payload))
         with pytest.raises(ValidationError, match="newer than supported"):
             ShardStore(tmp_path)
+
+    @pytest.mark.parametrize("section,key", [
+        ("shards", "rows"), ("shards", "sealed"),
+        ("entries", "shard"), ("entries", "offset"), ("entries", "rows"),
+    ])
+    @pytest.mark.parametrize("value", [None, []], ids=["missing", "mistyped"])
+    def test_malformed_manifest_field_is_a_named_error(
+        self, tmp_path, capsys, section, key, value
+    ):
+        from repro.cli import main
+
+        with ShardStore(tmp_path) as store:
+            fill(store, n_entries=1)
+        manifest = tmp_path / "manifest.json"
+        payload = json.loads(manifest.read_text())
+        (name, spec), = payload[section].items()
+        if value is None:
+            del spec[key]
+        else:
+            spec[key] = value
+        manifest.write_text(json.dumps(payload))
+        with pytest.raises(IntegrityError, match=f"{name}.*'{key}'"):
+            ShardStore(tmp_path)
+        assert main(["store", "inspect", str(tmp_path)]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and err.count("\n") == 1, err
 
     def test_unsealed_shard_adopted_after_crash(self, tmp_path):
         """A process that dies without seal() leaves an open shard; the
