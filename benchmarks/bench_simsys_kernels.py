@@ -32,8 +32,9 @@ Runs two ways:
 
 For the ``repro compare`` regression gate, ``--out`` redirects the suite
 file (so CI never dirties the committed baseline), ``--runs`` appends
-several independent runs in one invocation (giving the Kalibera–Jones
-estimator run-level replication), and ``--scale-wall 1.5`` multiplies
+several runs in one invocation (runs sharing a process are not
+independent of it: the gate records ``--runs 1`` per invocation and
+invokes once per run), and ``--scale-wall 1.5`` multiplies
 every recorded timing — the injected known regression used to prove the
 gate trips (docs/COMPARE.md).
 """

@@ -17,6 +17,9 @@ SUITES = {
     "slowed": ("--scale-wall", "1.5"),
 }
 
+#: Runs per suite, each from its own process.
+ROUNDS = 3
+
 
 @pytest.fixture(scope="module")
 def out(tmp_path_factory):
@@ -25,10 +28,19 @@ def out(tmp_path_factory):
 
 @pytest.fixture(scope="module")
 def suite(out):
-    """The path of each suite by name, recorded back to back."""
-    for name, flags in SUITES.items():
-        python("benchmarks/bench_simsys_kernels.py", "--quick", "--runs", 3,
-               *flags, "--out", out / f"{name}.json")
+    """The path of each suite by name.
+
+    Every run is its own process: runs that share one process share its
+    state, and understate the between-run variance the Kalibera-Jones
+    estimator needs.  The suites take turns, the order rotated each
+    round, so drift of the host over the recording spreads over all of
+    them instead of landing on one.
+    """
+    names = list(SUITES)
+    for r in range(ROUNDS):
+        for name in names[r:] + names[:r]:
+            python("benchmarks/bench_simsys_kernels.py", "--quick", "--runs", 1,
+                   *SUITES[name], "--out", out / f"{name}.json")
     return {name: out / f"{name}.json" for name in SUITES}
 
 

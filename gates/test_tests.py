@@ -2,9 +2,10 @@
 
 The observability smoke, the kernel benchmark smoke and the coverage of
 its records, and the figure bench leaving the committed results alone.
-The kernel smoke and the figure bench merge their records into the
-tracked ``BENCH_repro.json``, which CI uploads; restore it with ``git
-checkout BENCH_repro.json`` after a local run.
+The kernel smoke writes its records to ``kernels/kernels.json`` under
+the base temporary directory; the figure bench merges its records into
+the tracked ``BENCH_repro.json``.  CI uploads both; restore the tracked
+file with ``git checkout BENCH_repro.json`` after a local run.
 """
 
 from __future__ import annotations
@@ -38,27 +39,35 @@ def test_serial_campaign_ticks_kernel_counters(tmp_path):
 
 
 @pytest.fixture(scope="module")
-def kernel_smoke():
+def kernel_suite(tmp_path_factory):
+    """The suite file the kernel smoke writes its records to."""
+    return tmp_path_factory.mktemp("kernels", numbered=False) / "kernels.json"
+
+
+@pytest.fixture(scope="module")
+def kernel_smoke(kernel_suite):
     """Exits non-zero if SimComm's vectorized collective kernels are ever
     slower than the scalar ReferenceComm oracle at P >= 256 (see
     docs/PERFORMANCE.md)."""
-    return python("benchmarks/bench_simsys_kernels.py", "--quick")
+    return python("benchmarks/bench_simsys_kernels.py", "--quick",
+                  "--out", kernel_suite)
 
 
-def test_kernel_benchmark_smoke(kernel_smoke):
-    assert "results merged into BENCH_repro.json" in kernel_smoke.stdout
+def test_kernel_benchmark_smoke(kernel_smoke, kernel_suite):
+    assert f"results merged into {kernel_suite}" in kernel_smoke.stdout
 
 
-def test_kernel_records_cover_both_kernels(kernel_smoke, monkeypatch):
-    # Trajectory continuity: every (machine, op, P) the smoke wrote must
-    # hold a kernel=reference record (the ReferenceComm baseline) and a
-    # kernel=vectorized record (SimComm).
+def test_kernel_records_cover_both_kernels(kernel_smoke, kernel_suite, monkeypatch):
+    # Trajectory continuity: every (machine, op, P) must hold a
+    # kernel=reference record (the ReferenceComm baseline) and a
+    # kernel=vectorized record (SimComm) in the file this smoke wrote,
+    # not in the committed suite, which holds them all already.
     monkeypatch.syspath_prepend(ROOT / "benchmarks")
     from bench_simsys_kernels import MACHINES, OPS
 
     from repro.compare import BenchSuiteResult, record_key
 
-    records = BenchSuiteResult.load(ROOT / "BENCH_repro.json").records
+    records = BenchSuiteResult.load(kernel_suite).records
     missing = [
         key
         for (machine, _), op, P in itertools.product(MACHINES, OPS, (64, 256, 1024))

@@ -337,7 +337,6 @@ def _cmd_compare(args: argparse.Namespace) -> int:
         BenchSuiteResult,
         compare_histories,
         compare_runs,
-        compare_runs_sequential,
         history_labels,
     )
     from .obs import Provenance
@@ -346,24 +345,16 @@ def _cmd_compare(args: argparse.Namespace) -> int:
     suites = [BenchSuiteResult.load(p) for p in args.suites]
     history = None
     if len(suites) == 2:
-        if args.sequential:
-            comparison = compare_runs_sequential(
-                suites[0], suites[1],
-                confidence=args.confidence, min_effect=args.min_effect,
-            )
-        else:
-            comparison = compare_runs(
-                suites[0], suites[1],
-                confidence=args.confidence, min_effect=args.min_effect,
-                bootstrap=not args.no_bootstrap, n_boot=args.n_boot,
-                seed=args.seed,
-            )
+        comparison = compare_runs(
+            suites[0], suites[1],
+            confidence=args.confidence, min_effect=args.min_effect,
+            seed=args.seed,
+        )
         ok = comparison.ok
     else:
         history = compare_histories(
             suites, labels=history_labels(args.suites),
             confidence=args.confidence, min_effect=args.min_effect,
-            bootstrap=not args.no_bootstrap, n_boot=args.n_boot,
             seed=args.seed,
         )
         for step in history.steps:
@@ -387,7 +378,6 @@ def _cmd_compare(args: argparse.Namespace) -> int:
                 "suites": [str(p) for p in args.suites],
                 "confidence": args.confidence,
                 "min_effect": args.min_effect,
-                "sequential": bool(args.sequential),
             },
         ).to_dict()
         md_path = out_dir / "compare_report.md"
@@ -676,13 +666,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--min-effect", type=float, default=0.02,
                    help="minimum ratio change that counts as a real effect "
                         "(default 0.02 = 2%%)")
-    p.add_argument("--n-boot", type=int, default=1000,
-                   help="hierarchical-bootstrap replicates (default 1000)")
-    p.add_argument("--no-bootstrap", action="store_true",
-                   help="skip the bootstrap cross-check (asymptotic CI only)")
-    p.add_argument("--sequential", action="store_true",
-                   help="replay runs through the sequential gate, stopping "
-                        "per benchmark as soon as the verdict is significant")
     p.add_argument("--seed", type=int, default=0,
                    help="bootstrap resampling seed")
     p.add_argument("--out", metavar="DIR",

@@ -13,8 +13,8 @@ repository's benchmark snapshot into a gated trajectory:
   intervals on the ratio of means (asymptotic + hierarchical
   bootstrap);
 * :mod:`repro.compare.engine` — ``compare_runs`` / ``compare_histories``
-  verdicts over whole suites, and the ``SequentialGate`` that stops
-  sampling as soon as the regression verdict is significant.
+  verdicts over whole suites, every one from ``compare_records`` over
+  all recorded runs.
 
 The ``repro compare`` CLI subcommand (exit 1 on a significant
 regression) and the CI gate ``gates/test_compare_gate.py`` wrap this
@@ -24,16 +24,13 @@ API; see ``docs/COMPARE.md``.
 from __future__ import annotations
 
 from .engine import (
-    GateDecision,
     HistoryComparison,
     HistoryStep,
     RecordComparison,
-    SequentialGate,
     SuiteComparison,
     compare_histories,
     compare_records,
     compare_runs,
-    compare_runs_sequential,
 )
 from .kalibera import (
     VarianceComponents,
@@ -54,17 +51,14 @@ __all__ = [
     "BENCH_SCHEMA_VERSION",
     "BenchRecord",
     "BenchSuiteResult",
-    "GateDecision",
     "HistoryComparison",
     "HistoryStep",
     "RecordComparison",
-    "SequentialGate",
     "SuiteComparison",
     "VarianceComponents",
     "compare_histories",
     "compare_records",
     "compare_runs",
-    "compare_runs_sequential",
     "history_labels",
     "mean_and_variance",
     "ratio_ci",

@@ -20,24 +20,21 @@ bootstrap, and renders a per-record verdict:
     point ratio, but never allowed to fail a gate: the paper's Rule 7
     forbids claiming a change without sound statistics.
 
-:class:`SequentialGate` adds the operational trick of the continuous-
-benchmarking model: runs are fed in one pair at a time, and sampling
-stops — reusing :class:`repro.stats.SequentialChecker` as the CI-width
-stopping rule — as soon as the verdict is significant either way.
+Every verdict comes from :func:`compare_records` over *all* recorded
+runs of both sides: Kalibera & Jones build the interval from every
+top-level run, and a replay that stops early on recorded data saves no
+measurement — it only discards evidence.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
-from typing import Any, Iterable, Mapping, Sequence
+from dataclasses import dataclass
+from typing import Any, Sequence
 
-import numpy as np
-
-from .._validation import check_int, check_positive, check_prob
-from ..errors import InsufficientDataError, ValidationError
+from .._validation import check_prob
+from ..errors import ValidationError
 from ..stats.ci import ConfidenceInterval
-from ..stats.samplesize import SequentialChecker
 from .kalibera import ratio_ci, ratio_ci_bootstrap
 from .record import BenchRecord, BenchSuiteResult
 
@@ -48,10 +45,7 @@ __all__ = [
     "HistoryComparison",
     "compare_records",
     "compare_runs",
-    "compare_runs_sequential",
     "compare_histories",
-    "SequentialGate",
-    "GateDecision",
 ]
 
 #: Default minimum effect size: ratio changes within ±2% are treated as
@@ -119,14 +113,18 @@ class RecordComparison:
         }
 
 
+def _check_thresholds(confidence: float, min_effect: float) -> None:
+    check_prob(confidence, "confidence")
+    if not (0.0 <= min_effect < 1.0):
+        raise ValidationError(f"min_effect must be in [0, 1), got {min_effect}")
+
+
 def compare_records(
     old: BenchRecord,
     new: BenchRecord,
     *,
     confidence: float = 0.95,
     min_effect: float = DEFAULT_MIN_EFFECT,
-    bootstrap: bool = True,
-    n_boot: int = 1000,
     seed: int = 0,
 ) -> RecordComparison:
     """Compare one configuration's new samples against its baseline.
@@ -137,9 +135,7 @@ def compare_records(
     effect-size CI clears the threshold — significance and magnitude at
     once, per Kalibera & Jones.
     """
-    check_prob(confidence, "confidence")
-    if not (0.0 <= min_effect < 1.0):
-        raise ValidationError(f"min_effect must be in [0, 1), got {min_effect}")
+    _check_thresholds(confidence, min_effect)
     if old.key != new.key:
         raise ValidationError(
             f"cannot compare different configurations: {old.key!r} vs {new.key!r}"
@@ -173,15 +169,12 @@ def compare_records(
         )
 
     ci = ratio_ci(new.samples, old.samples, confidence=confidence)
-    boot = None
+    boot = ratio_ci_bootstrap(
+        new.samples, old.samples, confidence=confidence, seed=seed
+    )
     note = ""
-    if bootstrap:
-        boot = ratio_ci_bootstrap(
-            new.samples, old.samples,
-            confidence=confidence, n_boot=n_boot, seed=seed,
-        )
-        if boot.low > ci.high or boot.high < ci.low:
-            note = "bootstrap cross-check disagrees with the asymptotic CI"
+    if boot.low > ci.high or boot.high < ci.low:
+        note = "bootstrap cross-check disagrees with the asymptotic CI"
     if not math.isfinite(ci.low) or not math.isfinite(ci.high):
         verdict = "indistinguishable"
         note = (note + "; " if note else "") + "ratio CI unbounded (baseline mean not resolved)"
@@ -275,8 +268,6 @@ def compare_runs(
     *,
     confidence: float = 0.95,
     min_effect: float = DEFAULT_MIN_EFFECT,
-    bootstrap: bool = True,
-    n_boot: int = 1000,
     seed: int = 0,
 ) -> SuiteComparison:
     """Compare a fresh benchmark suite against its baseline, key by key.
@@ -288,6 +279,7 @@ def compare_runs(
     """
     if not isinstance(baseline, BenchSuiteResult) or not isinstance(current, BenchSuiteResult):
         raise ValidationError("compare_runs expects two BenchSuiteResult instances")
+    _check_thresholds(confidence, min_effect)
     shared = [k for k in baseline.keys() if k in current]
     comparisons = tuple(
         compare_records(
@@ -295,8 +287,6 @@ def compare_runs(
             current.records[k],
             confidence=confidence,
             min_effect=min_effect,
-            bootstrap=bootstrap,
-            n_boot=n_boot,
             seed=seed + i,
         )
         for i, k in enumerate(shared)
@@ -356,8 +346,6 @@ def compare_histories(
     labels: Sequence[str] | None = None,
     confidence: float = 0.95,
     min_effect: float = DEFAULT_MIN_EFFECT,
-    bootstrap: bool = True,
-    n_boot: int = 1000,
     seed: int = 0,
 ) -> HistoryComparison:
     """Compare a chronological history of suites (oldest first).
@@ -365,6 +353,7 @@ def compare_histories(
     Runs :func:`compare_runs` over every consecutive pair plus newest vs
     oldest, so both sudden regressions and accumulated drift surface.
     """
+    _check_thresholds(confidence, min_effect)
     if len(suites) < 2:
         raise ValidationError(
             f"a history comparison needs at least 2 suites, got {len(suites)}"
@@ -381,7 +370,7 @@ def compare_histories(
             comparison=compare_runs(
                 suites[i], suites[i + 1],
                 confidence=confidence, min_effect=min_effect,
-                bootstrap=bootstrap, n_boot=n_boot, seed=seed + 1000 * i,
+                seed=seed + 1000 * i,
             ),
         )
         for i in range(len(suites) - 1)
@@ -389,231 +378,6 @@ def compare_histories(
     overall = compare_runs(
         suites[0], suites[-1],
         confidence=confidence, min_effect=min_effect,
-        bootstrap=bootstrap, n_boot=n_boot, seed=seed + 1000 * len(suites),
+        seed=seed + 1000 * len(suites),
     )
     return HistoryComparison(labels=tuple(str(c) for c in labels), steps=steps, overall=overall)
-
-
-@dataclass(frozen=True)
-class GateDecision:
-    """The sequential gate's stopping decision.
-
-    ``verdict`` is ``"regression"``, ``"ok"``, or ``"inconclusive"``
-    (budget exhausted or CI tight but straddling the threshold);
-    ``runs_used`` counts the run pairs consumed before stopping.
-    """
-
-    verdict: str
-    runs_used: int
-    ci: ConfidenceInterval | None
-    reason: str
-
-    @property
-    def is_regression(self) -> bool:
-        """True when the gate stopped on a significant regression."""
-        return self.verdict == "regression"
-
-
-@dataclass
-class SequentialGate:
-    """Early-stopping regression verdict over incrementally arriving runs.
-
-    Feed matched (baseline, current) run sample vectors with
-    :meth:`add_run_pair`; after each pair the Kalibera–Jones ratio CI is
-    recomputed and the gate stops as soon as the verdict is significant:
-    the CI clear of the threshold on either side, or — via the embedded
-    :class:`repro.stats.SequentialChecker` width rule on the per-run
-    ratios — tight enough that continuing cannot change the answer.
-    This is what lets ``repro compare --sequential`` (and a CI loop
-    wrapping it) stop sampling early instead of always paying the full
-    measurement budget.
-    """
-
-    confidence: float = 0.95
-    min_effect: float = DEFAULT_MIN_EFFECT
-    relative_error: float = 0.05
-    min_runs: int = 3
-    max_runs: int = 30
-    _old_runs: list = field(default_factory=list, repr=False)
-    _new_runs: list = field(default_factory=list, repr=False)
-    _checker: SequentialChecker = field(init=False, repr=False)
-    _decision: GateDecision | None = field(default=None, repr=False)
-
-    def __post_init__(self) -> None:
-        check_prob(self.confidence, "confidence")
-        check_prob(self.relative_error, "relative_error")
-        check_int(self.min_runs, "min_runs", minimum=2)
-        check_int(self.max_runs, "max_runs", minimum=self.min_runs)
-        check_positive(self.min_effect + 1.0, "min_effect + 1")
-        self._checker = SequentialChecker(
-            relative_error=self.relative_error,
-            confidence=self.confidence,
-            statistic="mean",
-            check_every=1,
-            min_n=self.min_runs,
-        )
-
-    @property
-    def n_pairs(self) -> int:
-        """Run pairs consumed so far."""
-        return len(self._old_runs)
-
-    @property
-    def decision(self) -> GateDecision | None:
-        """The stopping decision, or ``None`` while still sampling."""
-        return self._decision
-
-    def add_run_pair(self, old_run: Iterable[float], new_run: Iterable[float]) -> GateDecision | None:
-        """Add one (baseline, current) run pair; returns a decision when done."""
-        if self._decision is not None:
-            return self._decision
-        old = np.asarray(list(old_run), dtype=np.float64)
-        new = np.asarray(list(new_run), dtype=np.float64)
-        if old.size == 0 or new.size == 0:
-            raise ValidationError("gate runs must be non-empty")
-        self._old_runs.append(old)
-        self._new_runs.append(new)
-        if float(old.mean()) == 0.0:
-            raise ValidationError("gate baseline run mean is zero; ratio undefined")
-        tight = self._checker.add(float(new.mean()) / float(old.mean()))
-        if self.n_pairs < self.min_runs:
-            return None
-        ci = ratio_ci(self._new_runs, self._old_runs, confidence=self.confidence)
-        up = 1.0 + self.min_effect
-        if math.isfinite(ci.low) and ci.low > up:
-            self._decision = GateDecision(
-                "regression", self.n_pairs, ci,
-                f"ratio CI [{ci.low:.4f}, {ci.high:.4f}] entirely above {up:.4f}",
-            )
-        elif math.isfinite(ci.high) and ci.high < up:
-            # No slowdown beyond the threshold is compatible with the data.
-            self._decision = GateDecision(
-                "ok", self.n_pairs, ci,
-                f"ratio CI [{ci.low:.4f}, {ci.high:.4f}] excludes regressions beyond {up:.4f}",
-            )
-        elif tight:
-            self._decision = GateDecision(
-                "inconclusive", self.n_pairs, ci,
-                "ratio CI width target reached but the interval straddles "
-                f"the threshold {up:.4f}",
-            )
-        elif self.n_pairs >= self.max_runs:
-            self._decision = GateDecision(
-                "inconclusive", self.n_pairs, ci,
-                f"run budget ({self.max_runs}) exhausted without a significant verdict",
-            )
-        if self._decision is not None:
-            return self._decision
-        return None
-
-    def run_record(
-        self, old: BenchRecord, new: BenchRecord
-    ) -> GateDecision:
-        """Feed two stored records' runs pairwise until the gate decides.
-
-        Replays recorded history through the sequential rule — the
-        offline counterpart of a live measure-compare loop — consuming
-        ``min(old.n_runs, new.n_runs)`` pairs at most and reporting how
-        many were actually needed.
-        """
-        pairs = min(old.n_runs, new.n_runs)
-        if pairs < self.min_runs:
-            raise InsufficientDataError(self.min_runs, pairs, "sequential gate run pairs")
-        for i in range(pairs):
-            decision = self.add_run_pair(old.samples[i], new.samples[i])
-            if decision is not None:
-                return decision
-        ci = ratio_ci(self._new_runs, self._old_runs, confidence=self.confidence)
-        self._decision = GateDecision(
-            "inconclusive", self.n_pairs, ci,
-            "recorded runs exhausted without a significant verdict",
-        )
-        return self._decision
-
-
-def compare_runs_sequential(
-    baseline: BenchSuiteResult,
-    current: BenchSuiteResult,
-    *,
-    confidence: float = 0.95,
-    min_effect: float = DEFAULT_MIN_EFFECT,
-    relative_error: float = 0.05,
-    min_runs: int = 3,
-    max_runs: int = 30,
-) -> SuiteComparison:
-    """Compare two suites replaying runs through the sequential gate.
-
-    Per shared key, stored runs are fed pairwise into a fresh
-    :class:`SequentialGate`, which stops as soon as the regression
-    verdict is significant — the offline analogue of stopping a live
-    benchmark loop early.  Each record's note reports how many of the
-    available run pairs the gate actually consumed.  Records without
-    enough runs for the gate fall back to :func:`compare_records`
-    (which marks them ``incomparable`` below two runs).
-    """
-    if not isinstance(baseline, BenchSuiteResult) or not isinstance(current, BenchSuiteResult):
-        raise ValidationError("compare_runs_sequential expects two BenchSuiteResult instances")
-    up = 1.0 + min_effect
-    down = 1.0 / up
-    comparisons = []
-    for key in baseline.keys():
-        if key not in current:
-            continue
-        old, new = baseline.records[key], current.records[key]
-        pairs = min(old.n_runs, new.n_runs)
-        if pairs < min_runs:
-            comparisons.append(
-                compare_records(
-                    old, new,
-                    confidence=confidence, min_effect=min_effect, bootstrap=False,
-                )
-            )
-            continue
-        if old.unit != new.unit:
-            raise ValidationError(
-                f"unit mismatch for {key!r}: {old.unit!r} vs {new.unit!r}"
-            )
-        gate = SequentialGate(
-            confidence=confidence,
-            min_effect=min_effect,
-            relative_error=relative_error,
-            min_runs=min_runs,
-            max_runs=max_runs,
-        )
-        decision = gate.run_record(old, new)
-        ci = decision.ci
-        if decision.verdict == "regression":
-            verdict = "regression"
-        elif ci is not None and math.isfinite(ci.high) and ci.high < down:
-            verdict = "improvement"
-        else:
-            verdict = "indistinguishable"
-        used_old = [np.asarray(r, dtype=np.float64) for r in old.samples[: decision.runs_used]]
-        used_new = [np.asarray(r, dtype=np.float64) for r in new.samples[: decision.runs_used]]
-        old_mean = float(np.mean([r.mean() for r in used_old]))
-        new_mean = float(np.mean([r.mean() for r in used_new]))
-        comparisons.append(
-            RecordComparison(
-                key=key,
-                unit=old.unit,
-                old_mean=old_mean,
-                new_mean=new_mean,
-                ratio=new_mean / old_mean,
-                verdict=verdict,
-                statistical=True,
-                ci=ci,
-                old_runs=old.n_runs,
-                new_runs=new.n_runs,
-                note=(
-                    f"sequential gate stopped after {decision.runs_used}/{pairs} "
-                    f"run pair(s): {decision.reason}"
-                ),
-            )
-        )
-    return SuiteComparison(
-        records=tuple(comparisons),
-        only_old=tuple(k for k in baseline.keys() if k not in current),
-        only_new=tuple(k for k in current.keys() if k not in baseline),
-        confidence=confidence,
-        min_effect=min_effect,
-    )

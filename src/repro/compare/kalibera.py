@@ -28,7 +28,6 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Sequence
 
 import numpy as np
 from scipy import stats as _sps
@@ -350,8 +349,3 @@ def ratio_ci_bootstrap(
         statistic="ratio-of-means[bootstrap]",
         n=n,
     )
-
-
-def level_counts(data) -> Sequence[int]:
-    """The balanced repetition counts per level of *data* (top first)."""
-    return variance_components(data).counts

@@ -2,19 +2,22 @@
 
 from __future__ import annotations
 
+import hashlib
+import json
+
 import numpy as np
 import pytest
+from scipy import stats
 
 from repro.compare import (
     BenchRecord,
     BenchSuiteResult,
-    SequentialGate,
     compare_histories,
     compare_records,
     compare_runs,
-    compare_runs_sequential,
 )
-from repro.errors import InsufficientDataError, ValidationError
+from repro.errors import ValidationError
+from repro.validate import MultiLevelGenerator
 
 
 def suite_from(rng, *, scale=1.0, runs=6, iters=5, names=("reduce", "bcast")):
@@ -148,62 +151,93 @@ class TestHistory:
             compare_histories([s, s], labels=["only-one"])
 
 
-class TestSequentialGate:
-    def test_clear_regression_stops_early(self, rng):
-        gate = SequentialGate(min_runs=3, max_runs=30)
-        decision = None
-        for _ in range(30):
-            old = 1.0 + rng.normal(0, 0.005, size=5)
-            decision = gate.add_run_pair(old, old * 2.0)
-            if decision is not None:
-                break
-        assert decision is not None
-        assert decision.verdict == "regression"
-        assert decision.runs_used < 10  # far below the budget
-
-    def test_identical_runs_reach_ok(self, rng):
-        gate = SequentialGate(min_runs=3, max_runs=30)
-        decision = None
-        for _ in range(30):
-            old = 1.0 + rng.normal(0, 0.002, size=5)
-            decision = gate.add_run_pair(old, old)
-            if decision is not None:
-                break
-        assert decision is not None and decision.verdict == "ok"
-
-    def test_budget_exhaustion_inconclusive(self):
-        gate = SequentialGate(min_runs=3, max_runs=4, relative_error=1e-6)
-        decision = None
-        # Alternating new-run means keep the ratio CI wide and straddling
-        # the threshold, and the width target is unreachable.
-        for new_mean in (0.9, 1.1, 0.9, 1.1):
-            decision = gate.add_run_pair([1.0] * 3, [new_mean] * 3)
-        assert decision is not None
-        assert decision.verdict == "inconclusive"
-        assert "budget" in decision.reason
-
-    def test_run_record_requires_min_pairs(self):
-        gate = SequentialGate(min_runs=3)
-        a = BenchRecord(name="x", samples=[[1.0], [1.0]])
-        with pytest.raises(InsufficientDataError):
-            gate.run_record(a, a)
+def _suite(*records):
+    return BenchSuiteResult(records={}).merged(*records, append_runs=False)
 
 
-class TestCompareRunsSequential:
-    def test_regression_detected_with_note(self, rng):
-        base = suite_from(rng, runs=10)
-        slowed = BenchSuiteResult(records={}).merged(
-            *(r.scaled(1.5) for r in base.records.values()), append_runs=False
+def _golden_comparisons():
+    """One suite pair and one three-suite history from a seeded rng.
+
+    The pair holds a 1.5x record, a single-run record (incomparable) and
+    a key on each side only; the history ends in a 1.5x slowdown.
+    """
+    rng = np.random.default_rng(2015)
+    old = suite_from(rng, names=("reduce", "bcast", "gather"))
+    fresh = suite_from(rng, names=("reduce", "bcast", "scatter"))
+    single_old, single_new = (
+        BenchRecord(name="barrier", params={"P": 64},
+                    samples=1.0 + rng.normal(0, 0.01, size=(1, 5)))
+        for _ in range(2)
+    )
+    pair = compare_runs(
+        _suite(*old.records.values(), single_old),
+        _suite(
+            fresh.records["reduce[P=64]"],
+            fresh.records["bcast[P=64]"].scaled(1.5),
+            fresh.records["scatter[P=64]"],
+            single_new,
+        ),
+    )
+    s0, s1 = suite_from(rng), suite_from(rng)
+    s2 = _suite(*(r.scaled(1.5) for r in suite_from(rng).records.values()))
+    history = compare_histories([s0, s1, s2], labels=["a", "b", "c"])
+    return pair, history
+
+
+#: Captured from the engine that still had the sequential replay path and
+#: the bootstrap knobs: their removal moved no byte of the report.
+PAIR_DIGEST = "5e071a8c319d91909bc6ccf7dd7d564e"
+HISTORY_DIGEST = "0fc530d3c3550287d897147792171d60"
+
+
+def _digest(comparison):
+    payload = json.dumps(comparison.to_dict(), sort_keys=True).encode()
+    return hashlib.blake2b(payload, digest_size=16).hexdigest()
+
+
+class TestGoldenReport:
+    """Every verdict, CI, bootstrap CI and note of the kept verdict path,
+    pinned bit for bit: a refactor of the engine must not move them."""
+
+    def test_pair_and_history_digests(self):
+        pair, history = _golden_comparisons()
+        verdicts = {r.key: r.verdict for r in pair.records}
+        assert verdicts == {
+            "reduce[P=64]": "indistinguishable",
+            "bcast[P=64]": "regression",
+            "barrier[P=64]": "incomparable",
+        }
+        assert pair.only_old == ("gather[P=64]",)
+        assert pair.only_new == ("scatter[P=64]",)
+        assert not history.ok
+        assert (_digest(pair), _digest(history)) == (PAIR_DIGEST, HISTORY_DIGEST)
+
+
+class TestFalseRegressionRate:
+    """A/A calibration of the gate: both sides drawn from one distribution.
+
+    At ``min_effect=0`` a regression verdict needs the whole two-sided
+    95% CI above 1, so a calibrated interval calls one about 2.5% of the
+    time.  The count must stay under the one-sided 99.9% binomial bound
+    around that nominal rate.
+    """
+
+    TRIALS = 1000
+    NOMINAL = 0.025
+
+    def test_a_a_regressions_within_binomial_bound(self):
+        rng = np.random.default_rng(7)
+        gen = MultiLevelGenerator()
+        regressions = 0
+        for i in range(self.TRIALS):
+            old, new = (
+                BenchRecord(name="aa", samples=gen.sample_runs(rng, 16, 10))
+                for _ in range(2)
+            )
+            out = compare_records(old, new, min_effect=0.0, seed=i)
+            regressions += out.is_regression
+        bound = stats.binom.isf(0.001, self.TRIALS, self.NOMINAL)
+        assert regressions <= bound, (
+            f"{regressions}/{self.TRIALS} A/A false regressions exceed "
+            f"the 99.9% binomial bound {bound:g} at nominal {self.NOMINAL}"
         )
-        out = compare_runs_sequential(base, slowed)
-        assert not out.ok
-        rec = out.records[0]
-        assert "sequential gate stopped after" in rec.note
-
-    def test_few_runs_falls_back_to_incomparable(self):
-        old = BenchSuiteResult(records={}).merged(
-            BenchRecord(name="x", samples=[[1.0]])
-        )
-        out = compare_runs_sequential(old, old)
-        assert out.ok
-        assert out.records[0].verdict == "incomparable"

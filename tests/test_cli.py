@@ -295,12 +295,26 @@ class TestCompareCommand:
         out = capsys.readouterr().out
         assert "step -> b.json" in out and "step -> c.json" in out
 
-    def test_sequential_gate(self, tmp_path, capsys):
-        base = _write_suite(tmp_path / "base.json", runs=10)
-        slow = _write_suite(tmp_path / "slow.json", scale=1.5, runs=10)
-        assert main(["compare", str(base), str(slow), "--sequential"]) == 1
-        assert "COMPARE GATE FAILED" in capsys.readouterr().err
-        assert main(["compare", str(base), str(base), "--sequential"]) == 0
+    @pytest.mark.parametrize("n_suites", [2, 3])
+    @pytest.mark.parametrize(
+        "flag", [("--confidence", "7"), ("--min-effect", "1.5")]
+    )
+    def test_bad_thresholds_rejected_without_shared_keys(
+        self, tmp_path, capsys, n_suites, flag
+    ):
+        # Suites sharing no key reach no per-record check: the thresholds
+        # are validated once, up front.
+        from repro.compare import BenchRecord, BenchSuiteResult
+
+        paths = [_write_suite(tmp_path / "a.json")]
+        for i in range(1, n_suites):
+            path = tmp_path / f"s{i}.json"
+            BenchSuiteResult(records={}).merged(
+                BenchRecord(name=f"other{i}", samples=[[1.0], [1.1]])
+            ).write(path)
+            paths.append(path)
+        assert main(["compare", *map(str, paths), *flag]) == 2
+        assert capsys.readouterr().err.startswith("error:")
 
 
 class TestRenderCommand:
