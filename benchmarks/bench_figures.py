@@ -41,7 +41,7 @@ def test_figure_build(name, benchmark, record_result, tmp_path):
     fig = benchmark.pedantic(
         entry.build, kwargs={**params, "seed": 0}, rounds=ROUNDS, iterations=1,
     )
-    record_result(name, FORMATS["txt"].write(entry, fig, {}))
+    record_result(name, FORMATS["txt"].write(entry, fig, ""))
     record_bench(
         "figure_build",
         {"figure": name, "fidelity": "full" if FULL else "quick"},

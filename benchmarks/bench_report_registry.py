@@ -3,11 +3,20 @@
 The acceptance contract of the content-addressed cache
 (docs/REPORT.md): a second render of a figure with unchanged inputs
 must skip the builder entirely, so its cost is file-stat plus path
-construction — orders of magnitude below the cold build.  This bench
-times both paths for a pair of registry figures (a cheap one and a
-simulation-heavy one) and records the samples into
-``BENCH_repro.json`` so ``repro compare`` flags a cache regression
-(e.g. a key accidentally depending on wall-clock) as a slowdown.
+construction — orders of magnitude below the cold build.  The record
+``report_registry_cached`` times that path for a pair of registry
+figures (a cheap one and a simulation-heavy one) and records the
+samples into ``BENCH_repro.json`` so ``repro compare`` flags a cache
+regression (e.g. a key accidentally depending on wall-clock) as a
+slowdown.
+
+The record ``report_registry_cold`` times the cold path: a full
+``FigureService.render`` (build, Vega spec, serializations, writes) of
+each figure perfbench serves, the six ``SIMULATED_FIGURES`` of
+``perfbench/workloads.py`` and ``campaign_trajectory`` on the shape of
+perfbench's ``fanout`` campaign (96 datasets of 8 values).  Each sample
+is one render into a fresh cache directory, ``COLD_REPS`` of them per
+run after one unrecorded warm-up round, the figures interleaved.
 
 A third record, ``report_campaign_request``, times a warm
 ``handle_request`` GET of ``campaign_trajectory.json`` on a campaign
@@ -60,6 +69,17 @@ from repro.serve import FigureServer, handle_request
 OUT_PATH = os.environ.get("REPRO_BENCH_REGISTRY_OUT") or None
 FIGURES = ("fig7ab_bounds", "fig6_rank_variation")
 CACHED_REPS = 50
+#: The figures perfbench's serve phase builds cold, in its order.
+COLD_FIGURES = (
+    "fig7c_distribution",
+    "fig5_reduce",
+    "scale_collectives",
+    "fig6_rank_variation",
+    "fig1_hpl",
+    "chaos_degradation",
+    "campaign_trajectory",
+)
+COLD_REPS = 5
 SEED = 2026
 
 #: Shape of the spilled campaign behind ``report_campaign_request``.
@@ -81,16 +101,65 @@ RERUN_SPILL_ROWS = 10_000
 RERUN_REPS = 10
 
 
+def _campaign(path, datasets, values, spill_rows):
+    """A campaign of *datasets* lognormal sets of *values* each."""
+    camp = Campaign.create(path, name="bench")
+    rng = np.random.default_rng(SEED)
+    for i in range(datasets):
+        camp.record(
+            MeasurementSet(
+                values=rng.lognormal(mean=1.0, sigma=0.3, size=values),
+                unit="us",
+                name=f"dataset-{i:02d}",
+            ),
+            spill_rows=spill_rows,
+        )
+    return camp
+
+
+def _params(name):
+    return {"figure": name, "fidelity": "full" if FULL else "quick", "seed": SEED}
+
+
+def bench_cold_render(reps=COLD_REPS):
+    """Time cold renders of perfbench's served figures, each round into a
+    fresh cache directory."""
+    workdir = tempfile.mkdtemp(prefix="repro-bench-cold-render-")
+    samples = {name: [] for name in COLD_FIGURES}
+    keys = {}
+    try:
+        camp = _campaign(os.path.join(workdir, "camp"), 96, 8, None)
+        for rep in range(reps + 1):  # round 0 is the warm-up
+            service = FigureService(os.path.join(workdir, f"cache-{rep}"),
+                                    campaign=camp, quick=not FULL, seed=SEED)
+            for name in COLD_FIGURES:
+                start = time.perf_counter()
+                rendered = service.render(name)
+                elapsed = time.perf_counter() - start
+                assert not rendered.cached, f"{name}: cold render hit the cache"
+                keys[name] = rendered.key
+                if rep:
+                    samples[name].append(elapsed)
+    finally:
+        shutil.rmtree(workdir, ignore_errors=True)
+    for name in COLD_FIGURES:
+        record_bench("report_registry_cold", _params(name), samples[name],
+                     metadata={"key": keys[name]}, path=OUT_PATH)
+    rows = [[name, f"{sorted(run)[len(run) // 2] * 1e3:.1f}"]
+            for name, run in samples.items()]
+    total = sum(sorted(run)[len(run) // 2] for run in samples.values())
+    rows.append(["(sum of medians)", f"{total * 1e3:.1f}"])
+    print(render_table(["figure", "cold render median (ms)"], rows))
+
+
 def bench_registry():
-    """Time a cold build and repeated cached renders per figure."""
+    """Time repeated cached renders per figure."""
     rows = []
     cache_dir = tempfile.mkdtemp(prefix="repro-bench-registry-")
     try:
         service = FigureService(cache_dir, quick=not FULL, seed=SEED)
         for name in FIGURES:
-            start = time.perf_counter()
             first = service.render(name)
-            cold_s = time.perf_counter() - start
             assert not first.cached, f"{name}: cold render hit the cache"
 
             cached_samples = []
@@ -100,52 +169,22 @@ def bench_registry():
                 cached_samples.append(time.perf_counter() - start)
                 assert again.cached and again.key == first.key
 
-            params = {
-                "figure": name,
-                "fidelity": "full" if FULL else "quick",
-                "seed": SEED,
-            }
             record_bench(
-                "report_registry_cold", params, [cold_s],
-                metadata={"key": first.key}, path=OUT_PATH,
-            )
-            record_bench(
-                "report_registry_cached", params, cached_samples,
+                "report_registry_cached", _params(name), cached_samples,
                 metadata={"key": first.key}, path=OUT_PATH,
             )
             cached_s = sorted(cached_samples)[len(cached_samples) // 2]
-            rows.append(
-                [
-                    name,
-                    f"{cold_s * 1e3:.1f}",
-                    f"{cached_s * 1e6:.0f}",
-                    f"{cold_s / cached_s:.0f}x",
-                ]
-            )
+            rows.append([name, f"{cached_s * 1e6:.0f}"])
     finally:
         shutil.rmtree(cache_dir, ignore_errors=True)
-    print(
-        render_table(
-            ["figure", "cold (ms)", "cached median (us)", "speedup"], rows
-        )
-    )
+    print(render_table(["figure", "cached median (us)"], rows))
 
 
 def bench_campaign_request(datasets, values, spill_rows):
     """Time warm GETs of the campaign figure on one campaign shape."""
     workdir = tempfile.mkdtemp(prefix="repro-bench-campaign-request-")
     try:
-        camp = Campaign.create(os.path.join(workdir, "camp"), name="bench")
-        rng = np.random.default_rng(SEED)
-        for i in range(datasets):
-            camp.record(
-                MeasurementSet(
-                    values=rng.lognormal(mean=1.0, sigma=0.3, size=values),
-                    unit="us",
-                    name=f"dataset-{i:02d}",
-                ),
-                spill_rows=spill_rows,
-            )
+        camp = _campaign(os.path.join(workdir, "camp"), datasets, values, spill_rows)
         service = FigureService(
             os.path.join(workdir, "cache"), campaign=camp, quick=not FULL
         )
@@ -321,6 +360,7 @@ def bench_campaign_rerun():
 
 
 if __name__ == "__main__":
+    bench_cold_render()
     bench_registry()
     for shape in CAMPAIGN_SHAPES:
         bench_campaign_request(*shape)

@@ -13,7 +13,7 @@ import urllib.request
 from concurrent.futures import ThreadPoolExecutor
 
 import pytest
-from conftest import ENV, ROOT, repro
+from conftest import ENV, ROOT, python, repro
 
 FIGURES = ("fig7ab_bounds", "ablation_ci", "extension_screening", "campaign_trajectory")
 SPILLED = ("--samples", 2000, "--reps", 2, "--spill-rows", 256)
@@ -167,3 +167,28 @@ def test_serve_and_revalidate_over_http(camp, cold):
     finally:
         proc.terminate()
         proc.wait(timeout=10)
+
+
+def test_cold_render_bench_records_every_served_figure(tmp_path, monkeypatch):
+    # Each figure perfbench's serve phase builds cold gets a
+    # report_registry_cold record of one run of at least 5 renders, in
+    # the suite REPRO_BENCH_REGISTRY_OUT names.
+    suite = tmp_path / "registry.json"
+    python("-c", "import sys; sys.path.insert(0, 'benchmarks'); "
+           "import bench_report_registry as b; b.bench_cold_render()",
+           env={"REPRO_BENCH_REGISTRY_OUT": suite})
+    monkeypatch.syspath_prepend(ROOT / "benchmarks")
+    monkeypatch.syspath_prepend(ROOT / "perfbench")
+    from bench_report_registry import COLD_FIGURES, SEED
+    from workloads import CAMPAIGN_FIGURE, SIMULATED_FIGURES
+
+    from repro.compare import BenchSuiteResult, record_key
+
+    assert COLD_FIGURES == SIMULATED_FIGURES + (CAMPAIGN_FIGURE,)
+    records = BenchSuiteResult.load(suite).records
+    for fig in COLD_FIGURES:
+        key = record_key("report_registry_cold",
+                         {"figure": fig, "fidelity": "quick", "seed": SEED})
+        assert key in records, f"no cold-render record for {fig}"
+        runs = records[key].samples
+        assert len(runs) == 1 and len(runs[0]) >= 5, (fig, runs)

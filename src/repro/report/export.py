@@ -349,7 +349,7 @@ def figure_to_json(figure: Any, *, provenance: Any = None, indent: int | None = 
     )
     payload = {
         "figure": type(figure).__name__,
-        "data": _deep_jsonable(dataclasses.asdict(figure)),
+        "data": _deep_jsonable(figure),
         "provenance": _deep_jsonable(prov_dict),
     }
     return json.dumps(payload, indent=indent, allow_nan=False)
@@ -375,7 +375,8 @@ def _jsonable(value: Any) -> Any:
 
 
 def _deep_jsonable(value: Any) -> Any:
-    """Recursively convert numpy scalars/arrays inside containers."""
+    """Recursively convert numpy scalars/arrays inside containers, and
+    dataclass instances to the dicts ``dataclasses.asdict`` gives."""
     if type(value) is float:
         # The commonest leaf, tested before the slow Mapping ABC check.
         return value if math.isfinite(value) else NONFINITE_JSON
@@ -383,4 +384,8 @@ def _deep_jsonable(value: Any) -> Any:
         return {str(k): _deep_jsonable(v) for k, v in value.items()}
     if isinstance(value, (list, tuple)):
         return [_deep_jsonable(v) for v in value]
+    if dataclasses.is_dataclass(value) and not isinstance(value, type):
+        # Fields read in place: asdict would deep-copy them all first.
+        return {f.name: _deep_jsonable(getattr(value, f.name))
+                for f in dataclasses.fields(value)}
     return _jsonable(value)

@@ -27,6 +27,7 @@ regeneration guarantee, mechanized).
 
 from __future__ import annotations
 
+import contextlib
 import hashlib
 import json
 import os
@@ -39,7 +40,7 @@ import numpy as np
 from .._atomic import write_atomic
 from ..errors import ValidationError
 from .export import figure_to_json
-from .vega import vl_html, vl_to_json
+from .vega import _html_page, vl_to_json
 
 __all__ = [
     "ArtifactFormat",
@@ -164,11 +165,15 @@ def _canon(value: Any) -> Any:
 @dataclass(frozen=True)
 class ArtifactFormat:
     """One artifact a render writes: file suffix, HTTP content type, and
-    ``write(entry, figure, spec)`` returning the artifact's text."""
+    ``write(entry, figure, spec_json)`` returning the artifact's text.
+
+    *spec_json* is the figure's Vega-Lite spec as ``vl_to_json(spec,
+    indent=2)`` gives it, serialized once per render for every format.
+    """
 
     suffix: str
     content_type: str
-    write: Callable[[FigureEntry, Any, dict[str, Any]], str]
+    write: Callable[[FigureEntry, Any, str], str]
 
 
 _JSON = "application/json; charset=utf-8"
@@ -177,12 +182,12 @@ _JSON = "application/json; charset=utf-8"
 #: so that matching a file name against the suffixes in order finds the
 #: longer one first.
 FORMATS: dict[str, ArtifactFormat] = {f.suffix: f for f in (
-    ArtifactFormat("vl.json", _JSON, lambda e, fig, spec: vl_to_json(spec, indent=2)),
-    ArtifactFormat("json", _JSON, lambda e, fig, spec: figure_to_json(fig, indent=2)),
+    ArtifactFormat("vl.json", _JSON, lambda e, fig, spec_json: spec_json),
+    ArtifactFormat("json", _JSON, lambda e, fig, spec_json: figure_to_json(fig, indent=2)),
     ArtifactFormat("html", "text/html; charset=utf-8",
-                   lambda e, fig, spec: vl_html(spec, title=e.title)),
+                   lambda e, fig, spec_json: _html_page(spec_json, e.title)),
     ArtifactFormat("txt", "text/plain; charset=utf-8",
-                   lambda e, fig, spec: e.to_text(fig) + "\n"),
+                   lambda e, fig, spec_json: e.to_text(fig) + "\n"),
 )}
 
 
@@ -214,9 +219,11 @@ class FigureService:
     The cache layout is ``<dir>/<figure>/<key>.{json,vl.json,html,txt}``
     plus ``<dir>/<figure>/current`` naming the latest key.  A render whose
     key already has every artifact of :data:`FORMATS` is a *cache hit*:
-    the builder never runs, the bytes on disk are served as-is (and are
-    byte-identical to the first render, since every serialization here is
-    deterministic).
+    the builder never runs and the first render's bytes are served as
+    written.  Rendering a key again after the cache is wiped writes the
+    same ``.vl.json``, ``.html`` and ``.txt`` bytes (every serialization
+    here is deterministic), and a ``.json`` whose provenance block
+    (``created_at``, ``argv``) is new, under the same key and ETag.
     """
 
     def __init__(
@@ -332,27 +339,31 @@ class FigureService:
         if cached is not None:
             return cached
 
-        params = self.params_for(entry)
-        if entry.needs_campaign:
-            params["campaign"] = self.campaign
-        elif "seed" not in params:
-            params["seed"] = self.seed
-        if self.tracer is not None:
-            with self.tracer.span("figure-render", figure=name, key=key):
+        with self._span("figure-render", figure=name, key=key):
+            params = self.params_for(entry)
+            if entry.needs_campaign:
+                params["campaign"] = self.campaign
+            elif "seed" not in params:
+                params["seed"] = self.seed
+            with self._span("figure-build", figure=name):
                 figure = entry.build(**params)
-        else:
-            figure = entry.build(**params)
-        spec = entry.to_vega(figure)
+            spec_json = vl_to_json(entry.to_vega(figure), indent=2)
 
-        rendered = RenderedFigure(
-            name=name, key=key, cached=False, directory=self.cache_dir / name,
-        )
-        rendered.directory.mkdir(parents=True, exist_ok=True)
-        for fmt in FORMATS.values():
-            write_atomic(rendered.path(fmt.suffix), fmt.write(entry, figure, spec))
-        write_atomic(rendered.directory / "current", key + "\n")
+            rendered = RenderedFigure(
+                name=name, key=key, cached=False, directory=self.cache_dir / name,
+            )
+            rendered.directory.mkdir(parents=True, exist_ok=True)
+            for fmt in FORMATS.values():
+                write_atomic(rendered.path(fmt.suffix), fmt.write(entry, figure, spec_json))
+            write_atomic(rendered.directory / "current", key + "\n")
         self._count("repro_serve_renders_total")
         return rendered
+
+    def _span(self, name: str, **attrs: Any) -> Any:
+        """A span of the service's tracer around a block; none without one."""
+        if self.tracer is None:
+            return contextlib.nullcontext()
+        return self.tracer.span(name, **attrs)
 
     def _count(self, metric: str) -> None:
         if self.metrics is not None:

@@ -558,13 +558,19 @@ def vl_html(spec: Mapping[str, Any], *, title: str | None = None) -> str:
     blank.  The embedded JSON is the strict serialization, making the
     HTML bytes a pure function of the spec.
     """
-    spec_json = vl_to_json(spec, indent=2)
-    page_title = title or str(spec.get("title", "figure"))
+    return _html_page(
+        vl_to_json(spec, indent=2), title or str(spec.get("title", "figure"))
+    )
+
+
+def _html_page(spec_json: str, title: str) -> str:
+    """The page of :func:`vl_html` around an already serialized spec
+    (``vl_to_json(spec, indent=2)``)."""
     escaped = (
         spec_json.replace("&", "&amp;").replace("<", "&lt;").replace(">", "&gt;")
     )
     return _HTML_TEMPLATE.format(
-        title=page_title.replace("<", "&lt;"),
+        title=title.replace("<", "&lt;"),
         spec_json=spec_json.replace("</", "<\\/"),
         spec_escaped=escaped,
         surface=SURFACE,

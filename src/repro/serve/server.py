@@ -277,8 +277,9 @@ class FigureServer:
         self._builds: dict[str, asyncio.Future] = {}
 
     async def start(self) -> None:
+        # The stream refuses a head longer than the limit while reading it.
         self._server = await asyncio.start_server(
-            self._handle_conn, self.host, self.port
+            self._handle_conn, self.host, self.port, limit=_MAX_REQUEST_BYTES
         )
         self.port = self._server.sockets[0].getsockname()[1]
 
@@ -360,10 +361,10 @@ class FigureServer:
     ) -> None:
         try:
             raw = await reader.readuntil(b"\r\n\r\n")
-        except (asyncio.IncompleteReadError, asyncio.LimitOverrunError):
+        except asyncio.IncompleteReadError:
             writer.close()
             return
-        if len(raw) > _MAX_REQUEST_BYTES:
+        except asyncio.LimitOverrunError:
             writer.write(Response.error(400, "request too large").encode())
             await writer.drain()
             writer.close()

@@ -8,6 +8,7 @@ blocks of the report layer's density/violin plots.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from typing import Iterable, Literal
 
@@ -21,6 +22,11 @@ __all__ = ["bandwidth", "GaussianKDE", "Histogram", "histogram", "ecdf"]
 _SQRT_2PI = float(np.sqrt(2.0 * np.pi))
 #: Kernel terms per :meth:`GaussianKDE.__call__` chunk (256 KiB of float64).
 _CHUNK_ELEMENTS = 32_768
+#: Bandwidths beyond which a kernel term is exactly 0.0: ``exp(x)`` rounds
+#: to zero in float64 below ``ln(2**-1075)`` (about -745.13), that is for
+#: ``|z| > 38.6``.  The ceiling is the margin: an integer reach times the
+#: bandwidth rounds by at most half an ulp, subnormal bandwidths included.
+_REACH = math.ceil(math.sqrt(2 * 1075 * math.log(2)))
 
 
 def bandwidth(
@@ -59,6 +65,12 @@ class GaussianKDE:
     points: np.ndarray
     h: float
 
+    def __post_init__(self) -> None:
+        # Evaluation windows the points by binary search; from_sample
+        # already sorts them.
+        if np.any(self.points[1:] < self.points[:-1]):
+            object.__setattr__(self, "points", np.sort(self.points))
+
     @classmethod
     def from_sample(
         cls,
@@ -80,16 +92,38 @@ class GaussianKDE:
     def __call__(self, at: Iterable[float]) -> np.ndarray:
         """Estimated density at each evaluation point (vectorized)."""
         grid = np.atleast_1d(np.asarray(at, dtype=np.float64))
+        points = self.points
         # Chunks of about _CHUNK_ELEMENTS kernel terms keep the temporaries
         # in cache.  Each grid row sums on its own, so the result does not
         # depend on the chunk size.
         out = np.empty(grid.size)
-        chunk = max(1, _CHUNK_ELEMENTS // max(self.points.size, 1))
+        chunk = max(1, _CHUNK_ELEMENTS // max(points.size, 1))
+        terms = np.empty((min(chunk, grid.size), points.size))
+        # Only the points within _REACH bandwidths of a chunk's rows get an
+        # exp(); the rest are set to the 0.0 it would return.  Rows still
+        # sum over every point, so the sums are bit-identical to evaluating
+        # every term.  A NaN row keeps every term, as its sum is NaN.
+        below, above = grid - _REACH * self.h, grid + _REACH * self.h
+        lows = np.searchsorted(points, below, side="left")
+        highs = np.searchsorted(points, above, side="right")
+        nan = np.isnan(below) | np.isnan(above)
+        lows[nan], highs[nan] = 0, points.size
+        lows, highs = lows.tolist(), highs.tolist()
         for start in range(0, grid.size, chunk):
-            g = grid[start : start + chunk, None]
-            z = (g - self.points[None, :]) / self.h
-            out[start : start + chunk] = np.exp(-0.5 * z * z).sum(axis=1)
-        out /= self.points.size * self.h * _SQRT_2PI
+            stop = min(start + chunk, grid.size)
+            lo, hi = min(lows[start:stop]), max(highs[start:stop])
+            rows = terms[: stop - start]
+            rows[:, :lo] = 0.0
+            rows[:, hi:] = 0.0
+            # -0.5 * z * z, computed in place in the order it is written.
+            z = np.subtract(grid[start:stop, None], points[None, lo:hi])
+            z /= self.h
+            window = rows[:, lo:hi]
+            np.multiply(z, -0.5, out=window)
+            window *= z
+            np.exp(window, out=window)
+            out[start:stop] = rows.sum(axis=1)
+        out /= points.size * self.h * _SQRT_2PI
         return out
 
     def grid(self, n: int = 256, pad: float = 3.0) -> tuple[np.ndarray, np.ndarray]:

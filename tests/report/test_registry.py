@@ -245,6 +245,35 @@ class TestConcurrentColdRender:
             assert current.read_text(encoding="utf-8") == serial.key + "\n"
 
 
+class TestRenderSpans:
+    def test_one_cold_render_traces_build_and_writes(self, tmp_path, monkeypatch):
+        import repro.report.registry as registry
+        from repro.obs import Tracer
+
+        tracer = Tracer()
+        writes = []  # the span open at each artifact write
+        real = registry.write_atomic
+
+        def spying(path, text):
+            writes.append(tracer.current_span_id)
+            return real(path, text)
+
+        monkeypatch.setattr(registry, "write_atomic", spying)
+        svc = FigureService(tmp_path, quick=True, seed=0, tracer=tracer)
+        fig = svc.render("fig7ab_bounds")
+        build, render = tracer.finished
+        assert (build.name, render.name) == ("figure-build", "figure-render")
+        assert render.parent_id is None and build.parent_id == render.span_id
+        assert render.attrs == {"figure": "fig7ab_bounds", "key": fig.key}
+        assert build.attrs == {"figure": "fig7ab_bounds"}
+        # Every artifact and the current pointer are written inside the
+        # render span, after the build.
+        assert writes == [render.span_id] * (len(FORMATS) + 1)
+        assert build.wall_s < render.wall_s
+        assert svc.render("fig7ab_bounds").cached
+        assert len(tracer.finished) == 2  # a cache hit opens no span
+
+
 class TestCampaignFigures:
     def test_render_needs_a_campaign(self, tmp_path):
         svc = FigureService(tmp_path / "cache", quick=True)
@@ -565,3 +594,82 @@ class TestDescribe:
         for _ in range(2):
             assert handle_request(svc, "GET", "/figures").status == 200
         assert sorted(keyed) == sorted(SIMULATED + CAMPAIGN * 2)
+
+
+def _golden_render(tmp_path):
+    """Every registry entry rendered at quick fidelity, seed 0, with a
+    fixed provenance block: ``{name: (key, artifact digests in FORMATS
+    order)}``."""
+    from repro.obs import Provenance
+
+    fixed = Provenance(created_at="2026-01-01T00:00:00+00:00")
+    camp = Campaign.create(tmp_path / "camp", name="traj")
+    _record(camp, "latency", 1.0)
+    _record(camp, "bandwidth", 2.0)
+    svc = FigureService(tmp_path / "cache", campaign=camp, quick=True, seed=0)
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(Provenance, "capture", classmethod(lambda cls, **kw: fixed))
+        renders = {name: svc.render(name) for name in sorted(FIGURES)}
+    return {
+        name: (r.key, tuple(
+            hashlib.blake2b(r.path(fmt).read_bytes(), digest_size=6).hexdigest()
+            for fmt in FORMATS
+        ))
+        for name, r in renders.items()
+    }
+
+
+#: One digest over every entry's content key.
+GOLDEN_KEYS = "2ff70b811564edd5"
+#: Each entry's artifacts, in FORMATS order.
+GOLDEN_ARTIFACTS = {
+    "ablation_batching": ("467081a43ef5", "d809912a3ac6", "5ae52345e868", "4bd8189c832d"),
+    "ablation_cache": ("e985ee06b0e8", "63b64f609ec3", "c63cab417b88", "aaab528fcc8a"),
+    "ablation_ci": ("f93b004b1b4c", "729356aa925a", "5598e39100f5", "e9248c8769ac"),
+    "ablation_interaction": ("6a680ecf298f", "0e2e2755dc52", "f4904700f085", "48343458e319"),
+    "ablation_means": ("6ed5446dbdb1", "1344b5070493", "85d3d45c3b3f", "9b50bd120a7c"),
+    "ablation_outliers": ("ff9b55ba430c", "9c69834f29b9", "a2b64a9e8706", "c783d6e5c75d"),
+    "ablation_refinement": ("a8c24c0232a8", "d45b76b1fd9f", "3e70d01c5aee", "32fa1a3fe46a"),
+    "ablation_stopping": ("37aed3c6905c", "641953521cdf", "95f4b8789c0d", "77bf2b988d4d"),
+    "ablation_sync": ("d1ed9fa1ba3d", "5c810c62efe2", "61da5416edb6", "ce2be9610690"),
+    "ablation_timer": ("3be55e6d9c3e", "a373e32ec804", "c0f2aec39bdc", "08fbb8d94c72"),
+    "campaign_trajectory": ("f9191b88023b", "8209d1c9d9fe", "23bc54351743", "cf4665a862be"),
+    "chaos_degradation": ("ac59d3933c5c", "ccaeb0928b1f", "bb57f25a0d72", "28e8fa8b4bdd"),
+    "extension_energy": ("4f4671b776b2", "80fd03b500d4", "e54eb609a9cf", "e489e67674e1"),
+    "extension_noise": ("4c0c57a8f47c", "fce081c2d547", "90d13af8fe21", "ee5d312f3740"),
+    "extension_screening": ("a9343a548869", "6b0be1f34a1c", "cc2a2cffdbb8", "a94c694dafb8"),
+    "extension_variability": ("673aaeec6d4d", "6a4cf9e5bbda", "f44d8e146b84", "30ee50f87474"),
+    "extension_weak_scaling": ("96e2e64badd5", "4d9e94afe267", "2c66cdd4bbcc", "26fa1a37c4c7"),
+    "fig1_hpl": ("094d84f8e39f", "c7456a0b9e13", "0a27d60a740a", "b3cb36da6879"),
+    "fig2_normalization": ("6224aa1bff2a", "d4ea048d16a5", "d3c9ee782da8", "d4c2d52eaaa3"),
+    "fig3_significance": ("f5e355be004e", "fd000e2cb37b", "df474a1c6f70", "6d5627ee3852"),
+    "fig4_quantreg": ("38dedd06d7ca", "954564f5e4ab", "c566282174cb", "9868874d0a61"),
+    "fig5_reduce": ("d09bd6736f82", "94f5e14f3c7f", "713f6084709d", "f35452c6a9ac"),
+    "fig6_rank_variation": ("82b6b0d87563", "bcb55b179015", "36e04d580d84", "73fd8f91e249"),
+    "fig7ab_bounds": ("298be5eb3368", "5ed9000efc76", "2ca4fe0f2482", "586fd0df52b7"),
+    "fig7c_distribution": ("f79ff3270f65", "c8ff87ca98fa", "bc0bcd288aa8", "9c7414dd3364"),
+    "means_example": ("c430fc69a711", "5b794159f955", "d023c01b1bca", "ec931d9f2ef8"),
+    "netmodel_fit": ("9b37d1e4e7bf", "b3a33ac7404d", "4bb83014b1e2", "bdd5f4f8231f"),
+    "scale_collectives": ("a0341f80d008", "e1e79b95abe2", "3184bcb42a2c", "d5541e693a72"),
+    "table1_survey": ("2fde41896e63", "b0da387f624a", "628921da4ec3", "ae2927f19156"),
+}
+
+
+class TestGoldenArtifacts:
+    """Every artifact of every registry entry, pinned byte for byte: a
+    change to the render path (serialization, KDE, HTML page) must not
+    move a served byte, a content key or an ETag.  Taken at quick
+    fidelity on x86-64 with numpy 2; another libm may move the digests
+    of figures that call ``np.exp``."""
+
+    def test_artifact_and_key_digests(self, tmp_path):
+        got = _golden_render(tmp_path)
+        keys = hashlib.blake2b(digest_size=8)
+        for name, (key, _) in sorted(got.items()):
+            keys.update(f"{name}={key};".encode())
+        changed = sorted(
+            name for name, (_, digests) in got.items()
+            if GOLDEN_ARTIFACTS.get(name) != digests
+        )
+        assert changed == [] and set(got) == set(GOLDEN_ARTIFACTS)
+        assert keys.hexdigest() == GOLDEN_KEYS

@@ -44,7 +44,7 @@ def test_every_study_is_registered_as_a_table():
 @pytest.mark.parametrize("name", FIXED)
 def test_committed_result_matches_a_fresh_render(name):
     entry = FIGURES[name]
-    text = FORMATS["txt"].write(entry, build(name), {})
+    text = FORMATS["txt"].write(entry, build(name), "")
     assert text == (RESULTS / f"{name}.txt").read_text(encoding="utf-8")
 
 

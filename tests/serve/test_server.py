@@ -11,6 +11,7 @@ from __future__ import annotations
 
 import asyncio
 import json
+import socket
 import threading
 import time
 import urllib.error
@@ -242,6 +243,22 @@ class TestSocketIntegration:
         with pytest.raises(urllib.error.HTTPError) as exc:
             urllib.request.urlopen(f"{live.url}/figures/nope.json", timeout=10)
         assert exc.value.code == 404
+
+    @pytest.mark.parametrize("pad", [20 * 1024, 70 * 1024])
+    def test_oversized_head_gets_a_400(self, live, pad):
+        # 70 KiB is past the stream's default 64-KiB read limit: the
+        # bound has to hold while the head is read.
+        head = b"GET /health HTTP/1.1\r\nX-Pad: " + b"a" * pad + b"\r\n\r\n"
+        with socket.create_connection(("127.0.0.1", live.port), timeout=10) as conn:
+            conn.sendall(head)
+            reply = b""
+            try:
+                while chunk := conn.recv(65536):
+                    reply += chunk
+            except ConnectionResetError:
+                pass  # closed with part of the head unread, after the 400
+        assert reply.startswith(b"HTTP/1.1 400 ")
+        assert b"request too large" in reply
 
 
 # ------------------------------------------------ the threading contract

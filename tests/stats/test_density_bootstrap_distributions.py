@@ -20,6 +20,20 @@ from repro.stats import (
 )
 
 
+def _dense_kde(kde, at):
+    """The dense oracle: every kernel term of every grid row exp'd, none
+    skipped, summed in the chunks ``GaussianKDE.__call__`` uses."""
+    grid = np.atleast_1d(np.asarray(at, dtype=np.float64))
+    out = np.empty(grid.size)
+    chunk = max(1, 32_768 // max(kde.points.size, 1))
+    for start in range(0, grid.size, chunk):
+        g = grid[start : start + chunk, None]
+        z = (g - kde.points[None, :]) / kde.h
+        out[start : start + chunk] = np.exp(-0.5 * z * z).sum(axis=1)
+    out /= kde.points.size * kde.h * float(np.sqrt(2.0 * np.pi))
+    return out
+
+
 class TestBandwidth:
     def test_scott_vs_silverman(self, normal_sample):
         assert bandwidth(normal_sample, "silverman") < bandwidth(normal_sample, "scott")
@@ -73,6 +87,37 @@ class TestKDE:
         kde = GaussianKDE(points=np.sort(np.array(points)), h=h)
         rows = np.concatenate([kde([x]) for x in at])
         assert np.array_equal(kde(at), rows)
+
+    @settings(max_examples=60, deadline=None)
+    @given(
+        points=st.lists(st.floats(-1e3, 1e3), min_size=1, max_size=3000),
+        near=st.lists(st.floats(-1e3, 1e3), max_size=80),
+        far=st.lists(st.floats(-1e7, 1e7), max_size=20),
+        # Bandwidths past the data's edges, near where terms underflow.
+        edge=st.lists(st.floats(30.0, 45.0), max_size=20),
+        h=st.floats(1e-3, 1e2),
+    )
+    def test_bit_identical_to_the_dense_oracle(self, points, near, far, edge, h):
+        kde = GaussianKDE(points=np.sort(np.array(points)), h=h)
+        lo, hi = kde.points[0], kde.points[-1]
+        at = near + far + [lo - e * h for e in edge] + [hi + e * h for e in edge]
+        dense = _dense_kde(kde, at)
+        assert np.array_equal(kde(at), dense)
+        # One row at a time, each row's window is its own.
+        assert np.array_equal([kde([x])[0] for x in at], dense)
+
+    def test_bit_identical_where_terms_underflow(self, rng):
+        # Rows 35-45 bandwidths past the data, where the nearest terms
+        # fall from subnormal to exactly 0.0; eight rows to a chunk, and a
+        # normalization (n * h * sqrt(2 pi) < 1) that keeps subnormal sums.
+        kde = GaussianKDE(points=np.sort(rng.normal(0.0, 1.0, 4096)), h=5e-5)
+        offsets = np.linspace(35.0, 45.0, 1001) * kde.h
+        xs = np.concatenate([kde.points[0] - offsets, kde.points[-1] + offsets])
+        assert np.array_equal(kde(xs), _dense_kde(kde, xs))
+
+    def test_unsorted_points_are_sorted(self):
+        kde = GaussianKDE(points=np.array([3.0, 1.0, 2.0]), h=0.5)
+        assert kde.points.tolist() == [1.0, 2.0, 3.0]
 
     def test_subsampling_cap(self, rng):
         data = rng.normal(0, 1, 50_000)
