@@ -25,6 +25,11 @@ FULL = os.environ.get("REPRO_BENCH_FULL", "") not in ("", "0", "false")
 #: Machine-readable benchmark results, merged across runs (repo root).
 BENCH_JSON = Path(__file__).resolve().parent.parent / "BENCH_repro.json"
 
+#: The suite the figure-registry benches (``bench_report_registry`` and
+#: ``bench_figures``) record into: ``REPRO_BENCH_REGISTRY_OUT`` when set
+#: (a gate's scratch file), else :data:`BENCH_JSON`.
+REGISTRY_OUT = os.environ.get("REPRO_BENCH_REGISTRY_OUT") or BENCH_JSON
+
 
 def fidelity(full_n: int, quick_n: int) -> int:
     """Pick the sample count for the current fidelity mode."""

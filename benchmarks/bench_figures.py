@@ -10,7 +10,8 @@ one:
 * writes the entry's text summary, byte for byte the ``.txt`` artifact
   ``repro render <name>`` writes at the same fidelity;
 * appends the round times to ``BENCH_repro.json`` as a
-  ``figure_build`` record.
+  ``figure_build`` record (to ``REPRO_BENCH_REGISTRY_OUT`` instead when
+  that is set, as the CI gate sets it).
 
 ``REPRO_BENCH_FULL=1`` builds with each entry's full ``params``, and
 ``record_result`` writes the text to the committed
@@ -26,7 +27,7 @@ formats and any assertion about the numbers live in the registry and
 from __future__ import annotations
 
 import pytest
-from _bench_utils import FULL, record_bench
+from _bench_utils import FULL, REGISTRY_OUT, record_bench
 
 from repro.report.registry import FIGURES, FORMATS, FigureService
 
@@ -46,4 +47,5 @@ def test_figure_build(name, benchmark, record_result, tmp_path):
         "figure_build",
         {"figure": name, "fidelity": "full" if FULL else "quick"},
         benchmark.stats.stats.data,
+        path=REGISTRY_OUT,
     )

@@ -58,7 +58,7 @@ import threading
 import time
 
 import numpy as np
-from _bench_utils import FULL, record_bench
+from _bench_utils import FULL, REGISTRY_OUT, record_bench
 
 from repro.core import Campaign, Experiment, Factor, FactorialDesign, MeasurementSet
 from repro.exec import ExecHooks
@@ -66,7 +66,6 @@ from repro.report import render_table
 from repro.report.registry import FigureService
 from repro.serve import FigureServer, handle_request
 
-OUT_PATH = os.environ.get("REPRO_BENCH_REGISTRY_OUT") or None
 FIGURES = ("fig7ab_bounds", "fig6_rank_variation")
 CACHED_REPS = 50
 #: The figures perfbench's serve phase builds cold, in its order.
@@ -144,7 +143,7 @@ def bench_cold_render(reps=COLD_REPS):
         shutil.rmtree(workdir, ignore_errors=True)
     for name in COLD_FIGURES:
         record_bench("report_registry_cold", _params(name), samples[name],
-                     metadata={"key": keys[name]}, path=OUT_PATH)
+                     metadata={"key": keys[name]}, path=REGISTRY_OUT)
     rows = [[name, f"{sorted(run)[len(run) // 2] * 1e3:.1f}"]
             for name, run in samples.items()]
     total = sum(sorted(run)[len(run) // 2] for run in samples.values())
@@ -171,7 +170,7 @@ def bench_registry():
 
             record_bench(
                 "report_registry_cached", _params(name), cached_samples,
-                metadata={"key": first.key}, path=OUT_PATH,
+                metadata={"key": first.key}, path=REGISTRY_OUT,
             )
             cached_s = sorted(cached_samples)[len(cached_samples) // 2]
             rows.append([name, f"{cached_s * 1e6:.0f}"])
@@ -206,7 +205,7 @@ def bench_campaign_request(datasets, values, spill_rows):
             },
             samples,
             metadata={"etag": warm.headers["ETag"].strip('"')},
-            path=OUT_PATH,
+            path=REGISTRY_OUT,
         )
     finally:
         shutil.rmtree(workdir, ignore_errors=True)
@@ -293,7 +292,7 @@ def bench_serve_warm_request(runs=SERVE_RUNS, samples=SERVE_SAMPLES):
                 {"requests": len(requests), "mix": "perfbench"},
                 run,
                 metadata={"figures": list(SERVE_FIGURES)},
-                path=OUT_PATH,
+                path=REGISTRY_OUT,
             )
             per_request.extend(run)
     finally:
@@ -346,7 +345,7 @@ def bench_campaign_rerun():
                 "spill_rows": RERUN_SPILL_ROWS,
             },
             samples,
-            path=OUT_PATH,
+            path=REGISTRY_OUT,
         )
     finally:
         shutil.rmtree(workdir, ignore_errors=True)

@@ -2,10 +2,11 @@
 
 The observability smoke, the kernel benchmark smoke and the coverage of
 its records, and the figure bench leaving the committed results alone.
-The kernel smoke writes its records to ``kernels/kernels.json`` under
-the base temporary directory; the figure bench merges its records into
-the tracked ``BENCH_repro.json``.  CI uploads both; restore the tracked
-file with ``git checkout BENCH_repro.json`` after a local run.
+Both benches write their records under the base temporary directory:
+the kernel smoke to ``kernels/kernels.json``, the figure bench (through
+``REPRO_BENCH_REGISTRY_OUT``) to ``figures.json`` in its test's
+directory.  CI uploads them; the tracked ``BENCH_repro.json`` stays as
+committed.
 """
 
 from __future__ import annotations
@@ -81,12 +82,17 @@ def test_kernel_records_cover_both_kernels(kernel_smoke, kernel_suite, monkeypat
 def test_figure_bench_leaves_committed_results_alone(tmp_path):
     # Every registry entry that needs no campaign (Table 1, the figures,
     # and the ablation and extension studies) at quick fidelity: the
-    # texts go to pytest's tmp_path, so the committed full-fidelity
-    # benchmarks/results/ must come out of the run unchanged.
+    # texts go to pytest's tmp_path and the records to figures.json
+    # beside it, so the committed full-fidelity benchmarks/results/ and
+    # BENCH_repro.json must come out of the run unchanged.
+    suite = tmp_path / "figures.json"
     python("-m", "pytest", "benchmarks/bench_figures.py", "-q",
-           "--basetemp", tmp_path)
+           "--basetemp", tmp_path / "bench",
+           env={"REPRO_BENCH_REGISTRY_OUT": suite})
+    assert suite.stat().st_size > 0
     diff = subprocess.run(
-        ["git", "diff", "--exit-code", "--stat", "benchmarks/results"],
+        ["git", "diff", "--exit-code", "--stat", "benchmarks/results",
+         "BENCH_repro.json"],
         cwd=ROOT, capture_output=True, text=True,
     )
     assert diff.returncode == 0, diff.stdout + diff.stderr

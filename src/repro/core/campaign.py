@@ -56,14 +56,15 @@ from .._atomic import write_atomic
 from ..errors import FormatError, IntegrityError, ValidationError
 from ..exec import ExecHooks, Executor, ResultCache
 from ..stats.compare import GroupComparison, compare_groups
+from ..store.store import manifest_bytes
 from .environment import EnvironmentSpec
 from .measurement import MeasurementSet
 
 __all__ = ["Campaign", "FORMAT"]
 
 #: The on-disk format ``campaign.json`` records.  Format 2: every index
-#: entry records its file digest, dataset files hold no run fields, and
-#: the store is at schema 2 (:data:`repro.store.STORE_SCHEMA_VERSION`).
+#: entry records its file digest and dataset files hold no run fields.
+#: The store records its own schema (:data:`repro.store.STORE_SCHEMA_VERSION`).
 #: An index without a ``format`` field is older.
 FORMAT = 2
 
@@ -297,7 +298,7 @@ class Campaign:
         changed: list[tuple[str, str]] = []
         namespace = self.dataset_namespace
         spilling = any(rows is not None for _, rows in sets)
-        store = self.store() if spilling else None
+        store = self._writable_store() if spilling else None
         try:
             for ms, spill_rows in sets:
                 file = f"{_slug(ms.name)}.json"
@@ -388,13 +389,14 @@ class Campaign:
         """The store handle :meth:`load` reads through, or None without a
         store.
 
-        The handle (one manifest parse) is reused while the manifest
-        bytes are unchanged.  Writers use their own :meth:`store`.
+        The handle (one manifest parse) is reused while the bytes of the
+        store's checkpoint and journal are unchanged.  Writers use their
+        own :meth:`store`.
         """
-        try:
-            return self._parse(_MANIFEST, lambda _: self.store())[1]
-        except FileNotFoundError:
+        raw = manifest_bytes(os.path.join(self.path, "store"))
+        if raw is None:
             return None
+        return self._parse(_MANIFEST, lambda _: self.store(), raw)[1]
 
     def environment(self) -> EnvironmentSpec:
         """The environment description recorded at campaign creation."""
@@ -418,6 +420,16 @@ class Campaign:
         kwargs = {} if shard_rows is None else {"shard_rows": shard_rows}
         return ShardStore(self.path / "store", **kwargs)
 
+    def _writable_store(self):
+        """:meth:`store`, after upgrading a store in an older format."""
+        try:
+            return self.store()
+        except FormatError:
+            from .upgrade import upgrade
+
+            upgrade(self.path)
+            return self.store()
+
     def has_store(self) -> bool:
         """True when this campaign directory has a shard store."""
         # os.path: load asks once per dataset, at half pathlib's cost.
@@ -435,10 +447,11 @@ class Campaign:
         if spill_rows is None:
             # Existing spilled entries must stay readable even when the
             # caller did not ask for spilling on this run.
-            store = self.store() if self.has_store() else None
+            store = self._writable_store() if self.has_store() else None
             return ResultCache(self.path / "cache", spill_store=store)
         return ResultCache(
-            self.path / "cache", spill_store=self.store(), spill_rows=spill_rows
+            self.path / "cache", spill_store=self._writable_store(),
+            spill_rows=spill_rows,
         )
 
     def run(

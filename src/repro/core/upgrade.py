@@ -4,11 +4,12 @@ The one reader of older on-disk formats: every other reader accepts only
 the current one (:data:`repro.core.campaign.FORMAT`,
 :data:`repro.store.STORE_SCHEMA_VERSION`) and raises
 :class:`~repro.errors.FormatError`.  In one pass of ``write_atomic``
-writes it digests store entries that record none, moves name-only
-dataset keys to namespaced ones, splits inline run fields out into
-``runs.json``, records the index digests and stamps the format -- last,
-so an upgrade cut short is simply run again (docs/STORE.md tabulates the
-generations).  A current tree is left alone, byte for byte.
+writes it digests store entries that record none, checks and drops the
+shard digests, moves name-only dataset keys to namespaced ones, splits
+inline run fields out into ``runs.json``, records the index digests and
+stamps the format -- last, so an upgrade cut short is simply run again
+(docs/STORE.md tabulates the generations).  A current tree is left
+alone, byte for byte.
 """
 
 from __future__ import annotations
@@ -20,7 +21,7 @@ from pathlib import Path
 from .._atomic import write_atomic
 from ..errors import ReproError, ValidationError
 from ..report.export import dataset_fingerprint, measurements_from_json, split_run_fields
-from ..store.shard import open_shard
+from ..store.shard import open_shard, payload_digest
 from ..store.store import STORE_SCHEMA_VERSION, _values_digest
 from .campaign import _INDEX, Campaign, _digest, _read
 
@@ -40,10 +41,13 @@ def upgrade(path: str | Path) -> bool:
 
 
 def _upgrade_store(path: Path, moves: dict[str, tuple[str, str]]) -> bool:
-    """Upgrade a manifest at schema 1, the only older one: apply *moves*
-    (old key -> new key, namespace), digest every entry and stamp the
-    schema.  An entry whose shard cannot be read is dropped, as a read
-    through the store would quarantine it."""
+    """Upgrade a manifest at schema 1 or 2: apply *moves* (old key -> new
+    key, namespace), check each sealed shard against the payload digest
+    it records and drop that digest, digest every entry and stamp the
+    schema.  A shard that fails its check is moved aside as
+    ``<name>.corrupt`` and its entries dropped, as ``verify`` would; an
+    entry whose shard cannot be read is dropped, as a read through the
+    store would quarantine it."""
     manifest = path / "manifest.json"
     if not manifest.exists():
         return False
@@ -51,19 +55,36 @@ def _upgrade_store(path: Path, moves: dict[str, tuple[str, str]]) -> bool:
         payload = json.loads(manifest.read_bytes())
     except ValueError:
         return False  # torn: the next ShardStore open quarantines it
-    if payload.get("schema_version") != 1:
+    if payload.get("schema_version") not in (1, 2):
         return False  # current, or not ours to read: ShardStore says which
     entries = payload["entries"]
     for old, (new, namespace) in moves.items():
         if old in entries:
             entry = entries[new] = entries.pop(old)
             entry["metadata"] = {**entry["metadata"], "namespace": namespace}
-    rows = {name: spec["rows"] for name, spec in payload["shards"].items()}
+    shards = payload["shards"]
+    for name, spec in list(shards.items()):
+        digest = spec.pop("digest", None)
+        if not spec.get("sealed") or digest is None:
+            continue
+        try:
+            intact = payload_digest(path / name, spec["rows"]) == digest
+        except (ValidationError, OSError):
+            intact = False
+        if not intact:
+            del shards[name]
+            try:
+                (path / name).replace(path / f"{name}.corrupt")
+            except OSError:
+                pass
+    rows = {name: spec["rows"] for name, spec in shards.items()}
     for fp, entry in list(entries.items()):
-        if entry.get("digest") is None:
+        if entry.get("shard") not in rows:
+            del entries[fp]
+        elif entry.get("digest") is None:
             try:
                 column = open_shard(path / entry["shard"], rows[entry["shard"]])
-            except (KeyError, ValidationError, OSError):
+            except (ValidationError, OSError):
                 del entries[fp]
                 continue
             start = entry["offset"]
@@ -75,14 +96,17 @@ def _upgrade_store(path: Path, moves: dict[str, tuple[str, str]]) -> bool:
 
 
 def _upgrade_campaign(path: Path) -> bool:
-    """Upgrade an unstamped campaign.  A dataset it cannot load (its file
-    missing, unparsable or changed after the index recorded its digest,
-    or its store entry gone) is carried forward as it is, so that one
-    alone fails to load and ``record(overwrite=True)`` repairs it."""
+    """Upgrade a campaign (a stamped one only in its store).  A dataset
+    an unstamped campaign's upgrade cannot load (its file missing,
+    unparsable or changed after the index recorded its digest, or its
+    store entry gone) is carried forward as it is, so that one alone
+    fails to load and ``record(overwrite=True)`` repairs it."""
     raw = _read(path / _INDEX)
     payload = json.loads(raw)
     if "format" in payload:
-        return False  # stamped: current, or newer for its readers to refuse
+        # Stamped: current, or newer for its readers to refuse.  The store
+        # records its own schema, so only it may be older.
+        return _upgrade_store(path / "store", {})
     camp = Campaign(path=path, name=payload["name"],
                     environment_fields=payload.get("environment", {}))
     datasets = {d["name"]: d for d in payload.get("datasets", [])}

@@ -42,20 +42,15 @@ def store_table(store) -> str:
         f"({_fmt_bytes(s.bytes)}, schema v{s.schema_version})"
     )
     rows = [
-        [
-            sh["file"],
-            str(sh["rows"]),
-            "sealed" if sh["sealed"] else "open",
-            (sh["digest"] or "-")[:16],
-        ]
+        [sh["file"], str(sh["rows"]), "sealed" if sh["sealed"] else "open"]
         for sh in store.shards()
     ]
     if not rows:
         return title + "\n(empty store)"
     return render_table(
-        ["shard", "rows", "state", "digest"],
+        ["shard", "rows", "state"],
         rows,
-        aligns=["l", "r", "l", "l"],
+        aligns=["l", "r", "l"],
         title=title,
     )
 

@@ -35,6 +35,11 @@ __all__ = ["Response", "handle_request", "FigureServer", "run_server"]
 _SERVER_NAME = "repro-serve"
 _MAX_REQUEST_BYTES = 16 * 1024
 
+#: What the server reads and drops of an oversized request after its 400,
+#: at most, before it closes the connection anyway.
+_DISCARD_BYTES = 4 * 1024 * 1024
+_DISCARD_S = 5.0
+
 _STATUS_TEXT = {
     200: "OK",
     304: "Not Modified",
@@ -367,7 +372,7 @@ class FigureServer:
         except asyncio.LimitOverrunError:
             writer.write(Response.error(400, "request too large").encode())
             await writer.drain()
-            writer.close()
+            await self._discard_then_close(reader, writer)
             return
         try:
             head = raw.decode("latin-1")
@@ -387,6 +392,32 @@ class FigureServer:
         response = await self._respond(method, path, headers)
         writer.write(response.encode(head_only=(method == "HEAD")))
         await writer.drain()
+        writer.close()
+
+    @staticmethod
+    async def _discard_then_close(
+        reader: asyncio.StreamReader, writer: asyncio.StreamWriter
+    ) -> None:
+        """Half-close after a reply sent before the request was read, and
+        drop what the client still sends before closing.
+
+        Closing a socket with unread bytes makes the kernel send a reset,
+        which can destroy the reply before the client reads it.  The
+        client gets the reply and EOF at once; the rest of its request is
+        read until it stops sending, or until :data:`_DISCARD_BYTES` or
+        :data:`_DISCARD_S` run out.
+        """
+
+        async def discard() -> None:
+            left = _DISCARD_BYTES
+            while left > 0 and (chunk := await reader.read(min(left, 1 << 16))):
+                left -= len(chunk)
+
+        try:
+            writer.write_eof()
+            await asyncio.wait_for(discard(), _DISCARD_S)
+        except (asyncio.TimeoutError, ConnectionError):
+            pass
         writer.close()
 
 

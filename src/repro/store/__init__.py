@@ -1,8 +1,9 @@
 """Out-of-core columnar result storage (ROADMAP item 3).
 
 ``repro.store`` keeps raw measurement columns on disk in append-only
-``.npy`` shard segments with a manifest of content-addressed entries and
-per-shard BLAKE2 integrity digests, so campaigns whose samples exceed RAM
+``.npy`` shard segments with a manifest (a checkpoint plus an append
+journal) of content-addressed entries, each with the BLAKE2 digest of its
+values, so campaigns whose samples exceed RAM
 still satisfy the paper's Rule 4: the full distribution survives to
 analysis time and is read back lazily (memory-mapped) in bounded chunks.
 

@@ -15,13 +15,12 @@ a raw format) is that every sealed shard is loadable by stock
 the store's manifest adds integrity and addressing on top, it is not
 required to read the data back.
 
-Integrity is a BLAKE2b digest over the *payload* bytes (everything after
-the header), chunked so digesting a multi-gigabyte shard never buffers
-more than :data:`DIGEST_CHUNK` bytes.  The header is excluded on purpose:
-the same payload must digest identically before and after sealing, so a
-crash between "last append" and "seal" cannot silently invalidate data
-that is in fact intact.  A :class:`ShardWriter` hashes the payload as it
-writes it, so sealing records the digest without reading the shard back.
+A shard records no digest of its own: the store digests each entry's
+values as it appends them.  :func:`payload_digest` hashes any run of
+payload rows (everything after the header), chunked so digesting a
+multi-gigabyte shard never buffers more than :data:`DIGEST_CHUNK` bytes;
+the header is excluded, so rows digest the same before and after
+sealing.
 """
 
 from __future__ import annotations
@@ -112,7 +111,6 @@ class ShardWriter:
             raise ValidationError(f"shard {self.path.name} already exists")
         self._fh = self.path.open("wb")
         self._fh.write(_header_bytes(0))
-        self._payload = hashlib.blake2b(digest_size=16)
         self.rows = 0
         self.sealed = False
 
@@ -124,22 +122,16 @@ class ShardWriter:
         if x.ndim != 1:
             raise ValidationError(f"shard blocks must be 1-D, got shape {x.shape}")
         offset = self.rows
-        self._fh.write(x.tobytes())
-        self._payload.update(x)
+        self._fh.write(x)  # the array's own buffer: no bytes copy
         self.rows += int(x.size)
         return offset
-
-    def digest(self) -> str:
-        """:func:`payload_digest` of the rows appended so far, kept as they
-        are written, so sealing never reads the shard back."""
-        return self._payload.hexdigest()
 
     def flush(self) -> None:
         if not self.sealed:
             self._fh.flush()
 
-    def seal(self) -> str:
-        """Finalize: rewrite the header with the true count, return the digest."""
+    def seal(self) -> None:
+        """Finalize: rewrite the header with the true row count."""
         if self.sealed:
             raise ValidationError(f"shard {self.path.name} already sealed")
         self._fh.flush()
@@ -147,7 +139,6 @@ class ShardWriter:
         self._fh.write(_header_bytes(self.rows))
         self._fh.close()
         self.sealed = True
-        return self.digest()
 
     def abort(self) -> None:
         """Close the handle without sealing (the store quarantines/removes)."""
@@ -187,18 +178,20 @@ def open_shard(path: str | Path, rows: int) -> np.ndarray:
     return mm
 
 
-def payload_digest(path: str | Path, rows: int | None = None) -> str:
-    """BLAKE2b-16 digest of the shard payload (bytes after the header).
+def payload_digest(path: str | Path, rows: int | None = None, *, offset: int = 0) -> str:
+    """BLAKE2b-16 digest of the shard payload (bytes after the header)
+    from row *offset* on.
 
     With *rows* given, digests exactly that many values — so an unsealed
-    shard digests identically to its sealed self.  Bounded memory: reads
-    in :data:`DIGEST_CHUNK` pieces.
+    shard digests identically to its sealed self, and one entry's rows
+    digest to the entry's own digest.  Bounded memory: reads in
+    :data:`DIGEST_CHUNK` pieces.
     """
     path = Path(path)
     h = hashlib.blake2b(digest_size=16)
     remaining = None if rows is None else rows * _DTYPE.itemsize
     with path.open("rb") as fh:
-        fh.seek(HEADER_SIZE)
+        fh.seek(HEADER_SIZE + offset * _DTYPE.itemsize)
         while remaining is None or remaining > 0:
             want = DIGEST_CHUNK if remaining is None else min(DIGEST_CHUNK, remaining)
             chunk = fh.read(want)

@@ -1,29 +1,39 @@
 """The columnar shard store: fingerprints → lazily-loaded float64 columns.
 
 A :class:`ShardStore` is a directory of append-only ``.npy`` shard
-segments (:mod:`repro.store.shard`) plus one ``manifest.json`` that maps
+segments (:mod:`repro.store.shard`) plus a manifest that maps
 content-addressed fingerprints (the same BLAKE2 task fingerprints
 :class:`repro.exec.ResultCache` uses) to ``(shard, offset, rows)``
 triples.  Entries are contiguous within exactly one shard, so reading an
 entry back is a single ``memmap`` slice — no copy, no full-shard read.
 
+The manifest is two files.  ``manifest.json`` is a checkpoint, written
+atomically (tmp + rename) when the store is created and by :meth:`seal`,
+:meth:`close`, :meth:`compact` and the adoption of shards a crashed
+writer left open; each checkpoint empties ``manifest.journal``.
+:meth:`append`, :meth:`remove` and each quarantine add one JSON line to
+the journal, in one ``write`` on an ``O_APPEND`` descriptor, so an
+append costs the same however many entries the store holds.  Opening a
+store replays the checkpoint and then the journal, skipping a torn last
+line: an append whose line never landed is absent, and its shard bytes
+are ignored.
+
 Integrity extends the cache's quarantine-on-corruption contract
 (docs/ROBUSTNESS.md): every read is structurally verified (shard present,
 slice inside the recorded row count, file long enough), :meth:`verify`
-re-digests every shard against the manifest, and any mismatch moves the
-shard aside as ``<name>.corrupt`` and drops its entries — corruption
-costs work, never correctness, and never crashes a campaign.  Each entry
-also records the digest of its own values at :meth:`append`, so
-:meth:`entry_digest` answers without reading them back.
+re-digests every listed entry against the BLAKE2b-16 digest
+:meth:`append` recorded, and any mismatch moves the shard aside as
+``<name>.corrupt`` and drops its entries — corruption costs work, never
+correctness, and never crashes a campaign.  That digest is the store's
+only one: :meth:`entry_digest` answers from it without reading values.
 
-A manifest below :data:`STORE_SCHEMA_VERSION` (entries without a digest,
-or name-only dataset keys) is not read here: opening one raises
-:class:`~repro.errors.FormatError`, and :mod:`repro.core.upgrade`
-(``repro store compact``) brings it forward.
+A manifest below :data:`STORE_SCHEMA_VERSION` is not read here: opening
+one raises :class:`~repro.errors.FormatError`, and
+:mod:`repro.core.upgrade` (``repro store compact``) brings it forward.
 
-Manifest writes are atomic (tmp + rename) and the store is append-only:
-:meth:`remove` only unlists entries; the bytes are reclaimed by
-:meth:`compact`, which rewrites surviving entries into fresh shards.
+The store is append-only: :meth:`remove` only unlists entries; the bytes
+are reclaimed by :meth:`compact`, which rewrites surviving entries into
+fresh shards.
 """
 
 from __future__ import annotations
@@ -50,9 +60,10 @@ from .shard import (
 
 __all__ = ["ShardStore", "StoreStats", "STORE_SCHEMA_VERSION", "DEFAULT_SHARD_ROWS"]
 
-#: Manifest schema version; readers refuse every other one.  Version 2:
-#: every entry records its digest and every dataset key is namespaced.
-STORE_SCHEMA_VERSION = 2
+#: Manifest schema version; readers refuse every other one.  Version 3:
+#: a checkpoint plus a journal, and each entry's digest is the only one
+#: (shards record none).
+STORE_SCHEMA_VERSION = 3
 
 #: Rows per shard before rolling to a new segment (8 MB of float64).
 DEFAULT_SHARD_ROWS = 1_000_000
@@ -61,6 +72,7 @@ DEFAULT_SHARD_ROWS = 1_000_000
 DEFAULT_CHUNK_ROWS = 512 * 1024
 
 _MANIFEST = "manifest.json"
+_JOURNAL = "manifest.journal"
 
 
 def _values_digest(chunks: Iterable[np.ndarray]) -> str:
@@ -69,6 +81,30 @@ def _values_digest(chunks: Iterable[np.ndarray]) -> str:
     for chunk in chunks:
         h.update(np.ascontiguousarray(chunk, dtype="<f8"))
     return h.hexdigest()
+
+
+def _read(path: str | Path) -> bytes:
+    with open(path, "rb", buffering=0) as fh:
+        return fh.read()
+
+
+def manifest_bytes(path: str | Path) -> bytes | None:
+    """The bytes the listing of the store at *path* is built from: its
+    checkpoint, then its journal; ``None`` when it has no checkpoint.
+
+    Equal bytes mean an equal listing, so a reader may key a handle on
+    them and reuse it while they are unchanged.  Paths are joined as
+    strings: a campaign asks once per dataset it loads.
+    """
+    try:
+        raw = _read(os.path.join(path, _MANIFEST))
+    except FileNotFoundError:
+        return None
+    try:
+        # NUL never occurs in JSON text: the split point is unambiguous.
+        return raw + b"\0" + _read(os.path.join(path, _JOURNAL))
+    except FileNotFoundError:
+        return raw
 
 
 @dataclass(frozen=True)
@@ -113,12 +149,23 @@ def _field(manifest: Path, where: str, spec: Any, key: str, kind: type) -> Any:
     return value
 
 
+def _entry(manifest: Path, fp: str, spec: Any) -> dict[str, Any]:
+    """One entry of the checkpoint or the journal, its fields checked."""
+    where = f"entry {fp}"
+    return {
+        "shard": _field(manifest, where, spec, "shard", str),
+        "offset": _field(manifest, where, spec, "offset", int),
+        "rows": _field(manifest, where, spec, "rows", int),
+        "metadata": dict(spec.get("metadata", {})),
+        "digest": _field(manifest, where, spec, "digest", str),
+    }
+
+
 @dataclass
 class _Shard:
     file: str
     rows: int = 0
     sealed: bool = False
-    digest: str | None = None
     writer: ShardWriter | None = field(default=None, repr=False)
 
 
@@ -128,7 +175,7 @@ class ShardStore:
     Parameters
     ----------
     path:
-        Store directory (created if missing).
+        Store directory (created if missing, with an empty checkpoint).
     shard_rows:
         Target rows per shard; an append that would overflow the open
         shard seals it and rolls a new one.  Oversize entries get a
@@ -148,14 +195,32 @@ class ShardStore:
         self._provenance: dict[str, Any] | None = None
         self._next_shard = 0
         self._open_shard: _Shard | None = None
+        #: The append descriptor of the journal, opened at the first line.
+        self._journal_fh: Any = None
+        #: The journal holds lines no checkpoint covers yet.
+        self._journaled = False
+        #: The journal ends in a torn line: the next line starts afresh.
+        self._torn = False
         self._load_manifest()
 
     # -- manifest ---------------------------------------------------------
 
     def _load_manifest(self) -> None:
+        """Read the checkpoint, replay the journal, adopt open shards."""
         manifest = self.path / _MANIFEST
-        if not manifest.exists():
-            return
+        fresh = not (manifest.exists() and self._load_checkpoint(manifest))
+        self._replay()
+        indices = [
+            int(s.file.split("-")[1].split(".")[0])
+            for s in self._shards.values()
+            if s.file.startswith("shard-")
+        ]
+        self._next_shard = max(indices) + 1 if indices else 0
+        self._adopt_unsealed(checkpoint=fresh)
+
+    def _load_checkpoint(self, manifest: Path) -> bool:
+        """Load ``manifest.json``; False when it was unreadable (and is
+        now quarantined)."""
         try:
             payload = json.loads(manifest.read_text())
             version = int(payload.get("schema_version", -1))
@@ -187,62 +252,88 @@ class ShardStore:
             except OSError:
                 pass
             self._warn(f"quarantined unreadable manifest: {exc}")
-            return
+            return False
         for name, spec in shards.items():
             where = f"shard {name}"
             self._shards[str(name)] = _Shard(
                 file=str(name),
                 rows=_field(manifest, where, spec, "rows", int),
                 sealed=_field(manifest, where, spec, "sealed", bool),
-                digest=spec.get("digest"),
             )
         for fp, spec in entries.items():
-            where = f"entry {fp}"
-            self._entries[str(fp)] = {
-                "shard": _field(manifest, where, spec, "shard", str),
-                "offset": _field(manifest, where, spec, "offset", int),
-                "rows": _field(manifest, where, spec, "rows", int),
-                "metadata": dict(spec.get("metadata", {})),
-                # Every entry of this schema records its digest at append.
-                "digest": _field(manifest, where, spec, "digest", str),
-            }
+            self._entries[str(fp)] = _entry(manifest, str(fp), spec)
         self._provenance = payload.get("provenance")
-        indices = [
-            int(s.file.split("-")[1].split(".")[0])
-            for s in self._shards.values()
-            if s.file.startswith("shard-")
-        ]
-        self._next_shard = max(indices) + 1 if indices else 0
-        self._adopt_unsealed()
+        return True
 
-    def _adopt_unsealed(self) -> None:
-        """Seal shards a previous process left open (e.g. after a crash).
+    def _replay(self) -> None:
+        """Apply the journal's lines to the checkpoint just loaded.
+
+        Only newline-terminated lines count: one written in a single
+        ``write`` ends in its newline, so a line without one is torn and
+        is skipped (as are lines that are not journal records, the
+        contract :func:`repro.obs.read_trace` keeps).  Replay is
+        idempotent, so lines a checkpoint already covers (a crash
+        between the two) apply again harmlessly.
+        """
+        journal = self.path / _JOURNAL
+        try:
+            data = _read(journal)
+        except FileNotFoundError:
+            return
+        *lines, tail = data.split(b"\n")
+        self._torn = bool(tail)
+        for line in lines:
+            try:
+                record = json.loads(line)
+                op = record["op"]
+            except (ValueError, TypeError, KeyError):
+                continue
+            if op == "append":
+                fp = _field(journal, "an append line", record, "fp", str)
+                entry = self._entries[fp] = _entry(journal, fp, record.get("entry"))
+                shard = self._shards.setdefault(entry["shard"], _Shard(entry["shard"]))
+                end = entry["offset"] + entry["rows"]
+                if end > shard.rows:
+                    # Rows past the header's count: adoption rewrites it.
+                    shard.rows, shard.sealed = end, False
+            elif op == "remove":
+                self._entries.pop(str(record.get("fp")), None)
+            elif op == "quarantine":
+                self._unlist_shard(str(record.get("shard")))
+            else:
+                continue
+            self._journaled = True
+
+    def _adopt_unsealed(self, *, checkpoint: bool = False) -> None:
+        """Seal shards a previous process left open (e.g. after a crash),
+        then checkpoint when anything changed (or *checkpoint* is set).
 
         The manifest's row count is the source of truth: bytes beyond it
-        are a torn final append and are ignored (the digest covers exactly
-        the recorded rows).  A shard shorter than its recorded rows is
-        quarantined.
+        are a torn final append and are ignored; the entry digests cover
+        exactly the listed rows.  A shard shorter than its recorded rows
+        is quarantined.
         """
-        dirty = False
         for name in list(self._shards):
             shard = self._shards[name]
             if shard.sealed:
                 continue
             path = self.path / name
             try:
-                digest = payload_digest(path, shard.rows)
+                check_size(path, shard.rows)
                 with path.open("r+b") as fh:
                     fh.write(_header_bytes(shard.rows))
             except (ValidationError, OSError) as exc:
                 self._quarantine_shard(name, f"unsealed shard unrecoverable: {exc}")
+                checkpoint = True
                 continue
             shard.sealed = True
-            shard.digest = digest
-            dirty = True
-        if dirty:
-            self._write_manifest()
+            checkpoint = True
+        if checkpoint:
+            self._checkpoint()
 
-    def _write_manifest(self) -> None:
+    def _checkpoint(self) -> None:
+        """Write ``manifest.json`` from this handle's listing, then empty
+        the journal it now covers."""
         if self._provenance is None:
             # Imported lazily; repro.obs must not depend on repro.store.
             from ..obs import Provenance
@@ -253,7 +344,7 @@ class ShardStore:
         payload = {
             "schema_version": STORE_SCHEMA_VERSION,
             "shards": {
-                name: {"rows": s.rows, "sealed": s.sealed, "digest": s.digest}
+                name: {"rows": s.rows, "sealed": s.sealed}
                 for name, s in sorted(self._shards.items())
             },
             "entries": {
@@ -262,6 +353,25 @@ class ShardStore:
             "provenance": self._provenance,
         }
         write_atomic(self.path / _MANIFEST, json.dumps(payload))
+        try:
+            # Truncated, not removed: a handle that still appends keeps
+            # writing to the one journal every reader replays.
+            os.truncate(self.path / _JOURNAL, 0)
+        except FileNotFoundError:
+            pass
+        self._journaled = self._torn = False
+
+    def _journal(self, record: Mapping[str, Any]) -> None:
+        """Append one record to the journal in a single ``write``."""
+        line = json.dumps(record, separators=(",", ":")).encode() + b"\n"
+        if self._torn:
+            line = b"\n" + line  # end the torn line; replay skips it
+        if self._journal_fh is None:
+            self._journal_fh = open(self.path / _JOURNAL, "ab", buffering=0)
+        if self._journal_fh.write(line) != len(line):
+            raise OSError(f"short write to {self.path / _JOURNAL}")
+        self._journaled = True
+        self._torn = False
 
     @staticmethod
     def _warn(message: str) -> None:
@@ -272,8 +382,15 @@ class ShardStore:
     # -- write path -------------------------------------------------------
 
     def _roll_shard(self) -> _Shard:
-        name = f"shard-{self._next_shard:05d}.npy"
-        self._next_shard += 1
+        while True:
+            name = f"shard-{self._next_shard:05d}.npy"
+            self._next_shard += 1
+            # An unlisted file under the name holds an append whose
+            # journal line never landed, or a quarantined shard: skip it.
+            if not (self.path / name).exists() and not (
+                self.path / (name + ".corrupt")
+            ).exists():
+                break
         shard = _Shard(file=name)
         shard.writer = ShardWriter(self.path / name)
         self._shards[name] = shard
@@ -281,7 +398,7 @@ class ShardStore:
 
     def _seal_shard(self, shard: _Shard) -> None:
         if shard.writer is not None:
-            shard.digest = shard.writer.seal()
+            shard.writer.seal()
             shard.writer = None
             shard.sealed = True
 
@@ -291,7 +408,12 @@ class ShardStore:
         values: Iterable[float] | np.ndarray,
         metadata: Mapping[str, Any] | None = None,
     ) -> None:
-        """Append one entry's values under *fingerprint* (atomic manifest).
+        """Append one entry's values under *fingerprint*.
+
+        The values go to the open shard first, then one journal line
+        lists them: an append cut short between the two leaves bytes no
+        entry names.  Each value byte is hashed once, into the entry's
+        digest.
 
         Refuses duplicate fingerprints — the store is content-addressed,
         so "same fingerprint" must mean "same bytes"; silently replacing
@@ -315,29 +437,35 @@ class ShardStore:
         offset = shard.writer.append(x)
         shard.writer.flush()
         shard.rows = shard.writer.rows
-        self._entries[fingerprint] = {
+        entry = {
             "shard": shard.file,
             "offset": offset,
             "rows": int(x.size),
             "metadata": dict(metadata or {}),
-            # An entry that opens its shard is the shard's whole payload.
-            "digest": shard.writer.digest() if offset == 0 else _values_digest([x]),
+            "digest": _values_digest([x]),
         }
+        self._journal({"op": "append", "fp": fingerprint, "entry": entry})
+        self._entries[fingerprint] = entry
         if shard.rows >= self.shard_rows:
             self._seal_shard(shard)
             self._open_shard = None
-        self._write_manifest()
 
     def seal(self) -> None:
-        """Seal the open shard (if any) so every segment carries a digest."""
+        """Seal the open shard (if any) and checkpoint what the journal
+        holds, so every segment's header carries its row count."""
         if self._open_shard is not None:
             self._seal_shard(self._open_shard)
             self._open_shard = None
-            self._write_manifest()
+            self._checkpoint()
+        elif self._journaled:
+            self._checkpoint()
 
     def close(self) -> None:
         """Seal and release file handles; the store stays readable."""
         self.seal()
+        if self._journal_fh is not None:
+            self._journal_fh.close()
+            self._journal_fh = None
 
     def __enter__(self) -> "ShardStore":
         return self
@@ -347,10 +475,18 @@ class ShardStore:
 
     # -- read path --------------------------------------------------------
 
+    def _unlist_shard(self, name: str) -> tuple[_Shard | None, list[str]]:
+        """Drop shard *name* and every entry stored in it from the listing."""
+        shard = self._shards.pop(name, None)
+        dropped = [fp for fp, e in self._entries.items() if e["shard"] == name]
+        for fp in dropped:
+            del self._entries[fp]
+        return shard, dropped
+
     def _quarantine_shard(self, name: str, reason: str) -> None:
         """Move a corrupt shard aside and unlist everything stored in it."""
         self.corrupt_shards += 1
-        shard = self._shards.pop(name, None)
+        shard, dropped = self._unlist_shard(name)
         if shard is not None and shard.writer is not None:
             shard.writer.abort()
             if self._open_shard is shard:
@@ -360,10 +496,7 @@ class ShardStore:
             path.replace(path.with_name(name + ".corrupt"))
         except OSError:
             pass
-        dropped = [fp for fp, e in self._entries.items() if e["shard"] == name]
-        for fp in dropped:
-            del self._entries[fp]
-        self._write_manifest()
+        self._journal({"op": "quarantine", "shard": name})
         self._warn(f"quarantined shard {name} ({reason}); dropped {len(dropped)} entries")
 
     def _listed(self, fingerprint: str) -> tuple[dict[str, Any], _Shard] | None:
@@ -485,7 +618,7 @@ class ShardStore:
     def shards(self) -> list[dict[str, Any]]:
         """Manifest view of every shard, for inspection and reporting."""
         return [
-            {"file": name, "rows": s.rows, "sealed": s.sealed, "digest": s.digest}
+            {"file": name, "rows": s.rows, "sealed": s.sealed}
             for name, s in sorted(self._shards.items())
         ]
 
@@ -497,21 +630,27 @@ class ShardStore:
 
     def remove(self, fingerprint: str) -> bool:
         """Unlist an entry (bytes reclaimed later by :meth:`compact`)."""
-        if self._entries.pop(fingerprint, None) is None:
+        if fingerprint not in self._entries:
             return False
-        self._write_manifest()
+        self._journal({"op": "remove", "fp": fingerprint})
+        del self._entries[fingerprint]
         return True
 
     # -- integrity --------------------------------------------------------
 
     def verify(self) -> dict[str, Any]:
-        """Re-digest every shard against the manifest; quarantine mismatches.
+        """Re-digest every listed entry against the digest :meth:`append`
+        recorded; quarantine the shard of any mismatch.
 
         Returns a report dict (``ok``, per-shard status, counts).  Bounded
-        memory: digests stream in 1 MB chunks.  Unsealed shards have no
-        recorded digest yet; they are checked structurally only.
+        memory: values stream from the file in 1 MB chunks.  Rows no
+        entry lists (removed entries, an append whose journal line never
+        landed) vouch for nothing and are not read.
         """
         report: dict[str, Any] = {"shards": {}, "entries": len(self._entries)}
+        listed: dict[str, list[tuple[str, dict[str, Any]]]] = {}
+        for fp, entry in sorted(self._entries.items(), key=lambda i: i[1]["offset"]):
+            listed.setdefault(entry["shard"], []).append((fp, entry))
         bad: list[str] = []
         for name in sorted(self._shards):
             shard = self._shards[name]
@@ -519,18 +658,15 @@ class ShardStore:
             try:
                 if not path.exists():
                     raise ValidationError("missing file")
-                if shard.sealed:
-                    if shard.digest is None:
-                        raise ValidationError("sealed shard lacks a digest")
-                    actual = payload_digest(path, shard.rows)
-                    if actual != shard.digest:
+                check_size(path, shard.rows)
+                for fp, entry in listed.get(name, ()):
+                    if entry["offset"] + entry["rows"] > shard.rows:
+                        raise ValidationError(f"entry {fp} lies past the shard's rows")
+                    actual = payload_digest(path, entry["rows"], offset=entry["offset"])
+                    if actual != entry["digest"]:
                         raise ValidationError(
-                            f"digest mismatch ({actual} != {shard.digest})"
+                            f"entry {fp} digest mismatch ({actual} != {entry['digest']})"
                         )
-                else:
-                    expected = HEADER_SIZE + shard.rows * 8
-                    if path.stat().st_size < expected:
-                        raise ValidationError("truncated unsealed shard")
                 report["shards"][name] = {"rows": shard.rows, "status": "ok"}
             except (ValidationError, OSError) as exc:
                 report["shards"][name] = {"rows": shard.rows, "status": str(exc)}
@@ -571,7 +707,7 @@ class ShardStore:
             self.append(fp, values, entry["metadata"])
         self.seal()
         if not self._entries:
-            self._write_manifest()
+            self._checkpoint()
         new_names = set(self._shards)
         for name in old_shards:
             if name not in new_names:

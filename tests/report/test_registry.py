@@ -473,10 +473,13 @@ class TestCampaignDigest:
         shards = json.loads(manifest.read_text())["shards"]
         # Task results share one shard; the run's spilled datasets another.
         assert len(camp.names()) == 2 and len(shards) == 2
-        assert all(s["sealed"] and s["digest"] for s in shards.values())
+        assert all(s["sealed"] for s in shards.values())
+        journal = manifest.with_name("manifest.journal")
+        assert journal.read_bytes() == b""
         before = manifest.read_bytes()
         campaign_digest(camp)
         assert manifest.read_bytes() == before
+        assert journal.read_bytes() == b""
 
     def test_record_leaves_no_unsealed_shard(self, campaign):
         manifest = campaign.path / "store" / "manifest.json"

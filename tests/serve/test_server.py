@@ -252,13 +252,34 @@ class TestSocketIntegration:
         with socket.create_connection(("127.0.0.1", live.port), timeout=10) as conn:
             conn.sendall(head)
             reply = b""
-            try:
-                while chunk := conn.recv(65536):
-                    reply += chunk
-            except ConnectionResetError:
-                pass  # closed with part of the head unread, after the 400
+            while chunk := conn.recv(65536):
+                reply += chunk
         assert reply.startswith(b"HTTP/1.1 400 ")
         assert b"request too large" in reply
+
+    def test_oversized_heads_read_the_whole_400_then_eof(self, live):
+        # After the 400 the server half-closes and discards the rest of
+        # the head: closing with it unread would reset the connection,
+        # which can destroy the 400 before the client reads it.
+        line = b"GET /health HTTP/1.1\r\nX-Pad: "
+        head = line + b"a" * (1_000_000 - len(line) - 4) + b"\r\n\r\n"
+        assert len(head) == 1_000_000
+
+        def client(_):
+            with socket.create_connection(("127.0.0.1", live.port), timeout=30) as conn:
+                conn.sendall(head)  # raises on EPIPE or ECONNRESET
+                reply = b""
+                while chunk := conn.recv(65536):
+                    reply += chunk
+            return reply
+
+        with ThreadPoolExecutor(max_workers=30) as pool:
+            replies = list(pool.map(client, range(30)))
+        for reply in replies:
+            status, _, body = reply.partition(b"\r\n\r\n")
+            assert status.startswith(b"HTTP/1.1 400 ")
+            assert f"Content-Length: {len(body)}\r\n".encode() in status + b"\r\n"
+            assert json.loads(body)["error"] == "request too large"
 
 
 # ------------------------------------------------ the threading contract

@@ -9,7 +9,9 @@ datasets and task results spill to the shard store, plus one small
 inline dataset that carries run fields in its metadata.  Then it loads
 every dataset back with the same tree and writes what it got to
 ``<rev-dir>/expected.json``: per dataset the BLAKE2b-16 of the float64
-values, ``n``, ``unit`` and ``metadata``.
+values, ``n``, ``unit`` and ``metadata``.  A tree with a figure registry
+also writes ``<rev-dir>/figure_keys.json``: the quick-mode content key of
+every campaign figure, as that tree keys the campaign.
 """
 
 import hashlib
@@ -17,6 +19,7 @@ import json
 import os
 import subprocess
 import sys
+import tempfile
 from pathlib import Path
 
 import numpy as np
@@ -62,6 +65,16 @@ def main(out: Path) -> None:
         }
     (out / "expected.json").write_text(
         json.dumps(expected, indent=1, sort_keys=True) + "\n")
+    try:
+        from repro.report.registry import FIGURES, FigureService
+    except ImportError:  # a tree from before the figure registry
+        return
+    with tempfile.TemporaryDirectory() as cache:
+        service = FigureService(cache, campaign=Campaign.open(camp_dir), quick=True)
+        keys = {name: service.content_key(name)
+                for name, entry in FIGURES.items() if entry.needs_campaign}
+    (out / "figure_keys.json").write_text(
+        json.dumps(keys, indent=1, sort_keys=True) + "\n")
 
 
 if __name__ == "__main__":

@@ -8,7 +8,9 @@ what that tree itself loaded from it in ``expected.json``:
   run fields inline in dataset files;
 * ``db765ac``: namespaced keys, otherwise as above;
 * ``6301aad``: store entries record digests;
-* ``9532821``: index entries record digests; run fields still inline.
+* ``9532821``: index entries record digests; run fields still inline;
+* ``ec8ebab``: a current campaign whose store is at schema 2 (no journal,
+  a payload digest per shard besides each entry's).
 """
 
 import hashlib
@@ -26,11 +28,11 @@ from repro.core.upgrade import upgrade
 from repro.errors import FormatError, IntegrityError, ValidationError
 from repro.exec import ExecHooks
 from repro.report.export import dataset_fingerprint, split_run_fields
-from repro.report.registry import campaign_digest
+from repro.report.registry import FigureService, campaign_digest
 from repro.store import STORE_SCHEMA_VERSION, ShardStore
 
 FORMATS = Path(__file__).parent / "data" / "formats"
-REVS = ["9c70674", "db765ac", "6301aad", "9532821"]
+REVS = ["9c70674", "db765ac", "6301aad", "9532821", "ec8ebab"]
 
 #: Keys the trees before the current one merged from a spilled dataset's
 #: store entry into its metadata; the current tree leaves them in the store.
@@ -79,8 +81,10 @@ class TestReadOnlyOpensRefuse:
     def test_campaign_reads_raise_format_error(self, old):
         camp = Campaign.open(old)
         name = next(iter(expected(old)))
-        for read in (camp.names, lambda: camp.load(name),
-                     lambda: campaign_digest(camp)):
+        reads = [lambda: camp.load(name), lambda: campaign_digest(camp)]
+        if "format" not in json.loads((old / "campaign.json").read_text()):
+            reads.append(camp.names)  # a current index lists without the store
+        for read in reads:
             with pytest.raises(FormatError, match="repro store compact"):
                 read()
 
@@ -119,6 +123,7 @@ class TestUpgrade:
         assert index["format"] == FORMAT
         manifest = json.loads((old / "store" / "manifest.json").read_text())
         assert manifest["schema_version"] == STORE_SCHEMA_VERSION
+        assert not any("digest" in s for s in manifest["shards"].values())
         camp = Campaign.open(old)
         store = camp.store()
         for fp in store.fingerprints():
@@ -167,6 +172,50 @@ class TestUpgrade:
         camp.record(MeasurementSet(values=np.arange(4.0), unit="us", name="new"))
         assert json.loads((old / "campaign.json").read_text())["format"] == FORMAT
         assert sorted(camp.names()) == sorted([*expected(old), "new"])
+
+
+def test_compact_keeps_values_entry_digests_and_figure_keys(tmp_path):
+    """``repro store compact`` brings a schema 2 store to the current
+    schema: each shard's payload digest is checked and dropped, while
+    the values, the entry digests and so every campaign figure's content
+    key stay what the tree that wrote it had."""
+    old = Path(shutil.copytree(FORMATS / "ec8ebab" / "campaign", tmp_path / "ec8ebab"))
+    manifest = old / "store" / "manifest.json"
+    before = json.loads(manifest.read_text())
+    assert before["schema_version"] == 2
+    assert all(s["digest"] for s in before["shards"].values())
+    index = (old / "campaign.json").read_bytes()
+    assert main(["store", "compact", str(old)]) == 0
+    after = json.loads(manifest.read_text())
+    assert after["schema_version"] == STORE_SCHEMA_VERSION == 3
+    assert not any("digest" in s for s in after["shards"].values())
+    assert {fp: e["digest"] for fp, e in after["entries"].items()} == {
+        fp: e["digest"] for fp, e in before["entries"].items()}
+    assert (old / "campaign.json").read_bytes() == index
+    camp = Campaign.open(old)
+    for name, rec in expected(old).items():
+        assert values_digest(camp.load(name)) == rec["values_digest"]
+    keys = json.loads((FORMATS / "ec8ebab" / "figure_keys.json").read_text())
+    service = FigureService(tmp_path / "figures", campaign=camp, quick=True)
+    assert keys and {name: service.content_key(name) for name in keys} == keys
+
+
+def test_upgrade_quarantines_a_shard_failing_its_digest(tmp_path):
+    """A schema 2 shard whose bytes no longer match its recorded payload
+    digest is moved aside at the upgrade, its entries dropped; a rerun
+    re-measures what it held."""
+    old = Path(shutil.copytree(FORMATS / "ec8ebab" / "campaign", tmp_path / "ec8ebab"))
+    shard = old / "store" / "shard-00000.npy"
+    with shard.open("r+b") as fh:
+        fh.seek(200)
+        byte = fh.read(1)
+        fh.seek(200)
+        fh.write(bytes([byte[0] ^ 0xFF]))
+    assert upgrade(old)
+    assert not shard.exists() and shard.with_name(shard.name + ".corrupt").exists()
+    store = ShardStore(old / "store")
+    assert [s["file"] for s in store.shards()] == ["shard-00001.npy"]
+    assert store.verify()["ok"]
 
 
 def unstamped_campaign(path: Path) -> Campaign:
@@ -232,19 +281,27 @@ class TestUpgradeCarriesDamageForward:
         assert camp.load(victim["name"]).values.tolist() == [0.0, 1.0, 2.0, 3.0]
 
     def test_lost_shard_fails_that_dataset_alone(self, old):
+        """Losing the shard of one dataset fails the datasets stored in
+        it (that one alone in the trees that gave each spilled dataset
+        its own shard; both spilled datasets of the run since the run's
+        datasets share one) and no other."""
         want = expected(old)
         name = "synthetic-latency @ {'batch': 64, 'size': 4096}"
         manifest = json.loads((old / "store" / "manifest.json").read_text())
         shard, = {e["shard"] for e in manifest["entries"].values()
                   if e["metadata"].get("dataset") == name}
+        lost = {e["metadata"].get("dataset") for e in manifest["entries"].values()
+                if e["shard"] == shard} - {None}
+        assert name in lost and "small inline" not in lost
         (old / "store" / shard).unlink()
         assert upgrade(old)
         camp = Campaign.open(old)
         assert sorted(camp.names()) == sorted(want)
-        with pytest.raises(ValidationError):
-            camp.load(name)
+        for gone in lost:
+            with pytest.raises(ValidationError):
+                camp.load(gone)
         for other, rec in want.items():
-            if other != name:
+            if other not in lost:
                 assert values_digest(camp.load(other)) == rec["values_digest"]
         ms = MeasurementSet(values=np.arange(64.0), unit="s", name=name)
         camp.record(ms, overwrite=True, spill_rows=48)

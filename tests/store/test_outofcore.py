@@ -19,6 +19,7 @@ from repro.core import Campaign, Experiment, Factor, FactorialDesign, Measuremen
 from repro.errors import ValidationError
 from repro.exec import ExecHooks, ProcessExecutor, SerialExecutor
 from repro.report import figure_to_json, measurements_to_json
+from repro.report.export import dataset_fingerprint
 from repro.stats import summarize
 
 
@@ -122,8 +123,6 @@ class TestRoundTripIdentity:
 
 def _dataset_shard(camp, name):
     """The shard file holding the spilled column of dataset *name*."""
-    from repro.report.export import dataset_fingerprint
-
     manifest = json.loads((camp.path / "store" / "manifest.json").read_text())
     fp = dataset_fingerprint(name, namespace=camp.dataset_namespace)
     entry = manifest["entries"][fp]
@@ -168,9 +167,10 @@ class TestCorruptionDegradesGracefully:
         assert _dataset_shard(camp, survivor.name).name != shard_name
         manifest = tmp_path / "camp" / "store" / "manifest.json"
         payload = json.loads(manifest.read_text())
-        digest = payload["shards"][shard_name]["digest"]
-        assert digest, "dataset shard should be sealed when the run finished"
-        payload["shards"][shard_name]["digest"] = (
+        assert payload["shards"][shard_name]["sealed"]
+        fp = dataset_fingerprint(victim, namespace=camp.dataset_namespace)
+        digest = payload["entries"][fp]["digest"]
+        payload["entries"][fp]["digest"] = (
             "0" if digest[0] != "0" else "1"
         ) + digest[1:]
         manifest.write_text(json.dumps(payload))
@@ -180,6 +180,45 @@ class TestCorruptionDegradesGracefully:
         assert not report["ok"] and report["corrupt"] == 1
         # Entries outside the tampered shard still load fine.
         assert np.array_equal(camp.load(survivor.name).values, survivor.values)
+
+    def test_raise_between_shard_write_and_journal_line(self, tmp_path, monkeypatch):
+        """An append cut short after its values reached the shard but
+        before its journal line: the entry is absent, its bytes are
+        ignored, and a rerun re-measures it bit-identically."""
+        from repro.store import ShardStore
+
+        _, clean = run_spilled(tmp_path, SerialExecutor(retries=0), sub="clean")
+        lost = []
+        real = ShardStore._journal
+
+        def crash(store, record):
+            if record["op"] == "append" and len(lost) == 1:
+                lost.append(record["fp"])
+                raise OSError("injected: died before the journal line")
+            if record["op"] == "append":
+                lost.append(None)
+            return real(store, record)
+
+        monkeypatch.setattr(ShardStore, "_journal", crash)
+        with pytest.raises(OSError, match="injected"):
+            run_spilled(tmp_path, SerialExecutor(retries=0))
+        monkeypatch.undo()
+        fp = lost[1]
+        store = ShardStore(tmp_path / "camp" / "store")
+        assert fp not in store and len(store) == 1
+        assert store.verify()["ok"]
+        # Its 300 values sit in the shard, behind the listed entry.
+        stats = store.stats()
+        assert (stats.shards, stats.rows, stats.live_rows) == (1, 600, 300)
+        camp = Campaign.open(tmp_path / "camp")
+        hooks = ExecHooks()
+        rerun = camp.run(make_experiment(), hooks=hooks, overwrite=True,
+                         spill_rows=100)
+        assert (hooks.cached, hooks.completed) == (1, 3)
+        for key, ms in clean.datasets.items():
+            assert np.array_equal(rerun.datasets[key].values, ms.values)
+            assert np.array_equal(camp.load(ms.name).values, ms.values)
+        assert camp.store().verify()["ok"]
 
 
 def _record_small(camp, names, spill_rows):

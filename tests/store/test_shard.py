@@ -2,6 +2,8 @@
 
 from __future__ import annotations
 
+import hashlib
+
 import numpy as np
 import pytest
 
@@ -115,25 +117,38 @@ class TestPayloadDigest:
         w.append(data)
         w.flush()
         before = payload_digest(tmp_path / "s.npy", 20)
-        assert w.seal() == before
+        w.seal()
+        assert payload_digest(tmp_path / "s.npy") == before
 
     def test_writer_digest_matches_the_file(self, tmp_path):
-        """The digest a writer keeps while appending is the file's."""
+        """The file's rows digest to the hash of the values the writer
+        was given, block by block (an entry's digest is one block's)."""
         path = tmp_path / "s.npy"
+        blocks = [np.arange(7.0), np.arange(40.0)[::3]]  # one non-contiguous
         w = ShardWriter(path)
-        w.append(np.arange(7.0))
-        w.append(np.arange(40.0)[::3])  # non-contiguous block
+        offsets = [w.append(block) for block in blocks]
         w.flush()
-        assert w.digest() == payload_digest(path, 21)
-        assert w.seal() == payload_digest(path)
+
+        def digest(*arrays):
+            h = hashlib.blake2b(digest_size=16)
+            for a in arrays:
+                h.update(np.ascontiguousarray(a))
+            return h.hexdigest()
+
+        assert payload_digest(path, 21) == digest(*blocks)
+        for offset, block in zip(offsets, blocks):
+            assert payload_digest(path, block.size, offset=offset) == digest(block)
+        w.seal()
+        assert payload_digest(path) == digest(*blocks)
 
     def test_digest_changes_with_payload(self, tmp_path):
         w = ShardWriter(tmp_path / "a.npy")
         w.append(np.arange(20.0))
-        da = w.seal()
+        w.seal()
         w = ShardWriter(tmp_path / "b.npy")
         w.append(np.arange(20.0) + 1e-12)
-        assert w.seal() != da
+        w.seal()
+        assert payload_digest(tmp_path / "b.npy") != payload_digest(tmp_path / "a.npy")
 
     def test_rows_bounded_digest_ignores_tail(self, tmp_path):
         """Digesting exactly N rows ignores torn bytes beyond them."""

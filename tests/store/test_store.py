@@ -10,6 +10,7 @@ import pytest
 
 from repro.errors import IntegrityError, ValidationError
 from repro.store import DEFAULT_SHARD_ROWS, STORE_SCHEMA_VERSION, ShardStore
+from repro.store.shard import read_header_rows
 
 
 def fill(store, n_entries=5, rows=40, seed=0):
@@ -128,22 +129,27 @@ class TestIntegrity:
         assert report["entries_after"] == 0
 
     def test_flipped_manifest_digest_byte_fails_verify(self, tmp_path):
-        """The satellite scenario: the *manifest's* recorded digest is
-        tampered with — the shard bytes are fine, but the store can no
-        longer prove it, so verify must quarantine, not crash."""
-        with ShardStore(tmp_path, shard_rows=100) as store:
-            fill(store, n_entries=1)
-        manifest = tmp_path / "manifest.json"
-        payload = json.loads(manifest.read_text())
-        (name, spec), = payload["shards"].items()
-        digest = spec["digest"]
-        flipped = ("0" if digest[0] != "0" else "1") + digest[1:]
-        payload["shards"][name]["digest"] = flipped
-        manifest.write_text(json.dumps(payload))
-        store = ShardStore(tmp_path)
-        with pytest.warns(RuntimeWarning, match="digest mismatch"):
-            report = store.verify()
-        assert not report["ok"] and report["corrupt"] == 1
+        """An entry's recorded digest is tampered with, in the checkpoint
+        or in the journal line that listed it — the shard bytes are fine,
+        but the store can no longer prove them, so verify quarantines the
+        shard (and every entry in it), not crash."""
+        for where in ("manifest.json", "manifest.journal"):
+            path = tmp_path / where
+            store = ShardStore(path, shard_rows=100)
+            victim = sorted(fill(store, n_entries=2))[1]
+            if where == "manifest.json":
+                store.close()
+            digest = store.entry_digest(victim)
+            flipped = ("0" if digest[0] != "0" else "1") + digest[1:]
+            text = (path / where).read_text()
+            assert text.count(digest) == 1
+            (path / where).write_text(text.replace(digest, flipped))
+            store = ShardStore(path)
+            assert store.entry_digest(victim) == flipped
+            with pytest.warns(RuntimeWarning, match=f"{victim} digest mismatch"):
+                report = store.verify()
+            assert not report["ok"] and report["corrupt"] == 1
+            assert report["entries_after"] == 0
 
     def test_verify_ok_on_healthy_store(self, tmp_path):
         with ShardStore(tmp_path, shard_rows=100) as store:
@@ -199,17 +205,31 @@ class TestIntegrity:
         assert err.startswith("error: ") and err.count("\n") == 1, err
 
     def test_unsealed_shard_adopted_after_crash(self, tmp_path):
-        """A process that dies without seal() leaves an open shard; the
-        next open seals it from the manifest's row count."""
+        """A process that dies without seal() leaves an open shard whose
+        entries only the journal lists; the next open replays them, fixes
+        the shard's header from their rows and checkpoints, and each
+        entry keeps the digest its append recorded."""
         store = ShardStore(tmp_path, shard_rows=1000)
         data = fill(store, n_entries=2)
+        digests = {fp: store.entry_digest(fp) for fp in data}
         # No seal()/close(): simulate the crash by dropping the object.
         del store
+        shard = tmp_path / "shard-00000.npy"
+        assert json.loads((tmp_path / "manifest.json").read_text())["entries"] == {}
+        assert read_header_rows(shard) == 0
+        # Bytes of an append whose journal line never landed.
+        with shard.open("ab") as fh:
+            fh.write(np.arange(3.0).tobytes())
         store2 = ShardStore(tmp_path)
         assert all(s["sealed"] for s in store2.shards())
+        assert read_header_rows(shard) == 80
+        assert (tmp_path / "manifest.journal").read_bytes() == b""
+        checkpoint = json.loads((tmp_path / "manifest.json").read_text())
+        assert {fp: e["digest"] for fp, e in checkpoint["entries"].items()} == digests
         for fp, values in data.items():
             got, _ = store2.get(fp)
             assert np.array_equal(got, values)
+            assert store2.entry_digest(fp) == digests[fp]
         assert store2.verify()["ok"]
 
     def test_manifest_has_provenance(self, tmp_path):
@@ -231,6 +251,7 @@ class TestEntryDigest:
     def test_recorded_digest_is_the_hash_of_the_values(self, tmp_path):
         store = ShardStore(tmp_path, shard_rows=100)
         data = fill(store)
+        store.seal()
         manifest = json.loads((tmp_path / "manifest.json").read_text())
         for fp in data:
             recorded = manifest["entries"][fp]["digest"]
@@ -377,4 +398,106 @@ class TestStats:
         assert [s["file"] for s in view] == sorted(s["file"] for s in view)
         assert sum(s["rows"] for s in view) == 200
         store.seal()
-        assert all(s["sealed"] and s["digest"] for s in store.shards())
+        assert all(s["sealed"] for s in store.shards())
+
+
+class TestJournal:
+    """Appends, removals and quarantines are journal lines; seal, close,
+    compact and adoption write the checkpoint (docs/STORE.md)."""
+
+    def test_append_writes_a_line_not_a_checkpoint(self, tmp_path):
+        store = ShardStore(tmp_path)
+        checkpoint = (tmp_path / "manifest.json").read_bytes()
+        data = fill(store, n_entries=4)
+        store.remove(sorted(data)[0])
+        assert (tmp_path / "manifest.json").read_bytes() == checkpoint
+        lines = (tmp_path / "manifest.journal").read_bytes().splitlines()
+        assert [json.loads(line)["op"] for line in lines] == ["append"] * 4 + ["remove"]
+        store.close()
+        assert (tmp_path / "manifest.journal").read_bytes() == b""
+        assert sorted(json.loads((tmp_path / "manifest.json").read_text())[
+            "entries"]) == sorted(data)[1:]
+
+    def test_other_handles_see_an_append_at_once(self, tmp_path):
+        writer = ShardStore(tmp_path)
+        data = fill(writer, n_entries=2)
+        reader = ShardStore(tmp_path)
+        assert reader.fingerprints() == sorted(data)
+        for fp, values in data.items():
+            assert np.array_equal(reader.get(fp)[0], values)
+        # The reader adopted the open shard; the writer appends on.
+        writer.append("f" * 32, np.arange(3.0))
+        assert "f" * 32 in ShardStore(tmp_path)
+        writer.close()
+        assert len(ShardStore(tmp_path)) == 3
+
+    def test_appends_hash_each_value_byte_once(self, tmp_path, monkeypatch):
+        store = ShardStore(tmp_path, shard_rows=100)
+        hashed = []
+        real = hashlib.blake2b
+
+        class Counting:
+            def __init__(self, data=b"", **kwargs):
+                self._h = real(**kwargs)
+                self.update(data)
+
+            def update(self, data):
+                hashed.append(memoryview(data).nbytes)
+                self._h.update(data)
+
+            def hexdigest(self):
+                return self._h.hexdigest()
+
+        monkeypatch.setattr(hashlib, "blake2b", Counting)
+        data = fill(store, n_entries=6, rows=40)  # rolls a shard midway
+        store.close()
+        monkeypatch.undo()
+        assert sum(hashed) == sum(v.nbytes for v in data.values()) == 6 * 40 * 8
+
+    def test_torn_last_line_lists_the_complete_lines(self, tmp_path):
+        src = tmp_path / "src"
+        store = ShardStore(src, shard_rows=100)
+        data = fill(store, n_entries=3)
+        journal = (src / "manifest.journal").read_bytes()
+        *head, last, _ = journal.split(b"\n")
+        complete = len(journal) - len(last) - 1
+        first_two = sorted(data)[:2]
+        for keep in range(len(last) + 2):
+            copy = tmp_path / f"cut{keep}"
+            copy.mkdir()
+            for f in src.iterdir():
+                (copy / f.name).write_bytes(f.read_bytes())
+            (copy / "manifest.journal").write_bytes(journal[: complete + keep])
+            reopened = ShardStore(copy)
+            want = sorted(data) if keep == len(last) + 1 else first_two
+            assert reopened.fingerprints() == want, keep
+            for fp in want:
+                assert np.array_equal(reopened.get(fp)[0], data[fp])
+            assert reopened.verify()["ok"]
+
+    def test_append_after_a_torn_line_starts_a_new_line(self, tmp_path):
+        with ShardStore(tmp_path) as store:
+            data = fill(store, n_entries=2)
+        store = ShardStore(tmp_path)
+        store.remove(sorted(data)[0])
+        journal = tmp_path / "manifest.journal"
+        journal.write_bytes(journal.read_bytes()[:-5])  # the remove is torn
+        store = ShardStore(tmp_path)  # every shard sealed: no checkpoint
+        assert store.fingerprints() == sorted(data)
+        store.append("f" * 32, np.arange(3.0))
+        assert ShardStore(tmp_path).fingerprints() == sorted([*data, "f" * 32])
+
+    def test_line_past_its_shard_quarantines_the_shard(self, tmp_path):
+        with ShardStore(tmp_path, shard_rows=100) as store:
+            data = fill(store, n_entries=2)
+        line = {"op": "append", "fp": "f" * 32, "entry": {
+            "shard": "shard-00000.npy", "offset": 80, "rows": 10,
+            "metadata": {}, "digest": "0" * 32}}
+        (tmp_path / "manifest.journal").write_text(json.dumps(line) + "\n")
+        with pytest.warns(RuntimeWarning, match="quarantined shard shard-00000.npy"):
+            store = ShardStore(tmp_path)
+        assert store.corrupt_shards == 1
+        assert len(store) == 0 and not any(fp in store for fp in data)
+        assert (tmp_path / "shard-00000.npy.corrupt").exists()
+        # The quarantine is in the checkpoint: a second open sees no shard.
+        assert ShardStore(tmp_path).shards() == []
