@@ -210,15 +210,17 @@ class Campaign:
     def _read_datasets(self) -> list[dict]:
         return self._index()[1]
 
-    def _writable_datasets(self) -> list[dict]:
-        """:meth:`_read_datasets`, after upgrading a tree in an older format."""
+    def _upgraded(self, read):
+        """``read()``; on a :class:`~repro.errors.FormatError`, the tree
+        is upgraded from its older format and ``read()`` runs again.
+        Everything that writes reads through here."""
         try:
-            return self._read_datasets()
+            return read()
         except FormatError:
             from .upgrade import upgrade
 
             upgrade(self.path)
-            return self._read_datasets()
+            return read()
 
     def _runs(self) -> dict[str, dict]:
         """Each dataset's run fields from ``runs.json`` (empty when there
@@ -290,7 +292,7 @@ class Campaign:
         """
         from ..report import export
 
-        datasets = self._writable_datasets()
+        datasets = self._upgraded(self._read_datasets)
         entries = {d["name"]: d for d in datasets}
         files = {d["file"]: d["name"] for d in datasets}
         before_runs = self._runs()
@@ -298,7 +300,7 @@ class Campaign:
         changed: list[tuple[str, str]] = []
         namespace = self.dataset_namespace
         spilling = any(rows is not None for _, rows in sets)
-        store = self._writable_store() if spilling else None
+        store = self._upgraded(self.store) if spilling else None
         try:
             for ms, spill_rows in sets:
                 file = f"{_slug(ms.name)}.json"
@@ -420,16 +422,6 @@ class Campaign:
         kwargs = {} if shard_rows is None else {"shard_rows": shard_rows}
         return ShardStore(self.path / "store", **kwargs)
 
-    def _writable_store(self):
-        """:meth:`store`, after upgrading a store in an older format."""
-        try:
-            return self.store()
-        except FormatError:
-            from .upgrade import upgrade
-
-            upgrade(self.path)
-            return self.store()
-
     def has_store(self) -> bool:
         """True when this campaign directory has a shard store."""
         # os.path: load asks once per dataset, at half pathlib's cost.
@@ -447,10 +439,10 @@ class Campaign:
         if spill_rows is None:
             # Existing spilled entries must stay readable even when the
             # caller did not ask for spilling on this run.
-            store = self._writable_store() if self.has_store() else None
+            store = self._upgraded(self.store) if self.has_store() else None
             return ResultCache(self.path / "cache", spill_store=store)
         return ResultCache(
-            self.path / "cache", spill_store=self._writable_store(),
+            self.path / "cache", spill_store=self._upgraded(self.store),
             spill_rows=spill_rows,
         )
 
@@ -495,7 +487,7 @@ class Campaign:
         if _INDEX not in self._parses:
             # Only a current index is ever kept parsed, so one that was
             # not is read (and upgraded) before the cache opens the store.
-            self._writable_datasets()
+            self._upgraded(self._read_datasets)
         cache = self.result_cache(spill_rows=spill_rows) if use_cache else None
         span = (
             nullcontext() if tracer is None

@@ -38,6 +38,7 @@ __all__ = [
     "HEADER_SIZE",
     "ShardWriter",
     "check_size",
+    "digest_rows",
     "open_shard",
     "payload_digest",
     "read_header_rows",
@@ -188,20 +189,27 @@ def payload_digest(path: str | Path, rows: int | None = None, *, offset: int = 0
     :data:`DIGEST_CHUNK` pieces.
     """
     path = Path(path)
+    with path.open("rb") as fh:
+        return digest_rows(fh, rows, offset=offset, name=path.name)
+
+
+def digest_rows(fh, rows: int | None, *, offset: int = 0, name: str = "shard") -> str:
+    """:func:`payload_digest` read from *fh*, a shard opened ``"rb"``, so
+    a caller digesting many entries of one shard opens it once.  *name*
+    labels the truncation error."""
     h = hashlib.blake2b(digest_size=16)
     remaining = None if rows is None else rows * _DTYPE.itemsize
-    with path.open("rb") as fh:
-        fh.seek(HEADER_SIZE + offset * _DTYPE.itemsize)
-        while remaining is None or remaining > 0:
-            want = DIGEST_CHUNK if remaining is None else min(DIGEST_CHUNK, remaining)
-            chunk = fh.read(want)
-            if not chunk:
-                if remaining:
-                    raise ValidationError(
-                        f"{path.name}: truncated shard ({remaining} payload bytes missing)"
-                    )
-                break
-            h.update(chunk)
-            if remaining is not None:
-                remaining -= len(chunk)
+    fh.seek(HEADER_SIZE + offset * _DTYPE.itemsize)
+    while remaining is None or remaining > 0:
+        want = DIGEST_CHUNK if remaining is None else min(DIGEST_CHUNK, remaining)
+        chunk = fh.read(want)
+        if not chunk:
+            if remaining:
+                raise ValidationError(
+                    f"{name}: truncated shard ({remaining} payload bytes missing)"
+                )
+            break
+        h.update(chunk)
+        if remaining is not None:
+            remaining -= len(chunk)
     return h.hexdigest()

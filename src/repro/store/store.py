@@ -54,8 +54,8 @@ from .shard import (
     ShardWriter,
     _header_bytes,
     check_size,
+    digest_rows,
     open_shard,
-    payload_digest,
 )
 
 __all__ = ["ShardStore", "StoreStats", "STORE_SCHEMA_VERSION", "DEFAULT_SHARD_ROWS"]
@@ -643,7 +643,8 @@ class ShardStore:
         recorded; quarantine the shard of any mismatch.
 
         Returns a report dict (``ok``, per-shard status, counts).  Bounded
-        memory: values stream from the file in 1 MB chunks.  Rows no
+        memory: each shard is opened once and its entries' values stream
+        from it in offset order, 1 MB at a time.  Rows no
         entry lists (removed entries, an append whose journal line never
         landed) vouch for nothing and are not read.
         """
@@ -659,14 +660,17 @@ class ShardStore:
                 if not path.exists():
                     raise ValidationError("missing file")
                 check_size(path, shard.rows)
-                for fp, entry in listed.get(name, ()):
-                    if entry["offset"] + entry["rows"] > shard.rows:
-                        raise ValidationError(f"entry {fp} lies past the shard's rows")
-                    actual = payload_digest(path, entry["rows"], offset=entry["offset"])
-                    if actual != entry["digest"]:
-                        raise ValidationError(
-                            f"entry {fp} digest mismatch ({actual} != {entry['digest']})"
+                with path.open("rb") as fh:
+                    for fp, entry in listed.get(name, ()):
+                        if entry["offset"] + entry["rows"] > shard.rows:
+                            raise ValidationError(f"entry {fp} lies past the shard's rows")
+                        actual = digest_rows(
+                            fh, entry["rows"], offset=entry["offset"], name=name
                         )
+                        if actual != entry["digest"]:
+                            raise ValidationError(
+                                f"entry {fp} digest mismatch ({actual} != {entry['digest']})"
+                            )
                 report["shards"][name] = {"rows": shard.rows, "status": "ok"}
             except (ValidationError, OSError) as exc:
                 report["shards"][name] = {"rows": shard.rows, "status": str(exc)}

@@ -9,7 +9,7 @@ import pytest
 
 from repro.errors import ValidationError
 from repro.store import HEADER_SIZE, ShardWriter, open_shard, payload_digest
-from repro.store.shard import read_header_rows
+from repro.store.shard import digest_rows, read_header_rows
 
 
 class TestHeader:
@@ -138,6 +138,11 @@ class TestPayloadDigest:
         assert payload_digest(path, 21) == digest(*blocks)
         for offset, block in zip(offsets, blocks):
             assert payload_digest(path, block.size, offset=offset) == digest(block)
+        with path.open("rb") as fh:  # every entry from one handle, as verify reads
+            assert [
+                digest_rows(fh, block.size, offset=offset)
+                for offset, block in zip(offsets, blocks)
+            ] == [digest(block) for block in blocks]
         w.seal()
         assert payload_digest(path) == digest(*blocks)
 
